@@ -15,20 +15,26 @@
 //! * `ees_check_*`  — full EES consistency check over the GOM catalog,
 //! * `dred_*`       — DRed incremental maintenance of a materialised IDB,
 //! * `query_*`      — ad-hoc conjunctive query against a materialised IDB,
-//! * `snapshot_*`   — epoch snapshot publication (CoW page sharing).
+//! * `snapshot_*`   — epoch snapshot publication (CoW page sharing),
+//! * `reader_*`     — a gomd reader connection's per-epoch cost: refreshing
+//!   its private view, and the first `check` on that view.
 
 use gom_bench::{populate_objects, synth_manager, SplitMix64, SynthParams};
 use gom_deductive::{ChangeSet, Database, Tuple};
-use gom_server::Snapshot;
+use gom_server::{ReaderCache, Snapshot, SnapshotCell};
 use gomflex::core::SchemaManager;
 use gomflex::impact::{ImpactIndex, PlanConfig};
+use std::cell::RefCell;
 use std::hint::black_box;
+use std::rc::Rc;
 use std::time::Instant;
 
 /// One measured benchmark: name, per-iteration closure returning the number
 /// of "work units" processed (derived facts, violations scanned, …).
 struct Bench<'a> {
     name: &'static str,
+    /// Untimed set-up before every run (warmups included).
+    prep: Option<Box<dyn FnMut() + 'a>>,
     run: Box<dyn FnMut() -> u64 + 'a>,
     /// Work units per iteration (filled by the first run).
     units: u64,
@@ -46,13 +52,23 @@ struct Report {
     probes: u64,
 }
 
+impl Bench<'_> {
+    fn prep(&mut self) {
+        if let Some(prep) = &mut self.prep {
+            prep();
+        }
+    }
+}
+
 fn measure(b: &mut Bench, iters: usize) -> Report {
     // Warmup: populate caches/indexes and record the unit count.
+    b.prep();
     b.units = (b.run)();
     // Second warmup runs under gom-obs so the row can carry the engine's
     // own derived-tuple and probe counts; the collector is switched off
     // again before anything is timed.
     gom_obs::set_enabled(true);
+    b.prep();
     let before = gom_obs::snapshot();
     (b.run)();
     let work = gom_obs::snapshot().since(&before);
@@ -62,6 +78,7 @@ fn measure(b: &mut Bench, iters: usize) -> Report {
         work.counter("eval.probes") + work.counter("dred.probes") + work.counter("repair.probes");
     let mut samples: Vec<u128> = Vec::with_capacity(iters);
     for _ in 0..iters {
+        b.prep();
         let t0 = Instant::now();
         black_box((b.run)());
         samples.push(t0.elapsed().as_nanos());
@@ -194,6 +211,36 @@ fn maintained_commit_iter(mgr: &mut SchemaManager, t0: gom_model::TypeId) -> u64
     }
 }
 
+/// A gomd reader connection over a populated synth5000 base whose writer
+/// keeps violations maintained, as gomd does. Each `next_epoch` publishes
+/// a new snapshot of the (unchanged) writer state.
+struct ReaderBench {
+    mgr: SchemaManager,
+    cell: SnapshotCell,
+    cache: ReaderCache,
+    epoch: u64,
+}
+
+impl ReaderBench {
+    fn new(n: usize) -> ReaderBench {
+        let (mut mgr, _) = maintained_commit_setup(n);
+        mgr.meta.db.ensure_maintained().expect("arm maintenance");
+        let cell = SnapshotCell::new(Snapshot::capture(0, &mgr.meta));
+        ReaderBench {
+            mgr,
+            cell,
+            cache: ReaderCache::new(),
+            epoch: 0,
+        }
+    }
+
+    fn next_epoch(&mut self) {
+        self.epoch += 1;
+        self.cell
+            .publish(Snapshot::capture(self.epoch, &self.mgr.meta));
+    }
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -281,10 +328,15 @@ fn main() {
     let (deep_mgr, _deep_ts) = maintained_commit_setup(5000);
     let mut snap_epoch = 0u64;
 
+    // ---- reader connection per epoch over synth5000 ------------------------
+    let refresh = Rc::new(RefCell::new(ReaderBench::new(5000)));
+    let first_check = Rc::new(RefCell::new(ReaderBench::new(5000)));
+
     let _ = ts;
     let mut benches: Vec<Bench> = vec![
         Bench {
             name: "fixpoint_tc_chain128",
+            prep: None,
             run: Box::new(move || {
                 chain.invalidate_caches();
                 chain.derived_facts(chain_path).unwrap().len() as u64
@@ -293,6 +345,7 @@ fn main() {
         },
         Bench {
             name: "fixpoint_tc_graph200x420",
+            prep: None,
             run: Box::new(move || {
                 graph.invalidate_caches();
                 graph.derived_facts(graph_path).unwrap().len() as u64
@@ -301,6 +354,7 @@ fn main() {
         },
         Bench {
             name: "ees_check_synth50",
+            prep: None,
             run: Box::new(move || {
                 mgr.meta.db.invalidate_caches();
                 let v = mgr.meta.db.check().unwrap();
@@ -311,6 +365,7 @@ fn main() {
         },
         Bench {
             name: "dred_attr_toggle_synth50",
+            prep: None,
             run: Box::new(move || {
                 dred_mgr
                     .meta
@@ -330,6 +385,7 @@ fn main() {
         },
         Bench {
             name: "impact_plan_synth500",
+            prep: None,
             run: Box::new(move || {
                 // Cold plan: rebuild the whole impact index (reflect the
                 // program into the meta-EDB, run the meta-fixpoint) and
@@ -343,6 +399,7 @@ fn main() {
         },
         Bench {
             name: "ees_footprint_synth500",
+            prep: None,
             run: Box::new(move || {
                 fmgr.meta.db.invalidate_caches();
                 fmgr.meta
@@ -356,6 +413,7 @@ fn main() {
         },
         Bench {
             name: "ees_full_synth500",
+            prep: None,
             run: Box::new(move || {
                 gmgr.meta.db.invalidate_caches();
                 gmgr.meta.db.check_delta(&gdelta).unwrap().len() as u64 + 1
@@ -364,16 +422,19 @@ fn main() {
         },
         Bench {
             name: "ees_check_synth500",
+            prep: None,
             run: Box::new(move || maintained_commit_iter(&mut m500, m500_t0)),
             units: 0,
         },
         Bench {
             name: "ees_check_synth5000",
+            prep: None,
             run: Box::new(move || maintained_commit_iter(&mut m5000, m5000_t0)),
             units: 0,
         },
         Bench {
             name: "snapshot_publish_synth5000",
+            prep: None,
             run: Box::new(move || {
                 // What every EES commit pays to publish a reader epoch:
                 // with CoW page sharing this is O(#relations + #chunks)
@@ -388,6 +449,7 @@ fn main() {
         },
         Bench {
             name: "snapshot_publish_deep_synth5000",
+            prep: None,
             run: Box::new(move || {
                 // The pre-CoW publication path (deep per-tuple clone plus
                 // the eager digest it always computed), kept as a
@@ -400,6 +462,7 @@ fn main() {
         },
         Bench {
             name: "query_path_join96",
+            prep: None,
             run: Box::new(move || {
                 use gom_deductive::ast::{Atom, Literal, Term, Var};
                 let v = |n: u32| Term::Var(Var(n));
@@ -408,6 +471,42 @@ fn main() {
                     Literal::Pos(Atom::new(q_edge, vec![v(1), v(2)])),
                 ];
                 qdb.query(&body, &[Var(0), Var(2)]).unwrap().len() as u64
+            }),
+            units: 0,
+        },
+        Bench {
+            name: "reader_refresh_synth5000",
+            prep: Some(Box::new({
+                let r = Rc::clone(&refresh);
+                move || r.borrow_mut().next_epoch()
+            })),
+            run: Box::new(move || {
+                // A reader's first request after a commit: replace its
+                // private view with a share of the new epoch and make it
+                // probe-ready (units = facts in the view).
+                let r = &mut *refresh.borrow_mut();
+                let (_, meta) = r.cache.view(&r.cell);
+                meta.db.fact_count() as u64
+            }),
+            units: 0,
+        },
+        Bench {
+            name: "reader_first_check_synth5000",
+            prep: Some(Box::new({
+                let r = Rc::clone(&first_check);
+                move || {
+                    let r = &mut *r.borrow_mut();
+                    r.next_epoch();
+                    r.cache.view(&r.cell);
+                }
+            })),
+            run: Box::new(move || {
+                // The first full check on a freshly refreshed view (units =
+                // violations + 1). Later checks of the epoch are served
+                // from the snapshot's stored answer in gomd.
+                let r = &mut *first_check.borrow_mut();
+                let (_, meta) = r.cache.view(&r.cell);
+                meta.db.check().unwrap().len() as u64 + 1
             }),
             units: 0,
         },

@@ -7,6 +7,7 @@
 //! evaluates only the rules feeding the affected constraints.
 
 use crate::changes::ChangeSet;
+use crate::compile::CompiledConstraint;
 use crate::db::Database;
 use crate::error::Result;
 
@@ -166,7 +167,7 @@ impl Database {
         idb: &[Relation],
         indices: &[usize],
     ) -> Result<Vec<Violation>> {
-        self.collect_constraint_violations(idb, indices)
+        self.collect_constraint_violations(|_, cc| &idb[cc.viol.index()], indices)
     }
 
     /// Crate-internal: full key checks over the stored extensions.
@@ -188,9 +189,12 @@ impl Database {
     /// used to run here is gone; every public entry point applies one final
     /// [`sort_violations`] instead (probe: `check.violations.sort_ns`), so
     /// the rendered output stays deterministic for any thread count.
-    fn collect_constraint_violations(
+    /// `viol_rel` maps a compiled constraint (and its index) to the
+    /// relation holding its violation facts: an IDB slot, or a carried
+    /// relation.
+    fn collect_constraint_violations<'r>(
         &self,
-        idb: &[Relation],
+        viol_rel: impl Fn(usize, &CompiledConstraint) -> &'r Relation + Sync,
         indices: &[usize],
     ) -> Result<Vec<Violation>> {
         let compiled = self.compiled.as_ref().expect("compiled");
@@ -199,7 +203,7 @@ impl Database {
             let src = &self.constraints[cc.source_idx];
             let t0 = gom_obs::enabled().then(std::time::Instant::now);
             let before = out.len();
-            for tuple in idb[cc.viol.index()].iter() {
+            for tuple in viol_rel(ci, cc).iter() {
                 let witness = cc
                     .outer_vars
                     .iter()
@@ -226,16 +230,25 @@ impl Database {
         })
     }
 
-    /// Full consistency check: every constraint, every key.
+    /// Full consistency check: every constraint, every key. A snapshot
+    /// that carries the writer's violation relations (see
+    /// [`Database::snapshot_clone`]) reads them while no IDB is
+    /// materialised; otherwise the IDB is evaluated first.
     pub fn check(&mut self) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("check.full");
-        self.evaluate()?;
-        let idb = self.idb.take().expect("evaluated");
-        let all: Vec<usize> =
-            (0..self.compiled.as_ref().expect("compiled").constraints.len()).collect();
-        let collected = self.collect_constraint_violations(&idb.rels, &all);
-        self.idb = Some(idb);
-        let mut out = collected?;
+        let mut out = match (&self.idb, &self.carried_viols) {
+            (None, Some(viols)) => {
+                let all: Vec<usize> = (0..viols.len()).collect();
+                self.collect_constraint_violations(|ci, _| &viols[ci], &all)?
+            }
+            _ => {
+                self.evaluate()?;
+                let idb = self.idb.as_ref().expect("evaluated");
+                let all: Vec<usize> =
+                    (0..self.compiled.as_ref().expect("compiled").constraints.len()).collect();
+                self.collect_constraint_violations(|_, cc| &idb.rels[cc.viol.index()], &all)?
+            }
+        };
         let keyed: Vec<PredId> = self
             .base_preds()
             .filter(|&p| self.pred_decl(p).key.is_some())
@@ -378,7 +391,7 @@ impl Database {
             // panic, so the database stays usable after the error.
             self.compiled = Some(compiled);
             evaluated?;
-            self.collect_constraint_violations(&rels, &affected)?
+            self.collect_violations_public(&rels, &affected)?
         };
 
         out.extend(self.delta_key_violations(delta, &touched));

@@ -643,14 +643,14 @@ impl Database {
         }
         let mut index_masks: Vec<(PredId, Box<[usize]>)> = mask_set.into_iter().collect();
         index_masks.sort();
-        self.compiled = Some(Compiled {
+        self.compiled = Some(std::sync::Arc::new(Compiled {
             rules,
             plans,
             strat,
             rules_by_head,
             constraints: ccs,
             index_masks,
-        });
+        }));
         Ok(())
     }
 

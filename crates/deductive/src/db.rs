@@ -10,6 +10,7 @@ use crate::relation::Relation;
 use crate::symbol::{FxHashMap, Interner, Symbol};
 use crate::tuple::Tuple;
 use crate::value::Const;
+use std::sync::Arc;
 
 /// Source metadata for a rule or constraint: where (and in which `load`
 /// call) it was defined. API-built items have no position and source 0.
@@ -49,8 +50,15 @@ pub struct Database {
     /// Index into `preds` where compiler-generated auxiliary predicates
     /// start; `None` when not compiled.
     pub(crate) aux_start: Option<usize>,
-    pub(crate) compiled: Option<crate::compile::Compiled>,
+    /// The compiled program; shared (not rebuilt) by snapshots that carry
+    /// violation relations.
+    pub(crate) compiled: Option<Arc<crate::compile::Compiled>>,
     pub(crate) idb: Option<crate::eval::Idb>,
+    /// Violation relations carried into a snapshot from the writer's
+    /// maintained state, parallel to `compiled.constraints`. While no IDB
+    /// is materialised, [`Database::check`] reads these instead of running
+    /// the fixpoint. Dropped with the IDB on any base mutation.
+    pub(crate) carried_viols: Option<Vec<Relation>>,
     /// The last invalidated IDB, kept as spare capacity: the next
     /// evaluation recycles its relations (slot arrays, index maps, tuple
     /// buffers) instead of allocating from scratch.
@@ -66,8 +74,8 @@ pub struct Database {
     /// insert/remove feeds its delta through DRed so derived predicates —
     /// including constraint violation relations — stay correct at all
     /// times (see `incr.rs`). Discarded on definition change, session
-    /// rollback, or any maintenance irregularity; never cloned into
-    /// snapshots.
+    /// rollback, or any maintenance irregularity. Snapshots receive only
+    /// its violation relations (`carried_viols`), never the whole state.
     pub(crate) maintained: Option<crate::incr::Materialized>,
     /// Worker threads for fixpoint evaluation and constraint checking.
     /// `0` = unset: consult `GOM_EVAL_THREADS`, defaulting to 1 (the
@@ -617,26 +625,42 @@ impl Database {
         self.retire_idb();
     }
 
-    /// Drop the IDB materialisation, parking it as spare capacity for the
-    /// next evaluation to recycle.
+    /// Drop the IDB materialisation (parking it as spare capacity for the
+    /// next evaluation to recycle) and any carried violation relations.
     fn retire_idb(&mut self) {
+        self.carried_viols = None;
         if let Some(idb) = self.idb.take() {
             self.spare_idb = Some(idb);
         }
     }
 
     /// Share the definitional and extensional state into a fresh database
-    /// suitable for publication as a read snapshot: tuple pages and the
+    /// suitable for publication as a read snapshot. Tuple pages and the
     /// string table are `Arc`-shared copy-on-write (zero tuple copies,
-    /// O(#relations + #chunks) work), while compiler-generated auxiliary
-    /// predicates, compiled plans, IDB caches, maintained indexes, the
-    /// evolution-session journal, and test failpoints are all dropped. The
-    /// clone re-derives everything it needs lazily on first use, and —
-    /// because index contents depend on query history — two snapshots of
-    /// the same facts always produce bit-identical
-    /// [`Database::debug_state_digest`] output.
+    /// O(#relations + #chunks) work). Indexes, IDB caches, the maintained
+    /// state, the evolution-session journal and test failpoints are
+    /// dropped.
+    ///
+    /// When the source keeps its constraint violations current — an armed
+    /// maintained state whose fingerprint matches the program, or a
+    /// snapshot that still carries them — the clone also carries the
+    /// compiled program (an `Arc` bump, auxiliary predicates included) and
+    /// CoW shares of the violation relations, so its [`Database::check`]
+    /// is a read instead of a compile plus fixpoint. Only the violation
+    /// relations are shared: they are normally empty, whereas sharing the
+    /// whole maintained IDB would make the writer's next DRed writes
+    /// copy every touched page. Otherwise nothing derived is carried and
+    /// the clone re-derives lazily on first use.
+    ///
+    /// Carrying changes no [`Database::debug_state_digest`] output: the
+    /// digest covers base predicates only, and the clone's base relations
+    /// are index-free either way.
     pub fn snapshot_clone(&self) -> Database {
-        let n = self.aux_start.unwrap_or(self.preds.len());
+        let carried = self.violations_to_carry();
+        let n = match carried {
+            Some(_) => self.preds.len(),
+            None => self.aux_start.unwrap_or(self.preds.len()),
+        };
         let preds: Vec<PredDecl> = self.preds[..n].to_vec();
         let by_name: FxHashMap<Symbol, PredId> = preds
             .iter()
@@ -644,6 +668,10 @@ impl Database {
             .map(|(i, d)| (d.name, PredId(i as u32)))
             .collect();
         let rels: Vec<Relation> = self.rels[..n].iter().map(Relation::share).collect();
+        let (aux_start, compiled) = match carried {
+            Some(_) => (self.aux_start, self.compiled.clone()),
+            None => (None, None),
+        };
         Database {
             interner: self.interner.share(),
             preds,
@@ -654,29 +682,60 @@ impl Database {
             rule_info: self.rule_info.clone(),
             constraint_info: self.constraint_info.clone(),
             load_seq: self.load_seq,
-            aux_start: None,
-            compiled: None,
+            aux_start,
+            compiled,
             idb: None,
+            carried_viols: carried,
             spare_idb: None,
             idb_size_hints: Vec::new(),
             journal: None,
-            // Maintained state stays with the writer session; snapshots
-            // re-derive lazily like every other cache.
             maintained: None,
             eval_threads: self.eval_threads,
             eval_failpoint: false,
         }
     }
 
+    /// CoW shares of the violation relations a snapshot may carry, parallel
+    /// to `compiled.constraints`: from an armed maintained state matching
+    /// the program, else from violations this database itself carries.
+    fn violations_to_carry(&self) -> Option<Vec<Relation>> {
+        let compiled = self.compiled.as_ref()?;
+        match &self.maintained {
+            Some(mat) if mat.fingerprint_matches(self.preds.len(), compiled.rules.len()) => Some(
+                compiled
+                    .constraints
+                    .iter()
+                    .map(|cc| mat.rels[cc.viol.index()].share())
+                    .collect(),
+            ),
+            Some(_) => None,
+            None => self
+                .carried_viols
+                .as_ref()
+                .map(|viols| viols.iter().map(Relation::share).collect()),
+        }
+    }
+
+    /// Does this database carry violation relations from a snapshot share
+    /// (so that [`Database::check`] reads them instead of evaluating)?
+    /// Test support.
+    #[doc(hidden)]
+    pub fn carries_violations(&self) -> bool {
+        self.carried_viols.is_some()
+    }
+
     /// The pre-CoW reference implementation of
     /// [`Database::snapshot_clone`]: deep-copies every live tuple via
-    /// [`Relation::without_indexes`] instead of sharing pages. Kept as the
-    /// differential oracle for the CoW snapshot property tests (a share
-    /// must stay byte-identical to a deep clone taken at the same
-    /// instant); production publication always uses the shared path.
+    /// [`Relation::without_indexes`] instead of sharing pages, and carries
+    /// nothing derived, so it re-derives everything from scratch. Kept as
+    /// the differential oracle for the CoW snapshot property tests (a
+    /// share must stay byte-identical to a deep clone taken at the same
+    /// instant, and a carried check must equal a from-scratch one);
+    /// production publication always uses the shared path.
     #[doc(hidden)]
     pub fn deep_snapshot_clone(&self) -> Database {
         let mut snap = self.snapshot_clone();
+        snap.decompile();
         snap.rels = snap.rels.iter().map(Relation::without_indexes).collect();
         snap
     }

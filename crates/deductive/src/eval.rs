@@ -951,7 +951,15 @@ impl Database {
                 }
             }
         }
-        self.evaluate()?;
+        // A body over base predicates only never reads the IDB, so it is
+        // answered without compiling or evaluating the program.
+        let base_only = body.iter().all(|lit| match lit {
+            Literal::Pos(a) | Literal::Neg(a) => self.pred_decl(a.pred).is_base(),
+            Literal::Cmp(..) => true,
+        });
+        if !base_only {
+            self.evaluate()?;
+        }
         let var_count = body
             .iter()
             .flat_map(|l| l.vars())
@@ -961,16 +969,27 @@ impl Database {
             .unwrap_or(0);
         let plan = Plan::compile(body, var_count, None, &[]);
         // Build the indexes the query plan wants; they stay maintained.
-        let mut idb = self.idb.take().expect("evaluated");
+        let mut idb = self.idb.take();
         for (p, cols) in plan.masks() {
-            if self.pred_decl(p).is_base() {
-                self.rels[p.index()].ensure_index(cols);
-            } else {
-                idb.rels[p.index()].ensure_index(cols);
+            match &mut idb {
+                Some(idb) if !self.pred_decl(p).is_base() => {
+                    idb.rels[p.index()].ensure_index(cols);
+                }
+                _ => self.rels[p.index()].ensure_index(cols),
+            }
+        }
+        if base_only {
+            // Evaluation would have synced these; a snapshot share starts
+            // with stale membership tables.
+            for lit in body {
+                if let Literal::Pos(a) | Literal::Neg(a) = lit {
+                    self.rels[a.pred.index()].ensure_table();
+                }
             }
         }
         let mut binding: Binding = vec![None; var_count];
-        let store = Store::new(self, &idb.rels, None);
+        let idb_rels = idb.as_ref().map_or(&[][..], |idb| &idb.rels[..]);
+        let store = Store::new(self, idb_rels, None);
         let mut results: FxHashSet<Tuple> = FxHashSet::default();
         let _sp = gom_obs::span("eval.query");
         exec_plan(&store, &plan, None, &mut binding, &mut |b| {
@@ -985,7 +1004,7 @@ impl Database {
             gom_obs::counter_add("eval.probes", store.probes.get());
         }
         drop(_sp);
-        self.idb = Some(idb);
+        self.idb = idb;
         let mut v: Vec<Tuple> = results.into_iter().collect();
         v.sort();
         Ok(v)

@@ -91,6 +91,16 @@ fn gen_rule(
 
 /// A random stratified program over fixed predicates, plus a random EDB.
 pub fn build(seed: u64) -> Database {
+    let mut db = Database::new();
+    build_into(&mut db, seed);
+    db
+}
+
+/// Load [`build`]'s program and EDB for `seed` into an existing database
+/// (whose own predicates must not be named `B*`/`D*`). Returns the
+/// generator, positioned after the draws `build` makes, for callers that
+/// keep drawing from the same seed.
+pub fn build_into(db: &mut Database, seed: u64) -> Rng {
     let mut rng = Rng(seed);
     let b0 = ("B0", 2usize);
     let b1 = ("B1", 1usize);
@@ -120,7 +130,6 @@ pub fn build(seed: u64) -> Database {
         text.push('\n');
     }
 
-    let mut db = Database::new();
     db.load(&text)
         .unwrap_or_else(|e| panic!("seed {seed}: generated program rejected: {e}\n{text}"));
     let pb0 = db.pred_id("B0").unwrap();
@@ -136,7 +145,28 @@ pub fn build(seed: u64) -> Database {
         let t = Tuple::from(vec![Const::Int(rng.below(DOMAIN) as i64)]);
         db.insert(pb1, t).unwrap();
     }
-    db
+    rng
+}
+
+/// One to three random range-restricted constraints over [`build`]'s
+/// predicates, as program text. Random EDBs violate them often, so the
+/// compiled violation relations are regularly non-empty.
+pub fn constraints(rng: &mut Rng, tag: usize) -> String {
+    const BIN: [&str; 3] = ["B0", "D0", "D1"];
+    const UN: [&str; 2] = ["B1", "D2"];
+    let mut text = String::new();
+    for i in 0..(1 + rng.below(3)) {
+        let (p, q) = (BIN[rng.below(3)], BIN[rng.below(3)]);
+        let (u, v) = (UN[rng.below(2)], UN[rng.below(2)]);
+        let body = match rng.below(4) {
+            0 => format!("forall X, Y: {p}(X, Y) -> {q}(Y, X) | {u}(X)"),
+            1 => format!("forall X: {u}(X) -> exists Y: {p}(X, Y)"),
+            2 => format!("forall X, Y: {p}(X, Y) -> !{q}(Y, X)"),
+            _ => format!("forall X, Y: {p}(X, Y) & {u}(X) -> {v}(Y)"),
+        };
+        text.push_str(&format!("constraint c{tag}_{i}: {body}.\n"));
+    }
+    text
 }
 
 /// The planned engine's extensions for every derived predicate.

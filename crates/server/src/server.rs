@@ -365,6 +365,12 @@ pub fn serve(config: Config) -> io::Result<ServerHandle> {
         mgr.meta.db.set_eval_threads(threads);
     }
     register_counters();
+    // Keep violations maintained from the start, so every published epoch
+    // (the initial one included) carries them to readers. Failure only
+    // costs readers a fixpoint; sessions re-arm at BES.
+    if mgr.meta.db.ensure_maintained().is_err() {
+        mgr.meta.db.discard_maintained();
+    }
 
     let initial = Snapshot::capture(0, &mgr.meta);
     let lint_cfg = mgr.lint_config();
@@ -1023,12 +1029,14 @@ impl Connection {
     }
 
     fn check(&mut self) -> Reply {
-        let (_, meta) = self.cache.view(&self.shared.cell);
-        match meta.db.check() {
-            Ok(violations) => {
-                let rendered = violations.iter().map(|v| v.render(&meta.db)).collect();
-                Reply::Violations(rendered)
-            }
+        // One check per epoch: the first connection to ask computes it,
+        // every later one is served the stored answer.
+        let answer = self.cache.check(&self.shared.cell, |meta| {
+            let violations = meta.db.check();
+            violations.map(|vs| vs.iter().map(|v| v.render(&meta.db)).collect())
+        });
+        match answer {
+            Ok(rendered) => Reply::Violations(rendered),
             Err(e) => Reply::err(ErrorKind::Internal, e.to_string()),
         }
     }

@@ -15,12 +15,23 @@
 //! on first request ([`Snapshot::digest`]) — a commit that no client ever
 //! digests never pays for the sorted dump.
 //!
+//! What a snapshot carries beyond the base facts: while the writer keeps
+//! its constraint violations maintained (gomd arms this at start-up, and
+//! every session keeps it armed), the capture also shares the writer's
+//! compiled program (one `Arc`) and CoW shares of its violation
+//! relations. A reader's `check` is then a read of those relations plus
+//! the key checks, and queries over base predicates never evaluate; only a
+//! query over a derived predicate runs the fixpoint on the reader. None
+//! of this enters [`Snapshot::digest`], which covers base predicates only.
+//!
 //! Read-only verbs (digest/stats/metrics) are served straight from the
 //! shared `Arc<Snapshot>`. Queries and checks need `&mut Database`
-//! (interning, fixpoint caches), so each connection materialises a
+//! (interning, lazily built indexes), so each connection materialises a
 //! *private* mutable clone via [`ReaderCache::view`] — itself a CoW share,
 //! refreshed only when the epoch moves and only for connections that run
-//! mutable verbs.
+//! mutable verbs. The rendered check answer is computed once per epoch,
+//! by the first connection that asks, and stored in the shared snapshot
+//! for every other reader ([`ReaderCache::check`]).
 
 use gom_model::MetaModel;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -30,10 +41,14 @@ use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 pub struct Snapshot {
     /// Monotonic publication counter (0 = the state at server start).
     pub epoch: u64,
-    /// Index-free, cache-free CoW share of the meta model.
+    /// Index-free CoW share of the meta model (with the writer's compiled
+    /// program and violation relations when those were maintained).
     pub meta: MetaModel,
     /// Lazily computed state digest (see [`Snapshot::digest`]).
     digest: OnceLock<String>,
+    /// Rendered violations of this epoch, filled by the first reader that
+    /// checks it (see [`ReaderCache::check`]).
+    check: OnceLock<Vec<String>>,
 }
 
 impl Snapshot {
@@ -44,6 +59,7 @@ impl Snapshot {
             epoch,
             meta: meta.snapshot_clone(),
             digest: OnceLock::new(),
+            check: OnceLock::new(),
         }
     }
 
@@ -107,7 +123,8 @@ impl SnapshotCell {
 #[derive(Default)]
 pub struct ReaderCache {
     shared: Option<Arc<Snapshot>>,
-    private: Option<(u64, MetaModel)>,
+    /// The private clone together with the snapshot it was cloned from.
+    private: Option<(Arc<Snapshot>, MetaModel)>,
 }
 
 impl ReaderCache {
@@ -138,8 +155,38 @@ impl ReaderCache {
     /// `(epoch, meta)` with `meta` privately mutable; mutations stay
     /// connection-local until the next epoch refresh discards them.
     pub fn view(&mut self, cell: &SnapshotCell) -> (u64, &mut MetaModel) {
+        let (snap, meta) = self.refreshed(cell);
+        (snap.epoch, meta)
+    }
+
+    /// The rendered violations of the current epoch. Served from the
+    /// shared snapshot when any connection already checked this epoch;
+    /// otherwise `compute` runs on the private view and its answer is
+    /// stored into the snapshot that view was cloned from — which may be
+    /// newer than the one looked up first, if the epoch moved in between.
+    /// Errors are returned, not stored.
+    pub fn check<E>(
+        &mut self,
+        cell: &SnapshotCell,
+        compute: impl FnOnce(&mut MetaModel) -> Result<Vec<String>, E>,
+    ) -> Result<Vec<String>, E> {
+        if let Some(answer) = self.snapshot(cell).check.get() {
+            return Ok(answer.clone());
+        }
+        let (snap, meta) = self.refreshed(cell);
+        if let Some(answer) = snap.check.get() {
+            return Ok(answer.clone());
+        }
+        let answer = compute(meta)?;
+        let _ = snap.check.set(answer.clone());
+        Ok(answer)
+    }
+
+    /// The private clone and the snapshot it came from, refreshed when
+    /// the cell's epoch moved past it.
+    fn refreshed(&mut self, cell: &SnapshotCell) -> (&Arc<Snapshot>, &mut MetaModel) {
         let current = cell.epoch();
-        let stale = !matches!(&self.private, Some((epoch, _)) if *epoch == current);
+        let stale = !matches!(&self.private, Some((snap, _)) if snap.epoch == current);
         if stale {
             self.snapshot(cell);
             let snap = match &self.shared {
@@ -150,10 +197,10 @@ impl ReaderCache {
             gom_obs::counter_add("server.reader.refreshes", 1);
             let mut meta = snap.meta.snapshot_clone();
             meta.db.prepare_reader();
-            self.private = Some((snap.epoch, meta));
+            self.private = Some((snap, meta));
         }
         match &mut self.private {
-            Some((epoch, meta)) => (*epoch, meta),
+            Some((snap, meta)) => (snap, meta),
             // Unreachable: the branch above always fills the cache.
             None => unreachable!("reader cache refreshed above"),
         }
@@ -223,6 +270,29 @@ mod tests {
         let first = Arc::as_ptr(cache.shared.as_ref().unwrap());
         cache.snapshot(&cell);
         assert_eq!(first, Arc::as_ptr(cache.shared.as_ref().unwrap()));
+    }
+
+    #[test]
+    fn check_answer_is_computed_once_per_epoch() {
+        let m0 = model_with("S0");
+        let cell = SnapshotCell::new(Snapshot::capture(0, &m0));
+        let mut a = ReaderCache::new();
+        let mut b = ReaderCache::new();
+        let first = a.check(&cell, |_| Ok::<_, ()>(vec!["v0".to_string()]));
+        assert_eq!(first, Ok(vec!["v0".to_string()]));
+        // Another connection on the same epoch is served the stored answer.
+        let served = b.check(&cell, |_| Err(()));
+        assert_eq!(served, Ok(vec!["v0".to_string()]));
+        let old = cell.load();
+
+        cell.publish(Snapshot::capture(1, &model_with("S1")));
+        // A new epoch starts without an answer; errors are not stored.
+        assert_eq!(b.check(&cell, |_| Err(())), Err(()));
+        let next = b.check(&cell, |_| Ok::<_, ()>(Vec::new()));
+        assert_eq!(next, Ok(Vec::new()));
+        assert_eq!(a.check(&cell, |_| Err(())), Ok(Vec::new()));
+        // The old epoch keeps its own answer.
+        assert_eq!(old.check.get(), Some(&vec!["v0".to_string()]));
     }
 
     #[test]

@@ -108,10 +108,35 @@ grep -q "EES — consistent, committed" "$server_tmp/client.log" \
 grep -q "smokeAttr" "$server_tmp/client.log" \
   || { echo "MISSING autocommitted attribute in query output"; exit 1; }
 for span in "server.request:bes" "server.request:ees" "server.request:query" \
+            "server.request:check" \
             "server.request:stats" "epoch.publish"; do
   grep -q "$span" "$server_tmp/server-trace.jsonl" \
     || { echo "MISSING $span in server trace"; exit 1; }
 done
+# Readers serve the writer's compiled program and maintained violations:
+# the query and check above (both after the session's commit) must run no
+# fixpoint. Walk each eval.fixpoint span's parent chain; none may reach a
+# reader's server.request:check or server.request:query span.
+awk '
+/"ev":"span"/ {
+  match($0, /"name":"[^"]*"/); n = substr($0, RSTART + 8, RLENGTH - 9)
+  match($0, /"id":[0-9]+/); i = substr($0, RSTART + 5, RLENGTH - 5)
+  p = ""; if (match($0, /"parent":[0-9]+/)) p = substr($0, RSTART + 9, RLENGTH - 9)
+  name[i] = n; parent[i] = p
+}
+END {
+  bad = 0
+  for (i in name) {
+    if (name[i] != "eval.fixpoint") continue
+    for (a = parent[i]; a != ""; a = parent[a]) {
+      if (name[a] == "server.request:check" || name[a] == "server.request:query") {
+        printf "eval.fixpoint (span %s) ran under reader %s\n", i, name[a]; bad = 1
+      }
+    }
+  }
+  exit bad
+}' "$server_tmp/server-trace.jsonl" \
+  || { echo "reader requests re-derived the IDB instead of reading the snapshot"; exit 1; }
 rm -rf "$server_tmp"
 
 # Hostile clients and networks: the lease/deadline/shedding tests and the

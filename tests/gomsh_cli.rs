@@ -2,7 +2,9 @@
 //! transcript — the "interactive schema editor" front end of §2.2.
 
 use std::io::Write;
+use std::path::{Path, PathBuf};
 use std::process::{Command, Stdio};
+use std::sync::OnceLock;
 
 fn run_script(script: &str) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_gomsh"))
@@ -22,12 +24,22 @@ fn run_script(script: &str) -> String {
     String::from_utf8(out.stdout).expect("utf8")
 }
 
-fn write_car_schema() -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("gomsh_cli_test");
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("car_schema.gom");
-    std::fs::write(&path, gomflex::prelude::CAR_SCHEMA_SRC).unwrap();
-    path
+/// The car schema as a file, written once per test process. The tests
+/// run in parallel (and test processes may overlap); a file rewritten in
+/// place could be read half-written by another gomsh, which then loaded
+/// an empty schema. The file is written under a private name and renamed
+/// into place, so every reader sees a complete copy.
+fn write_car_schema() -> &'static Path {
+    static PATH: OnceLock<PathBuf> = OnceLock::new();
+    PATH.get_or_init(|| {
+        let dir = std::env::temp_dir().join("gomsh_cli_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("car_schema.gom");
+        let tmp = dir.join(format!("car_schema.gom.{}", std::process::id()));
+        std::fs::write(&tmp, gomflex::prelude::CAR_SCHEMA_SRC).unwrap();
+        std::fs::rename(&tmp, &path).unwrap();
+        path
+    })
 }
 
 #[test]
