@@ -63,9 +63,9 @@ fn b2_incremental_check(c: &mut Criterion) {
         });
         mgr.rollback_evolution().unwrap();
 
-        // DRed: maintain a materialised IDB; each iteration applies the
-        // change and its inverse incrementally (two updates + two scans).
-        let mut mat = mgr.meta.db.materialize().unwrap();
+        // DRed: arm IDB maintenance; each iteration applies the change and
+        // its inverse incrementally (two updates + two checks).
+        mgr.meta.db.ensure_maintained().unwrap();
         let mut forward = ChangeSet::new();
         let int = mgr.meta.builtins.int;
         let name = mgr.meta.db.constant("bench_new_attr");
@@ -79,10 +79,10 @@ fn b2_incremental_check(c: &mut Criterion) {
         }
         group.bench_with_input(BenchmarkId::new("dred", types), &types, |b, _| {
             b.iter(|| {
-                mgr.meta.db.apply_incremental(&mut mat, &forward).unwrap();
-                let v1 = mgr.meta.db.violations_from(&mat).unwrap().len();
-                mgr.meta.db.apply_incremental(&mut mat, &backward).unwrap();
-                let v2 = mgr.meta.db.violations_from(&mat).unwrap().len();
+                mgr.meta.db.apply(&forward).unwrap();
+                let v1 = mgr.meta.db.check().unwrap().len();
+                mgr.meta.db.apply(&backward).unwrap();
+                let v2 = mgr.meta.db.check().unwrap().len();
                 black_box(v1 + v2)
             })
         });

@@ -13,7 +13,9 @@
 //! Covered paths (the engine's three hot loops):
 //! * `fixpoint_*`   — bottom-up semi-naive fixpoint (transitive closure),
 //! * `ees_check_*`  — full EES consistency check over the GOM catalog,
-//! * `dred_*`       — DRed incremental maintenance of a materialised IDB,
+//! * `check_in_session_*`, `repairs_after_violation_*` — a full check and
+//!   repair generation inside an open session (reads of the maintained IDB),
+//! * `dred_*`       — DRed incremental maintenance of the armed IDB,
 //! * `query_*`      — ad-hoc conjunctive query against a materialised IDB,
 //! * `snapshot_*`   — epoch snapshot publication (CoW page sharing),
 //! * `reader_*`     — a gomd reader connection's per-epoch cost: refreshing
@@ -134,9 +136,6 @@ fn graph_db(nodes: usize, edges: usize, seed: u64) -> Database {
 
 /// A 500-type synthetic schema with an open evolution session holding a
 /// five-primitive migration delta (new slots on a live representation).
-/// Slot *inserts* provably cannot violate `slot_for_every_attr` — its Slot
-/// dependency is negative — so the polarity-aware footprint lets EES skip
-/// the inherited-attribute join that plain dependency selection reruns.
 fn synth500_session() -> (SchemaManager, ChangeSet) {
     let (mut mgr, ts) = synth_manager(SynthParams {
         types: 500,
@@ -209,6 +208,52 @@ fn maintained_commit_iter(mgr: &mut SchemaManager, t0: gom_model::TypeId) -> u64
             )
         }
     }
+}
+
+/// An open session on a [`maintained_commit_setup`] base: BES arms IDB
+/// maintenance, as every session does.
+fn open_session(n: usize) -> (SchemaManager, gom_model::TypeId) {
+    let (mut mgr, leaf) = maintained_commit_setup(n);
+    mgr.begin_evolution().expect("begin session");
+    (mgr, leaf)
+}
+
+/// Add the attribute `name` to `ty` when absent, else remove it: one
+/// primitive inside the open session.
+fn toggle_attr(mgr: &mut SchemaManager, ty: gom_model::TypeId, name: &str) {
+    if !mgr.meta.remove_attr(ty, name).expect("remove attr") {
+        let int_ty = mgr.meta.builtins.int;
+        mgr.meta.add_attr(ty, name, int_ty).expect("add attr");
+    }
+}
+
+/// A full check right after one primitive inside an open session on an
+/// `n`-type base (units = violations + 1).
+fn check_in_session(name: &'static str, n: usize) -> Bench<'static> {
+    let (mgr, leaf) = open_session(n);
+    let mgr = Rc::new(RefCell::new(mgr));
+    let prep_mgr = Rc::clone(&mgr);
+    Bench {
+        name,
+        prep: Some(Box::new(move || {
+            toggle_attr(&mut prep_mgr.borrow_mut(), leaf, "bm_check")
+        })),
+        run: Box::new(move || mgr.borrow_mut().check().unwrap().len() as u64 + 1),
+        units: 0,
+    }
+}
+
+/// The paper's §3.5 repair loop on an open session: a primitive that
+/// violates `slot_for_every_attr` (the leaf's live instance lacks the
+/// new attribute's slot), the full check that reports it, repair
+/// generation for the first violation, then the undoing primitive.
+fn repairs_after_violation_iter(mgr: &mut SchemaManager, leaf: gom_model::TypeId) -> u64 {
+    toggle_attr(mgr, leaf, "bm_repair");
+    let vs = mgr.check().expect("check");
+    let first = vs.first().expect("the new attribute violates a constraint");
+    let repairs = mgr.repairs_for(first).expect("repairs").len();
+    toggle_attr(mgr, leaf, "bm_repair");
+    (vs.len() + repairs) as u64
 }
 
 /// A gomd reader connection over a populated synth5000 base whose writer
@@ -293,7 +338,7 @@ fn main() {
         types: 50,
         ..Default::default()
     });
-    let mut mat = dred_mgr.meta.db.materialize().unwrap();
+    dred_mgr.meta.db.ensure_maintained().unwrap();
     let t0 = dred_ts[0];
     let int_ty = dred_mgr.meta.builtins.int;
     let attr_name = dred_mgr.meta.db.constant("bench_new_attr");
@@ -312,16 +357,16 @@ fn main() {
     let q_edge = qdb.pred_id("Edge").unwrap();
     let q_path = qdb.pred_id("Path").unwrap();
 
-    // ---- impact planner + footprint-gated EES over synth500 ----------------
+    // ---- impact planner + delta-checked EES over synth500 -------------------
     let (mut pmgr, pdelta) = synth500_session();
-    let (mut fmgr, fdelta) = synth500_session();
-    let findex = ImpactIndex::build(&mut fmgr.meta.db).unwrap();
-    let ffp = findex.footprint(&fmgr.meta.db, &fdelta).constraints;
     let (mut gmgr, gdelta) = synth500_session();
 
     // ---- maintained EES commit, flat-in-schema-size rows -------------------
     let (mut m500, m500_t0) = maintained_commit_setup(500);
     let (mut m5000, m5000_t0) = maintained_commit_setup(5000);
+
+    // ---- repairs inside an open session ------------------------------------
+    let (mut r5000, r5000_leaf) = open_session(5000);
 
     // ---- epoch snapshot publication over synth5000 -------------------------
     let (snap_mgr, _snap_ts) = maintained_commit_setup(5000);
@@ -367,18 +412,10 @@ fn main() {
             name: "dred_attr_toggle_synth50",
             prep: None,
             run: Box::new(move || {
-                dred_mgr
-                    .meta
-                    .db
-                    .apply_incremental(&mut mat, &forward)
-                    .unwrap();
-                let v1 = dred_mgr.meta.db.violations_from(&mat).unwrap().len();
-                dred_mgr
-                    .meta
-                    .db
-                    .apply_incremental(&mut mat, &backward)
-                    .unwrap();
-                let v2 = dred_mgr.meta.db.violations_from(&mat).unwrap().len();
+                dred_mgr.meta.db.apply(&forward).unwrap();
+                let v1 = dred_mgr.meta.db.check().unwrap().len();
+                dred_mgr.meta.db.apply(&backward).unwrap();
+                let v2 = dred_mgr.meta.db.check().unwrap().len();
                 (v1 + v2) as u64 + 2
             }),
             units: 0,
@@ -394,20 +431,6 @@ fn main() {
                 let plan =
                     gomflex::impact::plan(&pmgr.meta.db, &index, &pdelta, &PlanConfig::default());
                 black_box(plan.footprint.len() as u64 + plan.total_constraints as u64)
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "ees_footprint_synth500",
-            prep: None,
-            run: Box::new(move || {
-                fmgr.meta.db.invalidate_caches();
-                fmgr.meta
-                    .db
-                    .check_delta_filtered(&fdelta, &ffp)
-                    .unwrap()
-                    .len() as u64
-                    + 1
             }),
             units: 0,
         },
@@ -430,6 +453,14 @@ fn main() {
             name: "ees_check_synth5000",
             prep: None,
             run: Box::new(move || maintained_commit_iter(&mut m5000, m5000_t0)),
+            units: 0,
+        },
+        check_in_session("check_in_session_synth500", 500),
+        check_in_session("check_in_session_synth5000", 5000),
+        Bench {
+            name: "repairs_after_violation_synth5000",
+            prep: None,
+            run: Box::new(move || repairs_after_violation_iter(&mut r5000, r5000_leaf)),
             units: 0,
         },
         Bench {

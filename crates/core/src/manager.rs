@@ -16,9 +16,7 @@
 use crate::consistency;
 use crate::explain::{explain_repair, ExplainedRepair};
 use gom_analyzer::lower::{AnalyzeError, Analyzer, LoweredSchema};
-use gom_deductive::{
-    ChangeSet, Error as DbError, FxHashSet, Repair, Result as DbResult, Violation,
-};
+use gom_deductive::{ChangeSet, Error as DbError, Repair, Result as DbResult, Violation};
 use gom_impact::{ImpactIndex, PlanConfig, PlanReport};
 use gom_lint::{Baseline, LintConfig, LintReport, Severity};
 use gom_model::{MetaModel, Oid, TypeId};
@@ -189,20 +187,6 @@ impl SchemaManager {
         ))
     }
 
-    /// The session's impact footprint, used to narrow EES delta-checking.
-    /// `None` when impact analysis fails for any reason — EES then falls
-    /// back to unfiltered delta checking, so planning can never block a
-    /// commit.
-    fn footprint_for(&mut self, delta: &ChangeSet) -> Option<FxHashSet<String>> {
-        self.impact_index().ok()?;
-        let index = self.impact.as_ref()?;
-        let fp = index.footprint(&self.meta.db, delta);
-        if gom_obs::enabled() {
-            gom_obs::counter_add("impact.footprint.size", fp.constraints.len() as u64);
-        }
-        Some(fp.constraints)
-    }
-
     // ----- session protocol ------------------------------------------------------
 
     /// Step 1 — BES: begin an evolution session. With a durable store
@@ -217,15 +201,13 @@ impl SchemaManager {
                 return Err(crate::durable::db_err(e));
             }
         }
-        // Arm incremental violation maintenance: every primitive inside the
-        // session feeds its delta through DRed, so EES becomes a read of
-        // the maintained violation relations (O(Δ), flat in schema size).
-        // A no-op when already armed from a previous committed session.
-        // Failure to arm never blocks a session — EES falls back down the
-        // check ladder.
-        if self.meta.db.ensure_maintained().is_err() {
-            self.meta.db.discard_maintained();
-        }
+        // Arm IDB maintenance: every primitive inside the session feeds its
+        // delta through DRed, so EES, check, query, why and repairs read
+        // the maintained IDB (O(Δ) per op, flat in schema size). A no-op
+        // when already armed from a previous committed session. Failure to
+        // arm never blocks a session: it leaves no IDB, and EES falls back
+        // to the delta check.
+        let _ = self.meta.db.ensure_maintained();
         Ok(())
     }
 
@@ -243,20 +225,16 @@ impl SchemaManager {
         if gom_obs::enabled() {
             gom_obs::counter_add("session.delta.ops", delta.ops.len() as u64);
         }
-        // Check ladder: maintained read → footprint-filtered delta check →
-        // full delta check. The maintained path is a read of violation
-        // relations DRed kept up to date per primitive (O(Δ)); if the
-        // maintained state was discarded mid-session for any reason, the
-        // fall-back re-derives exactly what the read would have returned
-        // (sound given pre-session consistency; see gom-impact).
+        // The maintained path is a read of violation relations DRed kept
+        // up to date per primitive (O(Δ)); if the maintained IDB was
+        // dropped mid-session for any reason, the delta check re-derives
+        // exactly what the read would have returned (sound given
+        // pre-session consistency).
         let violations = match self.meta.db.check_maintained(&delta)? {
             Some(vs) => vs,
             None => {
                 gom_obs::counter_add("check.maintenance.fallbacks", 1);
-                match self.footprint_for(&delta) {
-                    Some(allowed) => self.meta.db.check_delta_filtered(&delta, &allowed)?,
-                    None => self.meta.db.check_delta(&delta)?,
-                }
+                self.meta.db.check_delta(&delta)?
             }
         };
         if violations.is_empty() {

@@ -64,6 +64,11 @@ impl Violation {
     }
 }
 
+/// Hash of a fact's key columns (see `Idb::key_counts`).
+pub(crate) fn key_hash(key: &[usize], t: &Tuple) -> u64 {
+    crate::relation::hash_vals(key.iter().map(|&c| t.get(c)))
+}
+
 fn key_violations_for(
     db: &Database,
     pred: PredId,
@@ -160,27 +165,14 @@ fn key_violations_for(
 }
 
 impl Database {
-    /// Crate-internal: collect constraint violations from an external IDB
-    /// slice (used by incremental maintenance).
+    /// Crate-internal: collect constraint violations from an IDB slice
+    /// (the maintained IDB, or the cone [`Self::check_delta`] evaluates).
     pub(crate) fn collect_violations_public(
         &self,
         idb: &[Relation],
         indices: &[usize],
     ) -> Result<Vec<Violation>> {
         self.collect_constraint_violations(|_, cc| &idb[cc.viol.index()], indices)
-    }
-
-    /// Crate-internal: full key checks over the stored extensions.
-    pub(crate) fn key_violations_public(&self) -> Vec<Violation> {
-        let keyed: Vec<PredId> = self
-            .base_preds()
-            .filter(|&p| self.pred_decl(p).key.is_some())
-            .collect();
-        let mut out = Vec::new();
-        for p in keyed {
-            out.extend(key_violations_for(self, p, None));
-        }
-        out
     }
 
     /// Scan the violation predicates of the given compiled constraints.
@@ -233,7 +225,9 @@ impl Database {
     /// Full consistency check: every constraint, every key. A snapshot
     /// that carries the writer's violation relations (see
     /// [`Database::snapshot_clone`]) reads them while no IDB is
-    /// materialised; otherwise the IDB is evaluated first.
+    /// materialised; otherwise the IDB is evaluated first — a no-op while
+    /// it is maintained, and then the key scan is also skipped for every
+    /// predicate whose maintained key counts show no shared key.
     pub fn check(&mut self) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("check.full");
         let mut out = match (&self.idb, &self.carried_viols) {
@@ -256,7 +250,16 @@ impl Database {
         {
             let _keys = gom_obs::span("check.keys");
             for p in keyed {
-                out.extend(key_violations_for(self, p, None));
+                let clean = self.idb.as_ref().is_some_and(|idb| {
+                    idb.maintained
+                        && idb
+                            .key_counts
+                            .get(&p)
+                            .is_some_and(|n| n.len() == self.rels[p.index()].len())
+                });
+                if !clean {
+                    out.extend(key_violations_for(self, p, None));
+                }
             }
         }
         sort_violations(&mut out);
@@ -283,48 +286,16 @@ impl Database {
     /// constraints and re-checks only keys of touched predicates (and only
     /// around inserted tuples).
     pub fn check_delta(&mut self, delta: &ChangeSet) -> Result<Vec<Violation>> {
-        self.check_delta_impl(delta, None)
-    }
-
-    /// Like [`Self::check_delta`], but additionally restricted to the
-    /// constraints named in `allowed` — typically an impact footprint
-    /// computed by static analysis. Constraints outside `allowed` are
-    /// skipped entirely (counted under `check.constraints.footprint_skipped`).
-    ///
-    /// Sound under the same precondition as `check_delta` itself: the
-    /// database was consistent when the session began, and `allowed` is a
-    /// superset of the constraints the delta can newly violate. Key checks
-    /// are never filtered.
-    pub fn check_delta_filtered(
-        &mut self,
-        delta: &ChangeSet,
-        allowed: &FxHashSet<String>,
-    ) -> Result<Vec<Violation>> {
-        self.check_delta_impl(delta, Some(allowed))
-    }
-
-    fn check_delta_impl(
-        &mut self,
-        delta: &ChangeSet,
-        allowed: Option<&FxHashSet<String>>,
-    ) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("check.delta");
         self.ensure_compiled()?;
         let touched: FxHashSet<PredId> = delta.touched_preds().into_iter().collect();
         // Affected constraints and the derived predicates they need.
-        let mut footprint_skipped = 0u64;
         let (affected, needed): (Vec<usize>, FxHashSet<PredId>) = {
             let compiled = self.compiled.as_ref().expect("compiled");
             let mut affected = Vec::new();
             let mut frontier: Vec<PredId> = Vec::new();
             for (i, cc) in compiled.constraints.iter().enumerate() {
                 if cc.deps.iter().any(|p| touched.contains(p)) {
-                    if let Some(allow) = allowed {
-                        if !allow.contains(&self.constraints[cc.source_idx].name) {
-                            footprint_skipped += 1;
-                            continue;
-                        }
-                    }
                     affected.push(i);
                     frontier.push(cc.viol);
                 }
@@ -355,7 +326,6 @@ impl Database {
             let total = self.compiled.as_ref().expect("compiled").constraints.len();
             gom_obs::counter_add("check.constraints.affected", affected.len() as u64);
             gom_obs::counter_add("check.constraints.skipped", (total - affected.len()) as u64);
-            gom_obs::counter_add("check.constraints.footprint_skipped", footprint_skipped);
         }
 
         let mut out = if affected.is_empty() {
@@ -427,51 +397,41 @@ impl Database {
         out
     }
 
-    /// EES read from the maintained violation state: when a maintained
-    /// materialisation is armed ([`Database::ensure_maintained`]) the
-    /// violation relations of every constraint are already up to date, so
-    /// the commit check reduces to reading the relations of the
-    /// delta-affected constraints plus the (unfilterable) key checks —
-    /// O(Δ) in the session's change instead of O(schema). Returns
-    /// `Ok(None)` when no maintained state is armed or it went stale;
-    /// callers then fall back down the ladder (footprint-filtered, then
-    /// full delta check).
+    /// EES read from the maintained IDB: while maintenance is armed
+    /// ([`Database::ensure_maintained`]) the violation relations of every
+    /// constraint are already up to date, so the commit check reduces to
+    /// reading the relations of the delta-affected constraints plus the
+    /// (unfilterable) key checks — O(Δ) in the session's change instead of
+    /// O(schema). Returns `Ok(None)` when maintenance is not armed or the
+    /// IDB went stale; callers then fall back to
+    /// [`Database::check_delta`].
     ///
     /// Decision-equivalent to [`Database::check_delta`] by construction:
     /// the identical affected-constraint selection reads the maintained
     /// violation relations instead of re-deriving their cones, and the key
     /// checks are shared code. The `tests/maintained_soundness.rs` sweep
-    /// asserts bit-identical reports across both paths and against full
-    /// [`Database::check`].
+    /// asserts bit-identical reports across both paths and against a
+    /// from-scratch check.
     pub fn check_maintained(&mut self, delta: &ChangeSet) -> Result<Option<Vec<Violation>>> {
-        if self.maintained.is_none() {
+        if !self.maintenance_active() {
             return Ok(None);
         }
         let _sp = gom_obs::span("ees.maintained");
-        self.ensure_compiled()?;
-        let Some(mat) = self.maintained.take() else {
-            return Ok(None);
-        };
-        // `decompile()` discards the maintained state together with the
-        // program, so a fingerprint mismatch here means an invariant broke
-        // upstream: discard and let the caller fall back.
-        let rule_count = self.compiled.as_ref().map_or(0, |c| c.rules.len());
-        if !mat.fingerprint_matches(self.pred_count(), rule_count) {
-            gom_obs::counter_add("check.maintenance.discards", 1);
+        if !self.idb_matches_program() {
             return Ok(None);
         }
+        let (Some(idb), Some(compiled)) = (&self.idb, &self.compiled) else {
+            return Ok(None);
+        };
         let touched: FxHashSet<PredId> = delta.touched_preds().into_iter().collect();
-        let affected: Vec<usize> = self.compiled.as_ref().map_or_else(Vec::new, |c| {
-            c.constraints
-                .iter()
-                .enumerate()
-                .filter(|(_, cc)| cc.deps.iter().any(|p| touched.contains(p)))
-                .map(|(i, _)| i)
-                .collect()
-        });
-        let collected = self.collect_violations_public(&mat.rels, &affected);
-        self.maintained = Some(mat);
-        let mut out = collected?;
+        let affected: Vec<usize> = compiled
+            .constraints
+            .iter()
+            .enumerate()
+            .filter(|(_, cc)| cc.deps.iter().any(|p| touched.contains(p)))
+            .map(|(i, _)| i)
+            .collect();
+        let mut out = self.collect_violations_public(&idb.rels, &affected)?;
         out.extend(self.delta_key_violations(delta, &touched));
         if gom_obs::enabled() {
             gom_obs::counter_add("check.constraints.affected", affected.len() as u64);
@@ -585,37 +545,6 @@ mod tests {
         assert!(db.check_delta(&delta).unwrap().is_empty());
         // Full check still reports the stale Q violation.
         assert_eq!(db.check().unwrap().len(), 1);
-    }
-
-    #[test]
-    fn filtered_check_skips_constraints_outside_the_footprint() {
-        let mut db = db_with(
-            "base P(x).\n\
-             base Q(x).\n\
-             constraint p_nonneg: forall X: P(X) -> X >= 0.\n\
-             constraint q_nonneg: forall X: Q(X) -> X >= 0.\n",
-        );
-        let p = db.pred_id("P").unwrap();
-        let q = db.pred_id("Q").unwrap();
-        let mut delta = ChangeSet::new();
-        delta.insert(p, Tuple::from(vec![Const::Int(-1)]));
-        delta.insert(q, Tuple::from(vec![Const::Int(-2)]));
-        db.apply(&delta).unwrap();
-        // Unfiltered: both constraints fire.
-        assert_eq!(db.check_delta(&delta).unwrap().len(), 2);
-        // A footprint naming only p_nonneg suppresses the q_nonneg check.
-        let allowed: FxHashSet<String> = ["p_nonneg".to_string()].into_iter().collect();
-        let v = db.check_delta_filtered(&delta, &allowed).unwrap();
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].constraint, "p_nonneg");
-        // An all-inclusive footprint is identical to the unfiltered check.
-        let all: FxHashSet<String> = ["p_nonneg".to_string(), "q_nonneg".to_string()]
-            .into_iter()
-            .collect();
-        assert_eq!(
-            format!("{:?}", db.check_delta_filtered(&delta, &all).unwrap()),
-            format!("{:?}", db.check_delta(&delta).unwrap())
-        );
     }
 
     #[test]

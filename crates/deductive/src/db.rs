@@ -53,15 +53,23 @@ pub struct Database {
     /// The compiled program; shared (not rebuilt) by snapshots that carry
     /// violation relations.
     pub(crate) compiled: Option<Arc<crate::compile::Compiled>>,
+    /// The one materialised IDB, built by [`Database::evaluate`]. While
+    /// armed ([`Database::ensure_maintained`]) every base insert/remove
+    /// updates it in place by DRed, so `check`, `query`, `why` and repair
+    /// generation read the current derivations without re-evaluating;
+    /// otherwise any base change drops it. Dropped on definition change,
+    /// session rollback, [`Database::invalidate_caches`] or any
+    /// maintenance irregularity. Snapshots receive only its violation
+    /// relations (`carried_viols`), never the whole IDB.
     pub(crate) idb: Option<crate::eval::Idb>,
-    /// Violation relations carried into a snapshot from the writer's
-    /// maintained state, parallel to `compiled.constraints`. While no IDB
-    /// is materialised, [`Database::check`] reads these instead of running
-    /// the fixpoint. Dropped with the IDB on any base mutation.
+    /// Violation relations carried into a snapshot from the writer's IDB,
+    /// parallel to `compiled.constraints`. While no IDB is materialised,
+    /// [`Database::check`] reads these instead of running the fixpoint.
+    /// Dropped on any base mutation.
     pub(crate) carried_viols: Option<Vec<Relation>>,
-    /// The last invalidated IDB, kept as spare capacity: the next
-    /// evaluation recycles its relations (slot arrays, index maps, tuple
-    /// buffers) instead of allocating from scratch.
+    /// The last dropped IDB, kept as spare capacity: the next evaluation
+    /// recycles its relations (slot arrays, index maps, tuple buffers)
+    /// instead of allocating from scratch.
     pub(crate) spare_idb: Option<crate::eval::Idb>,
     /// Final relation sizes of the last materialised IDB, used to pre-size
     /// row storage and membership tables on re-evaluation: after an
@@ -70,13 +78,6 @@ pub struct Database {
     /// from the hot insert path.
     pub(crate) idb_size_hints: Vec<usize>,
     journal: Option<Vec<Op>>,
-    /// Armed maintained materialisation: when `Some`, every base-fact
-    /// insert/remove feeds its delta through DRed so derived predicates —
-    /// including constraint violation relations — stay correct at all
-    /// times (see `incr.rs`). Discarded on definition change, session
-    /// rollback, or any maintenance irregularity. Snapshots receive only
-    /// its violation relations (`carried_viols`), never the whole state.
-    pub(crate) maintained: Option<crate::incr::Materialized>,
     /// Worker threads for fixpoint evaluation and constraint checking.
     /// `0` = unset: consult `GOM_EVAL_THREADS`, defaulting to 1 (the
     /// reproducible single-threaded configuration).
@@ -250,13 +251,8 @@ impl Database {
         self.check_base_use(pred, &tuple)?;
         let added = self.rels[pred.index()].insert(tuple.clone());
         if added {
-            self.retire_idb();
-            if self.maintained.is_some() {
-                if let Some(j) = &mut self.journal {
-                    j.push(Op::Insert(pred, tuple.clone()));
-                }
-                self.maintain_change(pred, tuple, true);
-            } else if let Some(j) = &mut self.journal {
+            self.base_changed(pred, &tuple, true);
+            if let Some(j) = &mut self.journal {
                 j.push(Op::Insert(pred, tuple));
             }
         }
@@ -268,12 +264,9 @@ impl Database {
         self.check_base_use(pred, tuple)?;
         let removed = self.rels[pred.index()].remove(tuple);
         if removed {
-            self.retire_idb();
+            self.base_changed(pred, tuple, false);
             if let Some(j) = &mut self.journal {
                 j.push(Op::Delete(pred, tuple.clone()));
-            }
-            if self.maintained.is_some() {
-                self.maintain_change(pred, tuple.clone(), false);
             }
         }
         Ok(removed)
@@ -469,9 +462,6 @@ impl Database {
     pub(crate) fn decompile(&mut self) {
         self.retire_idb();
         self.compiled = None;
-        // A maintained materialisation is only meaningful for the program
-        // it was built against.
-        self.maintained = None;
         if let Some(n) = self.aux_start.take() {
             for d in self.preds.drain(n..) {
                 self.by_name.remove(&d.name);
@@ -521,9 +511,9 @@ impl Database {
             .take()
             .ok_or_else(|| Error::SessionProtocol("no active session".into()))?;
         // The inverse ops below go straight to the relations (no
-        // journalling, no re-maintenance); the maintained state cannot
-        // follow and is discarded — the next session begin re-arms it.
-        self.maintained = None;
+        // journalling, no re-maintenance); the IDB cannot follow and is
+        // dropped — the next session begin re-arms it.
+        self.retire_idb();
         for op in journal.iter().rev() {
             match op.inverse() {
                 Op::Insert(p, t) => {
@@ -534,7 +524,6 @@ impl Database {
                 }
             }
         }
-        self.retire_idb();
         Ok(())
     }
 
@@ -617,17 +606,16 @@ impl Database {
         self.interner.ensure_lookup();
     }
 
-    /// Drop the cached IDB materialisation so the next check/evaluation
-    /// starts cold. Benchmarks use this to measure steady-state cost;
-    /// normal code never needs it (fact mutations invalidate
-    /// automatically).
+    /// Drop the IDB, and with it maintenance, so the next check or
+    /// evaluation starts cold and the next [`Database::ensure_maintained`]
+    /// rebuilds from scratch.
     pub fn invalidate_caches(&mut self) {
         self.retire_idb();
     }
 
-    /// Drop the IDB materialisation (parking it as spare capacity for the
-    /// next evaluation to recycle) and any carried violation relations.
-    fn retire_idb(&mut self) {
+    /// Drop the IDB (parking it as spare capacity for the next evaluation
+    /// to recycle) and any carried violation relations.
+    pub(crate) fn retire_idb(&mut self) {
         self.carried_viols = None;
         if let Some(idb) = self.idb.take() {
             self.spare_idb = Some(idb);
@@ -637,20 +625,18 @@ impl Database {
     /// Share the definitional and extensional state into a fresh database
     /// suitable for publication as a read snapshot. Tuple pages and the
     /// string table are `Arc`-shared copy-on-write (zero tuple copies,
-    /// O(#relations + #chunks) work). Indexes, IDB caches, the maintained
-    /// state, the evolution-session journal and test failpoints are
-    /// dropped.
+    /// O(#relations + #chunks) work). Indexes, the IDB, the
+    /// evolution-session journal and test failpoints are dropped.
     ///
-    /// When the source keeps its constraint violations current — an armed
-    /// maintained state whose fingerprint matches the program, or a
-    /// snapshot that still carries them — the clone also carries the
-    /// compiled program (an `Arc` bump, auxiliary predicates included) and
-    /// CoW shares of the violation relations, so its [`Database::check`]
-    /// is a read instead of a compile plus fixpoint. Only the violation
-    /// relations are shared: they are normally empty, whereas sharing the
-    /// whole maintained IDB would make the writer's next DRed writes
-    /// copy every touched page. Otherwise nothing derived is carried and
-    /// the clone re-derives lazily on first use.
+    /// When the source holds its constraint violations — a materialised
+    /// IDB, or a snapshot that still carries them — the clone also carries
+    /// the compiled program (an `Arc` bump, auxiliary predicates included)
+    /// and CoW shares of the violation relations, so its
+    /// [`Database::check`] is a read instead of a compile plus fixpoint.
+    /// Only the violation relations are shared: they are normally empty,
+    /// whereas sharing the whole IDB would make the writer's next DRed
+    /// writes copy every touched page. Otherwise nothing derived is
+    /// carried and the clone re-derives lazily on first use.
     ///
     /// Carrying changes no [`Database::debug_state_digest`] output: the
     /// digest covers base predicates only, and the clone's base relations
@@ -689,26 +675,24 @@ impl Database {
             spare_idb: None,
             idb_size_hints: Vec::new(),
             journal: None,
-            maintained: None,
             eval_threads: self.eval_threads,
             eval_failpoint: false,
         }
     }
 
     /// CoW shares of the violation relations a snapshot may carry, parallel
-    /// to `compiled.constraints`: from an armed maintained state matching
-    /// the program, else from violations this database itself carries.
+    /// to `compiled.constraints`: from the IDB, else from violations this
+    /// database itself carries.
     fn violations_to_carry(&self) -> Option<Vec<Relation>> {
         let compiled = self.compiled.as_ref()?;
-        match &self.maintained {
-            Some(mat) if mat.fingerprint_matches(self.preds.len(), compiled.rules.len()) => Some(
+        match &self.idb {
+            Some(idb) => Some(
                 compiled
                     .constraints
                     .iter()
-                    .map(|cc| mat.rels[cc.viol.index()].share())
+                    .map(|cc| idb.rels[cc.viol.index()].share())
                     .collect(),
             ),
-            Some(_) => None,
             None => self
                 .carried_viols
                 .as_ref()

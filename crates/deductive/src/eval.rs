@@ -16,13 +16,26 @@ use crate::error::{Error, Result};
 use crate::plan::{order_body, Plan, RulePlans, ScanStep, Src, Step};
 use crate::pred::PredId;
 use crate::relation::{IndexRef, Relation};
-use crate::symbol::FxHashSet;
+use crate::symbol::{FxHashMap, FxHashSet};
 use crate::tuple::Tuple;
 use crate::value::Const;
 
-/// Materialised extensions of derived predicates (indexed by `PredId`).
+/// The database's materialised IDB: extensions of derived predicates
+/// (indexed by `PredId`), including compiled constraint violation
+/// relations.
 pub(crate) struct Idb {
     pub rels: Vec<Relation>,
+    /// `(pred_count, rule_count)` of the program it was derived from.
+    pub fingerprint: (usize, usize),
+    /// Armed by [`Database::ensure_maintained`]: base inserts and removes
+    /// update this IDB in place by DRed (see `incr.rs`) instead of
+    /// dropping it.
+    pub maintained: bool,
+    /// While maintained: per keyed base predicate, the number of stored
+    /// facts under each key hash. A predicate with as many facts as key
+    /// hashes has no key violation, so [`Database::check`] skips its scan
+    /// (a hash collision only costs that scan).
+    pub key_counts: FxHashMap<PredId, FxHashMap<u64, u32>>,
 }
 
 /// A variable binding environment for one rule activation.
@@ -711,7 +724,12 @@ pub(crate) fn eval_program(
             threads,
         )?;
     }
-    Ok(Idb { rels })
+    Ok(Idb {
+        rels,
+        fingerprint: (db.pred_count(), compiled.rules.len()),
+        maintained: false,
+        key_counts: FxHashMap::default(),
+    })
 }
 
 // ---------------------------------------------------------------------------

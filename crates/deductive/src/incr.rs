@@ -2,9 +2,10 @@
 //! programs.
 //!
 //! This is the engine-level counterpart of the paper's "efficient
-//! consistency checking" citation (\[20\]): instead of re-deriving the whole
-//! IDB after a change set, a [`Materialized`] state is updated with the
-//! classic three-phase DRed algorithm per stratum:
+//! consistency checking" citation (\[20\]). Once the database's IDB is
+//! *armed* ([`Database::ensure_maintained`]), every base-fact insert or
+//! remove feeds its singleton delta through the classic three-phase DRed
+//! algorithm per stratum instead of dropping the IDB:
 //!
 //! 1. **over-delete** — propagate deletions (and insertions through
 //!    negation) against the *old* state, removing a superset of the facts
@@ -15,34 +16,31 @@
 //!    against the new state.
 //!
 //! Net per-predicate deltas flow upward through the strata. Phase 1 needs
-//! the pre-change database, but cloning the EDB/IDB per application is
+//! the pre-change database, but cloning the EDB/IDB per change is
 //! O(database) — exactly the cost this module exists to avoid. Instead the
 //! old state is reconstructed *in place*: net-deleted facts are temporarily
 //! re-inserted and net-added facts temporarily removed, the over-deletion
 //! joins run, and the store flips back before re-derivation
 //! ([`Database::flip_restore`]). The flip only ever touches the Δ facts,
-//! so one application costs O(Δ · strata) regardless of database size.
+//! so one change costs O(Δ · strata) regardless of database size.
 //!
-//! On top of `apply_incremental` (explicit [`Materialized`] handed to the
-//! caller) the database can *arm* an internal maintained state
-//! ([`Database::ensure_maintained`]): every subsequent base-fact insert or
-//! remove feeds its singleton delta through the same DRed core, so the
-//! violation relations of compiled constraints are correct at all times and
-//! an EES commit check becomes a read ([`Database::check_maintained`]).
+//! The maintained IDB is the database's only IDB: derived predicates —
+//! including compiled constraint violation relations — are correct at all
+//! times, so an EES commit check ([`Database::check_maintained`]), a full
+//! [`Database::check`], queries, `why` and repair generation are all reads.
 //!
-//! The property test `incremental_equals_scratch` checks the result against
-//! from-scratch evaluation on random programs and mutation batches; the
-//! `tests/maintained_soundness.rs` sweep does the same for the maintained
-//! session path against full [`Database::check`].
+//! `tests/incremental_equivalence.rs` checks the maintained IDB against the
+//! naive reference interpreter on random programs and mutation batches;
+//! `tests/maintained_soundness.rs` does the same for EES sessions against
+//! from-scratch checks of a deep snapshot.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
 use crate::ast::Literal;
-use crate::changes::ChangeSet;
-use crate::check::Violation;
+use crate::check::key_hash;
 use crate::compile::Compiled;
 use crate::db::Database;
-use crate::error::{Error, Result};
-use crate::eval::{exec_plan, instantiate_head, Binding, DeltaSrc, Store};
+use crate::error::Result;
+use crate::eval::{exec_plan, instantiate_head, Binding, DeltaSrc, Idb, Store};
 use crate::plan::RulePlans;
 use crate::pred::PredId;
 use crate::relation::Relation;
@@ -53,237 +51,115 @@ use crate::tuple::Tuple;
 /// entry, so building one is O(Δ), not O(#preds).
 pub(crate) type DeltaMap = FxHashMap<PredId, Relation>;
 
-fn internal(msg: &str) -> Error {
-    Error::SessionProtocol(format!("internal: {msg}"))
-}
-
-/// A materialised IDB that can be maintained incrementally.
-pub struct Materialized {
-    pub(crate) rels: Vec<Relation>,
-    fingerprint: (usize, usize), // (pred_count, rule_count incl. aux)
-    /// Derived-side indexes ensured once per materialisation instead of per
-    /// application (the old per-call loop re-walked every index mask).
-    indexed: bool,
-}
-
-impl Materialized {
-    /// Sorted facts of a derived predicate in this materialisation.
-    pub fn facts_sorted(&self, pred: PredId) -> Vec<Tuple> {
-        self.rels[pred.index()].sorted()
-    }
-
-    /// Membership test.
-    pub fn contains(&self, pred: PredId, t: &Tuple) -> bool {
-        self.rels[pred.index()].contains(t)
-    }
-
-    /// Does this materialisation match the given definition fingerprint?
-    pub(crate) fn fingerprint_matches(&self, pred_count: usize, rule_count: usize) -> bool {
-        self.fingerprint == (pred_count, rule_count)
-    }
-}
-
 impl Database {
-    /// Materialise the current IDB for incremental maintenance.
-    pub fn materialize(&mut self) -> Result<Materialized> {
-        let _sp = gom_obs::span("dred.materialize");
-        self.evaluate()?;
-        let rels = match self.idb.as_ref() {
-            Some(idb) => idb.rels.clone(),
-            None => return Err(internal("IDB missing after evaluation")),
-        };
-        let rule_count = match self.compiled.as_ref() {
-            Some(c) => c.rules.len(),
-            None => return Err(internal("program missing after evaluation")),
-        };
-        Ok(Materialized {
-            rels,
-            fingerprint: (self.pred_count(), rule_count),
-            indexed: false,
-        })
-    }
-
-    /// Apply `delta` to the extensional store and maintain `mat`
-    /// incrementally (DRed). Returns the effective base changes. Falls back
-    /// to full re-materialisation when the rule set changed since
-    /// [`Database::materialize`].
-    pub fn apply_incremental(
-        &mut self,
-        mat: &mut Materialized,
-        delta: &ChangeSet,
-    ) -> Result<ChangeSet> {
-        let _sp = gom_obs::span("dred.apply");
-        self.ensure_compiled()?;
-        let rule_count = self.compiled.as_ref().map_or(0, |c| c.rules.len());
-        if mat.fingerprint != (self.pred_count(), rule_count) {
-            let effective = self.apply(delta)?;
-            *mat = self.materialize()?;
-            return Ok(effective);
-        }
-        // Net per-fact changes, observed around the apply: presence before
-        // vs after. No snapshot of the store is taken — the DRed core
-        // reconstructs the old state in place from these nets.
-        self.ensure_base_indexes();
-        let mut touched: Vec<(PredId, Tuple)> = Vec::new();
-        for op in &delta.ops {
-            let entry = (op.pred(), op.tuple().clone());
-            if !touched.contains(&entry) {
-                touched.push(entry);
-            }
-        }
-        let was: Vec<bool> = touched.iter().map(|(p, t)| self.contains(*p, t)).collect();
-        let effective = self.apply(delta)?;
-        let mut del = DeltaMap::default();
-        let mut add = DeltaMap::default();
-        for ((p, t), was) in touched.into_iter().zip(was) {
-            let is = self.contains(p, &t);
-            if was && !is {
-                del.entry(p).or_default().insert(t);
-            } else if !was && is {
-                add.entry(p).or_default().insert(t);
-            }
-        }
-        let Some(compiled) = self.compiled.take() else {
-            return Err(internal("program missing after compilation"));
-        };
-        self.ensure_derived_indexes(&compiled, mat);
-        self.dred(mat, &compiled, del, add);
-        self.compiled = Some(compiled);
-        Ok(effective)
-    }
-
-    /// Violations computed from a materialised state (no re-evaluation).
-    pub fn violations_from(&mut self, mat: &Materialized) -> Result<Vec<Violation>> {
-        let _sp = gom_obs::span("dred.check");
-        self.ensure_compiled()?;
-        let nconstraints = self.compiled.as_ref().map_or(0, |c| c.constraints.len());
-        let indices: Vec<usize> = (0..nconstraints).collect();
-        let mut out = self.collect_violations_public(&mat.rels, &indices)?;
-        out.extend(self.key_violations_public());
-        crate::check::sort_violations(&mut out);
-        Ok(out)
-    }
-
-    // ----- maintained session state --------------------------------------------
-
-    /// Arm (or refresh) the internal maintained materialisation. After this
-    /// every base-fact [`Database::insert`]/[`Database::remove`] feeds its
-    /// delta through DRed maintenance, keeping all derived predicates —
-    /// including compiled constraint violation relations — correct at all
-    /// times. A no-op when an up-to-date maintained state is already armed,
-    /// so re-arming at every session begin is cheap.
+    /// Arm maintenance of the IDB: materialise it if absent, then mark it
+    /// maintained, so every subsequent base-fact [`Database::insert`] /
+    /// [`Database::remove`] updates it by DRed instead of dropping it. A
+    /// no-op when already armed, so re-arming at every session begin is
+    /// cheap.
     pub fn ensure_maintained(&mut self) -> Result<()> {
-        self.ensure_compiled()?;
-        let rule_count = self.compiled.as_ref().map_or(0, |c| c.rules.len());
-        let fp = (self.pred_count(), rule_count);
-        if self
-            .maintained
-            .as_ref()
-            .is_some_and(|m| m.fingerprint == fp)
-        {
+        self.evaluate()?;
+        if self.maintenance_active() {
             return Ok(());
         }
-        self.maintained = None;
-        self.ensure_base_indexes();
-        let mut mat = self.materialize()?;
-        if let Some(compiled) = self.compiled.take() {
-            self.ensure_derived_indexes(&compiled, &mut mat);
-            self.compiled = Some(compiled);
+        let mut key_counts: FxHashMap<PredId, FxHashMap<u64, u32>> = FxHashMap::default();
+        for (p, d) in self.preds.iter().enumerate() {
+            let Some(key) = &d.key else {
+                continue;
+            };
+            let counts = key_counts.entry(PredId(p as u32)).or_default();
+            for t in self.rels[p].iter() {
+                *counts.entry(key_hash(key, t)).or_insert(0) += 1;
+            }
         }
-        self.maintained = Some(mat);
+        if let Some(idb) = &mut self.idb {
+            idb.key_counts = key_counts;
+            idb.maintained = true;
+        }
         Ok(())
     }
 
-    /// Is a maintained materialisation currently armed?
+    /// Is the IDB materialised and maintained?
     pub fn maintenance_active(&self) -> bool {
-        self.maintained.is_some()
+        self.idb.as_ref().is_some_and(|idb| idb.maintained)
     }
 
-    /// Drop the maintained materialisation (definition change, rollback, or
-    /// any maintenance irregularity). The next [`Database::ensure_maintained`]
-    /// rebuilds from scratch.
-    pub fn discard_maintained(&mut self) {
-        self.maintained = None;
-    }
-
-    /// All violations recorded by the maintained state, or `None` when no
-    /// maintained state is armed. Unlike [`Database::check_delta`] this sees
-    /// *every* violation, not just those reachable from a session delta.
-    pub fn maintained_violations(&mut self) -> Result<Option<Vec<Violation>>> {
-        let Some(mat) = self.maintained.take() else {
-            return Ok(None);
-        };
-        let out = self.violations_from(&mat);
-        self.maintained = Some(mat);
-        out.map(Some)
-    }
-
-    /// Feed one applied base-fact change through DRed maintenance. Called by
-    /// `insert`/`remove` *after* the store changed; a no-op when no
-    /// maintained state is armed. On any irregularity the maintained state
-    /// is discarded — EES then falls back down the check ladder; fact
-    /// mutation itself never fails because of maintenance.
-    pub(crate) fn maintain_change(&mut self, pred: PredId, tuple: Tuple, inserted: bool) {
-        let Some(mut mat) = self.maintained.take() else {
-            return;
-        };
-        let _sp = gom_obs::span("dred.maintain");
-        let Some(compiled) = self.compiled.take() else {
-            gom_obs::counter_add("check.maintenance.discards", 1);
-            return;
-        };
-        if mat.fingerprint != (self.pred_count(), compiled.rules.len()) {
-            gom_obs::counter_add("check.maintenance.discards", 1);
-            self.compiled = Some(compiled);
-            return;
-        }
-        self.ensure_derived_indexes(&compiled, &mut mat);
-        let mut del = DeltaMap::default();
-        let mut add = DeltaMap::default();
-        if inserted {
-            add.entry(pred).or_default().insert(tuple);
+    /// Bring the IDB up to date with one base-fact change already applied
+    /// to the store: DRed in place when maintained, else drop it. Carried
+    /// snapshot violations are dropped either way.
+    pub(crate) fn base_changed(&mut self, pred: PredId, tuple: &Tuple, inserted: bool) {
+        if self.maintenance_active() {
+            self.carried_viols = None;
+            self.maintain_change(pred, tuple, inserted);
         } else {
-            del.entry(pred).or_default().insert(tuple);
+            self.retire_idb();
         }
-        self.dred(&mut mat, &compiled, del, add);
-        self.compiled = Some(compiled);
-        self.maintained = Some(mat);
     }
 
-    /// Ensure the derived-side indexes the compiled plans expect exist on
-    /// `mat` (once per materialisation, flagged by `mat.indexed`).
-    fn ensure_derived_indexes(&self, compiled: &Compiled, mat: &mut Materialized) {
-        if mat.indexed {
+    /// Does the IDB still match the compiled program? `decompile()` drops
+    /// the IDB together with the program, so a mismatch means an invariant
+    /// broke upstream: the IDB is dropped and counted as a discard.
+    pub(crate) fn idb_matches_program(&mut self) -> bool {
+        let current = match (&self.idb, &self.compiled) {
+            (Some(idb), Some(c)) => idb.fingerprint == (self.preds.len(), c.rules.len()),
+            _ => false,
+        };
+        if !current {
+            gom_obs::counter_add("check.maintenance.discards", 1);
+            self.retire_idb();
+        }
+        current
+    }
+
+    /// Feed one applied base-fact change through DRed. On any
+    /// irregularity the IDB is dropped — EES then falls back to
+    /// [`Database::check_delta`]; fact mutation itself never fails because
+    /// of maintenance.
+    fn maintain_change(&mut self, pred: PredId, tuple: &Tuple, inserted: bool) {
+        let _sp = gom_obs::span("dred.maintain");
+        if !self.idb_matches_program() {
             return;
         }
-        for (p, cols) in &compiled.index_masks {
-            if !self.pred_decl(*p).is_base() {
-                mat.rels[p.index()].ensure_index(cols);
+        let (Some(mut idb), Some(compiled)) = (self.idb.take(), self.compiled.clone()) else {
+            return;
+        };
+        if let Some(key) = &self.preds[pred.index()].key {
+            let counts = idb.key_counts.entry(pred).or_default();
+            let h = key_hash(key, tuple);
+            if inserted {
+                *counts.entry(h).or_insert(0) += 1;
+            } else if let Some(n) = counts.get_mut(&h) {
+                *n -= 1;
+                if *n == 0 {
+                    counts.remove(&h);
+                }
             }
         }
-        mat.indexed = true;
+        let mut delta = DeltaMap::default();
+        delta.entry(pred).or_default().insert(tuple.clone());
+        let (del, add) = if inserted {
+            (DeltaMap::default(), delta)
+        } else {
+            (delta, DeltaMap::default())
+        };
+        self.dred(&mut idb, &compiled, del, add);
+        self.idb = Some(idb);
     }
 
     /// Flip the live store between the new state and the old (pre-delta)
     /// state, in place: with `to_old` the net-deleted facts are re-inserted
     /// and the net-added ones removed (base facts into the live EDB, derived
-    /// facts into `mat`); with `!to_old` the exact inverse. Phase 1 of DRed
+    /// facts into `idb`); with `!to_old` the exact inverse. Phase 1 of DRed
     /// must see the *old* database — including under every negated literal,
     /// where a merely-superset state would silently skip over-deletions —
     /// and this reconstructs it at O(Δ) cost instead of cloning.
-    fn flip_restore(
-        &mut self,
-        mat: &mut Materialized,
-        del: &DeltaMap,
-        add: &DeltaMap,
-        to_old: bool,
-    ) {
+    fn flip_restore(&mut self, idb: &mut Idb, del: &DeltaMap, add: &DeltaMap, to_old: bool) {
         let (ins, rem) = if to_old { (del, add) } else { (add, del) };
         for (p, r) in ins {
             let target = if self.preds[p.index()].is_base() {
                 &mut self.rels[p.index()]
             } else {
-                &mut mat.rels[p.index()]
+                &mut idb.rels[p.index()]
             };
             for t in r.iter() {
                 target.insert(t.clone());
@@ -293,7 +169,7 @@ impl Database {
             let target = if self.preds[p.index()].is_base() {
                 &mut self.rels[p.index()]
             } else {
-                &mut mat.rels[p.index()]
+                &mut idb.rels[p.index()]
             };
             for t in r.iter() {
                 target.remove(t);
@@ -301,18 +177,10 @@ impl Database {
         }
     }
 
-    /// The DRed core: maintain `mat` for the net base changes `del`/`add`,
-    /// which must already be applied to the live store. Shared by
-    /// [`Database::apply_incremental`] (batch) and
-    /// [`Database::maintain_change`] (per-op, singleton delta). Infallible:
-    /// plan execution cannot error and no parallel evaluation is involved.
-    fn dred(
-        &mut self,
-        mat: &mut Materialized,
-        compiled: &Compiled,
-        mut del: DeltaMap,
-        mut add: DeltaMap,
-    ) {
+    /// The DRed core: maintain `idb` for the net base changes `del`/`add`,
+    /// which must already be applied to the live store. Infallible: plan
+    /// execution cannot error and no parallel evaluation is involved.
+    fn dred(&mut self, idb: &mut Idb, compiled: &Compiled, mut del: DeltaMap, mut add: DeltaMap) {
         if del.is_empty() && add.is_empty() {
             return;
         }
@@ -325,7 +193,7 @@ impl Database {
             // `del`/`add` hold base facts plus the nets of *lower* strata
             // only — this stratum's heads are written in phases 2–3 — so the
             // flip never touches a relation phase 1 derives into.
-            self.flip_restore(mat, &del, &add, true);
+            self.flip_restore(idb, &del, &add, true);
             let mut over: Vec<(PredId, Tuple)> = Vec::new();
             let mut over_set: FxHashSet<(PredId, Tuple)> = FxHashSet::default();
             let mut frontier: Vec<(PredId, Tuple)> = Vec::new();
@@ -347,14 +215,14 @@ impl Database {
                     };
                     delta_join(
                         self,
-                        &mat.rels,
+                        &idb.rels,
                         None,
                         &compiled.plans[ri],
                         li,
                         src,
                         neg,
                         &mut |h| {
-                            if mat.rels[rule.head.pred.index()].contains(&h)
+                            if idb.rels[rule.head.pred.index()].contains(&h)
                                 && over_set.insert((rule.head.pred, h.clone()))
                             {
                                 frontier.push((rule.head.pred, h));
@@ -379,14 +247,14 @@ impl Database {
                         }
                         delta_join(
                             self,
-                            &mat.rels,
+                            &idb.rels,
                             None,
                             &compiled.plans[ri],
                             li,
                             &dr,
                             false,
                             &mut |h| {
-                                if mat.rels[rule.head.pred.index()].contains(&h)
+                                if idb.rels[rule.head.pred.index()].contains(&h)
                                     && over_set.insert((rule.head.pred, h.clone()))
                                 {
                                     frontier.push((rule.head.pred, h));
@@ -397,9 +265,9 @@ impl Database {
                 }
             }
             // back to the new state, then take out the over-deleted facts
-            self.flip_restore(mat, &del, &add, false);
+            self.flip_restore(idb, &del, &add, false);
             for (p, t) in &over {
-                mat.rels[p.index()].remove(t);
+                idb.rels[p.index()].remove(t);
             }
             gom_obs::counter_add("dred.overdeleted", over.len() as u64);
 
@@ -409,7 +277,7 @@ impl Database {
             loop {
                 let mut rederived: Vec<usize> = Vec::new();
                 for (i, (p, t)) in still_deleted.iter().enumerate() {
-                    if derivable(self, &mat.rels, compiled, *p, t) {
+                    if derivable(self, &idb.rels, compiled, *p, t) {
                         rederived.push(i);
                     }
                 }
@@ -418,7 +286,7 @@ impl Database {
                 }
                 for &i in rederived.iter().rev() {
                     let (p, t) = still_deleted.remove(i);
-                    mat.rels[p.index()].insert(t);
+                    idb.rels[p.index()].insert(t);
                 }
             }
             gom_obs::counter_add("dred.rederived", (over_count - still_deleted.len()) as u64);
@@ -446,14 +314,14 @@ impl Database {
                     };
                     delta_join(
                         self,
-                        &mat.rels,
+                        &idb.rels,
                         None,
                         &compiled.plans[ri],
                         li,
                         src,
                         neg,
                         &mut |h| {
-                            if !mat.rels[rule.head.pred.index()].contains(&h) {
+                            if !idb.rels[rule.head.pred.index()].contains(&h) {
                                 frontier.push((rule.head.pred, h));
                             }
                         },
@@ -461,11 +329,11 @@ impl Database {
                 }
             }
             while let Some((ap, at)) = frontier.pop() {
-                if mat.rels[ap.index()].contains(&at) {
+                if idb.rels[ap.index()].contains(&at) {
                     continue;
                 }
                 gom_obs::counter_add("dred.inserted", 1);
-                mat.rels[ap.index()].insert(at.clone());
+                idb.rels[ap.index()].insert(at.clone());
                 add.entry(ap).or_default().insert(at.clone());
                 let mut dr = Relation::new();
                 dr.insert(at);
@@ -480,14 +348,14 @@ impl Database {
                         }
                         delta_join(
                             self,
-                            &mat.rels,
+                            &idb.rels,
                             None,
                             &compiled.plans[ri],
                             li,
                             &dr,
                             false,
                             &mut |h| {
-                                if !mat.rels[rule.head.pred.index()].contains(&h) {
+                                if !idb.rels[rule.head.pred.index()].contains(&h) {
                                     frontier.push((rule.head.pred, h));
                                 }
                             },
@@ -632,24 +500,32 @@ mod tests {
         (db, e, p)
     }
 
+    fn t1(a: i64) -> Tuple {
+        Tuple::from(vec![Const::Int(a)])
+    }
+
     fn t2(a: i64, b: i64) -> Tuple {
         Tuple::from(vec![Const::Int(a), Const::Int(b)])
+    }
+
+    /// The armed IDB (read without re-evaluating) agrees with the naive
+    /// reference interpreter on `pred`; returns its facts.
+    fn maintained_facts(db: &mut Database, pred: PredId) -> Vec<Tuple> {
+        assert!(db.maintenance_active(), "IDB must still be armed");
+        let got = db.derived_facts(pred).unwrap();
+        assert_eq!(got, db.reference_facts(pred).unwrap());
+        got
     }
 
     #[test]
     fn insertions_maintain_closure() {
         let (mut db, e, p) = tc_db();
         db.insert(e, t2(0, 1)).unwrap();
-        let mut mat = db.materialize().unwrap();
-        assert_eq!(mat.facts_sorted(p).len(), 1);
-        let mut cs = ChangeSet::new();
-        cs.insert(e, t2(1, 2));
-        cs.insert(e, t2(2, 3));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert_eq!(mat.facts_sorted(p).len(), 6);
-        // agrees with scratch evaluation
-        db.invalidate_caches();
-        assert_eq!(db.derived_facts(p).unwrap(), mat.facts_sorted(p));
+        db.ensure_maintained().unwrap();
+        assert_eq!(maintained_facts(&mut db, p).len(), 1);
+        db.insert(e, t2(1, 2)).unwrap();
+        db.insert(e, t2(2, 3)).unwrap();
+        assert_eq!(maintained_facts(&mut db, p).len(), 6);
     }
 
     #[test]
@@ -659,23 +535,13 @@ mod tests {
         for (a, b) in [(0, 1), (1, 3), (0, 2), (2, 3)] {
             db.insert(e, t2(a, b)).unwrap();
         }
-        let mut mat = db.materialize().unwrap();
-        assert!(mat.contains(p, &t2(0, 3)));
+        db.ensure_maintained().unwrap();
         // delete one branch: 0→3 must survive via the other
-        let mut cs = ChangeSet::new();
-        cs.delete(e, t2(0, 1));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(mat.contains(p, &t2(0, 3)));
-        assert!(!mat.contains(p, &t2(1, 3)) || db.contains(e, &t2(1, 3)));
-        db.invalidate_caches();
-        assert_eq!(db.derived_facts(p).unwrap(), mat.facts_sorted(p));
+        db.remove(e, &t2(0, 1)).unwrap();
+        assert!(maintained_facts(&mut db, p).contains(&t2(0, 3)));
         // delete the second branch too: 0→3 disappears
-        let mut cs = ChangeSet::new();
-        cs.delete(e, t2(0, 2));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(!mat.contains(p, &t2(0, 3)));
-        db.invalidate_caches();
-        assert_eq!(db.derived_facts(p).unwrap(), mat.facts_sorted(p));
+        db.remove(e, &t2(0, 2)).unwrap();
+        assert!(!maintained_facts(&mut db, p).contains(&t2(0, 3)));
     }
 
     #[test]
@@ -691,72 +557,51 @@ mod tests {
         let n = db.pred_id("Node").unwrap();
         let b = db.pred_id("Broken").unwrap();
         let h = db.pred_id("Healthy").unwrap();
-        let one = Tuple::from(vec![Const::Int(1)]);
-        db.insert(n, one.clone()).unwrap();
-        let mut mat = db.materialize().unwrap();
-        assert!(mat.contains(h, &one));
+        db.insert(n, t1(1)).unwrap();
+        db.ensure_maintained().unwrap();
+        assert!(maintained_facts(&mut db, h).contains(&t1(1)));
         // Inserting Broken(1) must DELETE Healthy(1) through the negation.
-        let mut cs = ChangeSet::new();
-        cs.insert(b, one.clone());
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(!mat.contains(h, &one));
+        db.insert(b, t1(1)).unwrap();
+        assert!(maintained_facts(&mut db, h).is_empty());
         // And deleting it re-enables.
-        let mut cs = ChangeSet::new();
-        cs.delete(b, one.clone());
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(mat.contains(h, &one));
-        db.invalidate_caches();
-        assert_eq!(db.derived_facts(h).unwrap(), mat.facts_sorted(h));
+        db.remove(b, &t1(1)).unwrap();
+        assert!(maintained_facts(&mut db, h).contains(&t1(1)));
     }
 
     #[test]
-    fn multiple_negations_in_one_batch_over_delete() {
-        // Regression guard for the in-place restore: with two negated
-        // literals falsified by the *same* batch, phase 1 must evaluate the
-        // other negation against the OLD state — a merely-new-state context
-        // would see it already falsified and never over-delete H(1).
+    fn multiple_negations_falsified_by_one_change_over_delete() {
+        // Regression guard for the in-place restore: one base insert
+        // derives both Q(1) and R(1), so the H stratum sees two negated
+        // literals falsified by the *same* delta. Phase 1 must evaluate the
+        // other negation against the OLD state (R(1) flipped out again) —
+        // a merely-new-state context would see it already falsified and
+        // never over-delete H(1).
         let mut db = Database::new();
         db.load(
             "base A(x).
-             base Q(x).
-             base R(x).
+             base S(x).
+             derived Q(x).
+             derived R(x).
              derived H(x).
+             Q(X) :- S(X).
+             R(X) :- S(X).
              H(X) :- A(X), not Q(X), not R(X).",
         )
         .unwrap();
         let a = db.pred_id("A").unwrap();
-        let q = db.pred_id("Q").unwrap();
-        let r = db.pred_id("R").unwrap();
+        let s = db.pred_id("S").unwrap();
         let h = db.pred_id("H").unwrap();
-        let one = Tuple::from(vec![Const::Int(1)]);
-        db.insert(a, one.clone()).unwrap();
-        let mut mat = db.materialize().unwrap();
-        assert!(mat.contains(h, &one));
-        let mut cs = ChangeSet::new();
-        cs.insert(q, one.clone());
-        cs.insert(r, one.clone());
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(!mat.contains(h, &one));
-        db.invalidate_caches();
-        assert_eq!(db.derived_facts(h).unwrap(), mat.facts_sorted(h));
+        db.insert(a, t1(1)).unwrap();
+        db.ensure_maintained().unwrap();
+        assert!(maintained_facts(&mut db, h).contains(&t1(1)));
+        db.insert(s, t1(1)).unwrap();
+        assert!(maintained_facts(&mut db, h).is_empty());
+        db.remove(s, &t1(1)).unwrap();
+        assert!(maintained_facts(&mut db, h).contains(&t1(1)));
     }
 
     #[test]
-    fn rule_change_falls_back_to_rematerialise() {
-        let (mut db, e, p) = tc_db();
-        db.insert(e, t2(0, 1)).unwrap();
-        let mut mat = db.materialize().unwrap();
-        db.load("derived Loop(x). Loop(X) :- Path(X, X).").unwrap();
-        let mut cs = ChangeSet::new();
-        cs.insert(e, t2(1, 0));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        let lp = db.pred_id("Loop").unwrap();
-        assert_eq!(mat.facts_sorted(lp).len(), 2);
-        let _ = p;
-    }
-
-    #[test]
-    fn violations_from_materialized_state() {
+    fn check_reads_maintained_violations() {
         let mut db = Database::new();
         db.load(
             "base Sub(a, b).
@@ -769,53 +614,66 @@ mod tests {
         let sub = db.pred_id("Sub").unwrap();
         let (a, b) = (db.constant("a"), db.constant("b"));
         db.insert(sub, vec![a, b]).unwrap();
-        let mut mat = db.materialize().unwrap();
-        assert!(db.violations_from(&mat).unwrap().is_empty());
-        let mut cs = ChangeSet::new();
-        cs.insert(sub, Tuple::from(vec![b, a]));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        let v = db.violations_from(&mat).unwrap();
+        db.ensure_maintained().unwrap();
+        assert!(db.check().unwrap().is_empty());
+        db.insert(sub, Tuple::from(vec![b, a])).unwrap();
+        let v = db.check().unwrap();
+        assert!(db.maintenance_active(), "check must read, not re-evaluate");
         assert_eq!(v.len(), 2); // X=a, X=b
-                                // undo: back to consistent
-        let mut cs = ChangeSet::new();
-        cs.delete(sub, Tuple::from(vec![b, a]));
-        db.apply_incremental(&mut mat, &cs).unwrap();
-        assert!(db.violations_from(&mat).unwrap().is_empty());
+        let oracle = db.deep_snapshot_clone().check().unwrap();
+        assert_eq!(format!("{v:?}"), format!("{oracle:?}"));
+        // undo: back to consistent
+        db.remove(sub, &Tuple::from(vec![b, a])).unwrap();
+        assert!(db.check().unwrap().is_empty());
+        assert!(db.maintenance_active());
     }
 
     #[test]
-    fn maintained_state_tracks_per_op_changes() {
+    fn key_counts_track_per_op_changes() {
+        let mut db = Database::new();
+        let p = db.declare_base_keyed("P", 2, &[0]).unwrap();
+        db.insert(p, t2(1, 10)).unwrap();
+        db.ensure_maintained().unwrap();
+        assert!(db.check().unwrap().is_empty());
+        db.insert(p, t2(1, 20)).unwrap();
+        db.insert(p, t2(2, 20)).unwrap();
+        let v = db.check().unwrap();
+        assert_eq!(v.len(), 1);
+        let oracle = db.deep_snapshot_clone().check().unwrap();
+        assert_eq!(format!("{v:?}"), format!("{oracle:?}"));
+        db.remove(p, &t2(1, 10)).unwrap();
+        assert!(db.check().unwrap().is_empty());
+        assert!(db.maintenance_active());
+    }
+
+    #[test]
+    fn invalidate_caches_unarms() {
         let (mut db, e, p) = tc_db();
         db.insert(e, t2(0, 1)).unwrap();
         db.ensure_maintained().unwrap();
-        assert!(db.maintenance_active());
         db.insert(e, t2(1, 2)).unwrap();
-        db.insert(e, t2(2, 3)).unwrap();
         db.remove(e, &t2(0, 1)).unwrap();
-        let got: Vec<Tuple> = {
-            let mat = db.maintained.as_ref().unwrap();
-            mat.facts_sorted(p)
-        };
+        assert_eq!(maintained_facts(&mut db, p), vec![t2(1, 2)]);
         db.invalidate_caches();
-        assert_eq!(db.derived_facts(p).unwrap(), got);
-        // maintained survives invalidate_caches of the eval cache? No —
-        // invalidate_caches retires the IDB only; the maintained state is
-        // discarded on decompile, not on IDB retirement.
-        assert!(db.maintenance_active());
+        assert!(!db.maintenance_active());
     }
 
     #[test]
-    fn maintained_state_discarded_on_definition_change() {
+    fn definition_change_unarms_and_rearming_picks_up_the_new_program() {
         let (mut db, e, _p) = tc_db();
         db.insert(e, t2(0, 1)).unwrap();
         db.ensure_maintained().unwrap();
         db.load("derived Loop(x). Loop(X) :- Path(X, X).").unwrap();
         assert!(!db.maintenance_active());
-        // re-arming picks up the new program
-        db.ensure_maintained().unwrap();
-        db.insert(e, t2(1, 0)).unwrap();
         let lp = db.pred_id("Loop").unwrap();
-        let got = db.maintained.as_ref().unwrap().facts_sorted(lp);
-        assert_eq!(got.len(), 2);
+        // Unarmed: the change drops the IDB and the read re-evaluates.
+        db.insert(e, t2(1, 0)).unwrap();
+        assert_eq!(db.derived_facts(lp).unwrap().len(), 2);
+        // Re-armed over the new program, DRed maintains Loop too.
+        db.ensure_maintained().unwrap();
+        db.remove(e, &t2(1, 0)).unwrap();
+        assert!(maintained_facts(&mut db, lp).is_empty());
+        db.insert(e, t2(1, 0)).unwrap();
+        assert_eq!(maintained_facts(&mut db, lp).len(), 2);
     }
 }

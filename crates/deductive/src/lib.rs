@@ -69,7 +69,6 @@ pub use compile::ProgramView;
 pub use constraint::{Constraint, Formula};
 pub use db::{Database, SourceInfo};
 pub use error::{Error, Result};
-pub use incr::Materialized;
 pub use parse::{parse_program_lenient, LenientReport};
 pub use pred::{PredId, PredKind};
 pub use provenance::Derivation;

@@ -269,7 +269,7 @@ impl RawTable {
 /// derivation in the fixpoint's membership probe — the engine's single
 /// hottest instruction sequence.
 #[inline]
-fn hash_vals(vals: impl Iterator<Item = Const>) -> u64 {
+pub(crate) fn hash_vals(vals: impl Iterator<Item = Const>) -> u64 {
     const K: u64 = 0x517c_c1b7_2722_0a95;
     // Arbitrary salt separating `Sym(x)` from `Int(x)` without a second
     // round; collisions are harmless (buckets verify by value).

@@ -1,9 +1,9 @@
 //! # gom-impact — Datalog-powered schema impact analysis
 //!
-//! The paper defers consistency to the end of an evolution session (EES),
-//! which naively means delta-checking every compiled violation query. This
-//! crate makes EES smarter by *dogfooding the deductive engine as its own
-//! static analyzer* (after Engels, Behrend & Brass): the current rule set
+//! The paper defers consistency to the end of an evolution session (EES).
+//! This crate predicts, before EES, which constraints a session can affect
+//! by *dogfooding the deductive engine as its own static analyzer* (after
+//! Engels, Behrend & Brass): the current rule set
 //! and compiled constraints are reflected into a **meta-EDB** —
 //!
 //! | predicate | meaning |

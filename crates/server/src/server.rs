@@ -368,9 +368,7 @@ pub fn serve(config: Config) -> io::Result<ServerHandle> {
     // Keep violations maintained from the start, so every published epoch
     // (the initial one included) carries them to readers. Failure only
     // costs readers a fixpoint; sessions re-arm at BES.
-    if mgr.meta.db.ensure_maintained().is_err() {
-        mgr.meta.db.discard_maintained();
-    }
+    let _ = mgr.meta.db.ensure_maintained();
 
     let initial = Snapshot::capture(0, &mgr.meta);
     let lint_cfg = mgr.lint_config();

@@ -10,6 +10,32 @@ cd "$(dirname "$0")/.."
 
 step() { printf '\n== %s ==\n' "$*"; }
 
+# no_fixpoint_under TRACE NAME...: fail when any eval.fixpoint span in the
+# obs JSONL trace TRACE has an ancestor span named one of NAME.
+no_fixpoint_under() {
+  local trace="$1"; shift
+  awk -v names="$*" '
+BEGIN { n = split(names, list, " "); for (k = 1; k <= n; k++) wanted[list[k]] = 1 }
+/"ev":"span"/ {
+  match($0, /"name":"[^"]*"/); nm = substr($0, RSTART + 8, RLENGTH - 9)
+  match($0, /"id":[0-9]+/); i = substr($0, RSTART + 5, RLENGTH - 5)
+  p = ""; if (match($0, /"parent":[0-9]+/)) p = substr($0, RSTART + 9, RLENGTH - 9)
+  name[i] = nm; parent[i] = p
+}
+END {
+  bad = 0
+  for (i in name) {
+    if (name[i] != "eval.fixpoint") continue
+    for (a = parent[i]; a != ""; a = parent[a]) {
+      if (name[a] in wanted) {
+        printf "eval.fixpoint (span %s) ran under %s\n", i, name[a]; bad = 1
+      }
+    }
+  }
+  exit bad
+}' "$trace"
+}
+
 if command -v rustfmt >/dev/null 2>&1; then
   step "cargo fmt --check"
   cargo fmt --all -- --check
@@ -43,6 +69,7 @@ trap 'rm -rf "$trace_tmp"' EXIT
   echo "load scripts/car_schema.gom"
   echo "begin"
   echo "add-attr Car obsCheckAttr string"
+  echo "check"
   echo "end"
   echo "quit"
 } > "$trace_tmp/session.gsh"
@@ -51,7 +78,8 @@ cargo run --release -q --bin gomsh -- \
   "$trace_tmp/session.gsh" > /dev/null
 # A clean interactive session commits through the maintained EES path:
 # per-op dred.maintain spans while the session is open, one ees.maintained
-# read at commit — and never a full check.delta re-evaluation.
+# read at commit — and never a full check.delta re-evaluation. The check
+# inside the session reads the maintained IDB: no fixpoint under it.
 for span in eval.fixpoint eval.stratum ees.maintained dred.maintain \
             session.bes session.ees \
             session.journal_commit analyzer.lower load.program; do
@@ -64,12 +92,16 @@ if grep -q '"check.maintenance.fallbacks":[1-9]' "$trace_tmp/trace.jsonl"; then
 fi
 grep -q '"journal.appends"' "$trace_tmp/trace.jsonl" \
   || { echo "MISSING journal counters in trace"; exit 1; }
+no_fixpoint_under "$trace_tmp/trace.jsonl" check.full \
+  || { echo "an in-session check re-derived the IDB instead of reading it"; exit 1; }
 
 # The maintained violation relations must agree bit-identically with full
 # checking across random sessions (incl. rollback/recommit and recovery
-# replay); run the differential sweep in release like the others.
+# replay), and the maintained IDB with the naive reference interpreter
+# under random per-op changes; run both sweeps in release like the others.
 step "differential test (maintained vs full EES check)"
 cargo test --release --test maintained_soundness
+cargo test -p gom-deductive --release --test incremental_equivalence
 
 # Crash recovery must land on a session boundary from any journal prefix,
 # partial write, or corrupted tail; run the sweep in release so the
@@ -115,27 +147,9 @@ for span in "server.request:bes" "server.request:ees" "server.request:query" \
 done
 # Readers serve the writer's compiled program and maintained violations:
 # the query and check above (both after the session's commit) must run no
-# fixpoint. Walk each eval.fixpoint span's parent chain; none may reach a
-# reader's server.request:check or server.request:query span.
-awk '
-/"ev":"span"/ {
-  match($0, /"name":"[^"]*"/); n = substr($0, RSTART + 8, RLENGTH - 9)
-  match($0, /"id":[0-9]+/); i = substr($0, RSTART + 5, RLENGTH - 5)
-  p = ""; if (match($0, /"parent":[0-9]+/)) p = substr($0, RSTART + 9, RLENGTH - 9)
-  name[i] = n; parent[i] = p
-}
-END {
-  bad = 0
-  for (i in name) {
-    if (name[i] != "eval.fixpoint") continue
-    for (a = parent[i]; a != ""; a = parent[a]) {
-      if (name[a] == "server.request:check" || name[a] == "server.request:query") {
-        printf "eval.fixpoint (span %s) ran under reader %s\n", i, name[a]; bad = 1
-      }
-    }
-  }
-  exit bad
-}' "$server_tmp/server-trace.jsonl" \
+# fixpoint under a reader's server.request:check or server.request:query.
+no_fixpoint_under "$server_tmp/server-trace.jsonl" \
+  server.request:check server.request:query \
   || { echo "reader requests re-derived the IDB instead of reading the snapshot"; exit 1; }
 rm -rf "$server_tmp"
 

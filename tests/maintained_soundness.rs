@@ -1,14 +1,16 @@
 //! Differential soundness of the maintained EES path.
 //!
 //! Over many seeded random evolution sessions the maintained violation
-//! read must be *bit-identical* to delta checking and to the full
-//! [`check()`] — same commit/rollback decision, same rendered violations —
+//! read must be *bit-identical* to delta checking, and the maintained
+//! IDB's full `check()` to a from-scratch check of a deep snapshot — same
+//! commit/rollback decision, same rendered violations —
 //! at 1 and 4 eval threads, including rollback-then-recommit sessions
 //! (which discard and re-arm the maintained state) and sessions replayed
 //! through durable-store recovery (which rebuild it from a journal).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gom_bench::{build_synth_schema, populate_objects, synth_manager, SplitMix64, SynthParams};
+use gom_deductive::Database;
 use gomflex::prelude::*;
 
 /// Random sessions per thread configuration (the issue asks for >= 120).
@@ -72,8 +74,8 @@ fn mutate(mgr: &mut SchemaManager, types: &[TypeId], rng: &mut SplitMix64, tag: 
     }
 }
 
-fn sorted_render(mgr: &SchemaManager, vs: &[Violation]) -> Vec<String> {
-    let mut out: Vec<String> = vs.iter().map(|v| v.render(&mgr.meta.db)).collect();
+fn sorted_render(db: &Database, vs: &[Violation]) -> Vec<String> {
+    let mut out: Vec<String> = vs.iter().map(|v| v.render(db)).collect();
     out.sort();
     out
 }
@@ -113,26 +115,27 @@ fn differential_session(
         "{label} session={session}: maintained read changed the decision"
     );
     assert_eq!(
-        sorted_render(mgr, &maintained),
-        sorted_render(mgr, &full_delta),
+        sorted_render(&mgr.meta.db, &maintained),
+        sorted_render(&mgr.meta.db, &full_delta),
         "{label} session={session}: maintained read changed the report\ndelta: {delta:?}"
     );
 
-    // (b) The maintained state's *complete* violation set must equal a full
-    // from-scratch check() — pre-session consistency makes the two
-    // comparable, and this is the strongest statement: the maintained
-    // violation relations are correct, not merely delta-equivalent.
-    let all_maintained = mgr
-        .meta
-        .db
-        .maintained_violations()
-        .unwrap()
-        .expect("maintained state armed");
-    let full = mgr.meta.db.check().unwrap();
+    // (b) The maintained IDB's *complete* violation set — a full check()
+    // reads it — must equal a from-scratch check of a deep snapshot, which
+    // carries nothing and re-derives everything. This is the strongest
+    // statement: the maintained violation relations are correct, not
+    // merely delta-equivalent.
+    let all_maintained = mgr.meta.db.check().unwrap();
+    assert!(
+        mgr.meta.db.maintenance_active(),
+        "{label} session={session}: check() must read the maintained IDB"
+    );
+    let mut oracle = mgr.meta.db.deep_snapshot_clone();
+    let full = oracle.check().unwrap();
     assert_eq!(
-        sorted_render(mgr, &all_maintained),
-        sorted_render(mgr, &full),
-        "{label} session={session}: maintained violation relations diverge from check()"
+        sorted_render(&mgr.meta.db, &all_maintained),
+        sorted_render(&oracle, &full),
+        "{label} session={session}: maintained violation relations diverge from scratch"
     );
     maintained
 }
@@ -157,11 +160,11 @@ fn run_sweep(threads: usize) {
         let maintained = differential_session(&mut mgr, &types, &mut rng, session, &label);
 
         if maintained.is_empty() {
-            // Every 5th consistent session commits through the fallback
-            // ladder instead: discarding the maintained state mid-session
+            // Every 5th consistent session commits through the delta-check
+            // fallback instead: discarding the maintained IDB mid-session
             // must not change the outcome, only the path.
             if session % 5 == 0 {
-                mgr.meta.db.discard_maintained();
+                mgr.meta.db.invalidate_caches();
             }
             match mgr.end_evolution().unwrap() {
                 EvolutionOutcome::Consistent(_) => {}
@@ -292,7 +295,7 @@ fn maintained_sessions_survive_recovery_replay() {
     assert!(committed > 0, "no sessions committed — seed went stale");
     let digest = mgr.meta.db.debug_state_digest();
     let full_violations = mgr.meta.db.check().unwrap();
-    let full = sorted_render(&mgr, &full_violations);
+    let full = sorted_render(&mgr.meta.db, &full_violations);
     drop(mgr);
 
     // Reopen: replay happens unarmed (plain inserts/removes), yet must
@@ -306,7 +309,7 @@ fn maintained_sessions_survive_recovery_replay() {
         "recovery replay diverged from the maintained sessions"
     );
     let full2_violations = mgr2.meta.db.check().unwrap();
-    assert_eq!(full, sorted_render(&mgr2, &full2_violations));
+    assert_eq!(full, sorted_render(&mgr2.meta.db, &full2_violations));
 
     // And the recovered manager's maintained path still agrees.
     let mut rng2 = SplitMix64::new(0x3A1D_7EC1);
