@@ -283,19 +283,8 @@ fn main() {
         })
         .collect();
     let trace_crc = {
-        let mut all = String::new();
-        for t in &traces {
-            all.push_str(&t.render());
-        }
-        let mut crc: u32 = !0;
-        for &b in all.as_bytes() {
-            crc ^= u32::from(b);
-            for _ in 0..8 {
-                let mask = (crc & 1).wrapping_neg();
-                crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-            }
-        }
-        !crc
+        let all: String = traces.iter().map(|t| t.render()).collect();
+        gomflex::store::crc32(all.as_bytes())
     };
     let total_ops: usize = traces.iter().map(|t| t.op_count()).sum();
     let reads: Vec<ReadOp> = traces

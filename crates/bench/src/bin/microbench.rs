@@ -1,17 +1,18 @@
-//! Offline micro-benchmark harness for the deductive hot paths.
+//! Offline micro-benchmark harness for the deductive hot paths and the
+//! paper's experiment subjects (B1–B7 in `DESIGN.md` §5).
 //!
-//! Unlike the criterion benches (gated behind `bench-deps`, unavailable in
-//! offline builds), this binary has zero external dependencies and emits a
-//! machine-readable JSON report so the perf trajectory can be tracked in the
-//! repo (`BENCH_<date>.json`, see `scripts/bench.sh`).
+//! The binary has zero external dependencies and emits a machine-readable
+//! JSON report so the perf trajectory can be tracked in the repo
+//! (`BENCH_<date>.json`, see `scripts/bench.sh`).
 //!
 //! ```text
 //! cargo run --release -p gom-bench --bin microbench -- --out BENCH.json
 //! cargo run --release -p gom-bench --bin microbench -- --iters 21 fixpoint
 //! ```
 //!
-//! Covered paths (the engine's three hot loops):
+//! Covered paths:
 //! * `fixpoint_*`   — bottom-up semi-naive fixpoint (transitive closure),
+//!   and the naive tuple-at-a-time reference interpreter beside it (B7),
 //! * `ees_check_*`  — full EES consistency check over the GOM catalog,
 //! * `check_in_session_*`, `repairs_after_violation_*` — a full check and
 //!   repair generation inside an open session (reads of the maintained IDB),
@@ -19,10 +20,19 @@
 //! * `query_*`      — ad-hoc conjunctive query against a materialised IDB,
 //! * `snapshot_*`   — epoch snapshot publication (CoW page sharing),
 //! * `reader_*`     — a gomd reader connection's per-epoch cost: refreshing
-//!   its private view, and the first `check` on that view.
+//!   its private view, and the first `check` on that view,
+//! * `repairs_all_k16` — repair generation for 16 violations (B3),
+//! * `cure_*`       — an attribute cure by conversion or by masking plus
+//!   reads through it (B4),
+//! * `fixed_check_synth500` — the Orion-style fixed checker (B5; its
+//!   declarative side is `ees_full_synth500`),
+//! * `analyzer_lower_synth200` — GOM parse + lower (B6).
 
-use gom_bench::{populate_objects, synth_manager, SplitMix64, SynthParams};
+use gom_bench::{populate_objects, synth_manager, SynthParams};
 use gom_deductive::{ChangeSet, Database, Tuple};
+use gom_evolution::{cure_add_attr, fixed_check, CurePolicy};
+use gom_model::{Oid, TypeId};
+use gom_runtime::Value;
 use gom_server::{ReaderCache, Snapshot, SnapshotCell};
 use gomflex::core::SchemaManager;
 use gomflex::impact::{ImpactIndex, PlanConfig};
@@ -96,6 +106,25 @@ fn measure(b: &mut Bench, iters: usize) -> Report {
     }
 }
 
+/// A row whose every run gets a fresh world from `setup`. The world is
+/// built in `prep`, and the previous one is dropped there, both untimed.
+fn fresh<'a, W: 'a>(
+    name: &'static str,
+    mut setup: impl FnMut() -> W + 'a,
+    mut run: impl FnMut(&mut W) -> u64 + 'a,
+) -> Bench<'a> {
+    let world: Rc<RefCell<Option<W>>> = Rc::new(RefCell::new(None));
+    let prep_world = Rc::clone(&world);
+    Bench {
+        name,
+        prep: Some(Box::new(move || {
+            *prep_world.borrow_mut() = Some(setup());
+        })),
+        run: Box::new(move || run(world.borrow_mut().as_mut().expect("prep builds the world"))),
+        units: 0,
+    }
+}
+
 fn chain_db(depth: usize) -> Database {
     let mut db = Database::new();
     db.load(
@@ -125,7 +154,7 @@ fn graph_db(nodes: usize, edges: usize, seed: u64) -> Database {
     )
     .unwrap();
     let e = db.pred_id("Edge").unwrap();
-    let mut rng = SplitMix64::new(seed);
+    let mut rng = gom_obs::SplitMix64::new(seed);
     for _ in 0..edges {
         let a = gom_deductive::Const::Int(rng.below(nodes) as i64);
         let b = gom_deductive::Const::Int(rng.below(nodes) as i64);
@@ -172,7 +201,7 @@ fn synth500_session() -> (SchemaManager, ChangeSet) {
 /// applies a fixed net-zero six-primitive delta (three attributes added and
 /// removed again) and commits through the maintained EES read — if that
 /// path is O(Δ), the row's median stays flat from synth500 to synth5000.
-fn maintained_commit_setup(n: usize) -> (SchemaManager, gom_model::TypeId) {
+fn maintained_commit_setup(n: usize) -> (SchemaManager, TypeId) {
     let (mut mgr, ts) = synth_manager(SynthParams {
         types: n,
         ..Default::default()
@@ -186,7 +215,7 @@ fn maintained_commit_setup(n: usize) -> (SchemaManager, gom_model::TypeId) {
 /// One maintained-commit session: 3× add_attr + 3× remove_attr (net zero),
 /// committed via `end_evolution` (the maintained EES read). Panics on an
 /// inconsistent outcome — a net-zero session must always commit.
-fn maintained_commit_iter(mgr: &mut SchemaManager, t0: gom_model::TypeId) -> u64 {
+fn maintained_commit_iter(mgr: &mut SchemaManager, t0: TypeId) -> u64 {
     mgr.begin_evolution().expect("begin session");
     let int_ty = mgr.meta.builtins.int;
     for i in 0..3 {
@@ -212,7 +241,7 @@ fn maintained_commit_iter(mgr: &mut SchemaManager, t0: gom_model::TypeId) -> u64
 
 /// An open session on a [`maintained_commit_setup`] base: BES arms IDB
 /// maintenance, as every session does.
-fn open_session(n: usize) -> (SchemaManager, gom_model::TypeId) {
+fn open_session(n: usize) -> (SchemaManager, TypeId) {
     let (mut mgr, leaf) = maintained_commit_setup(n);
     mgr.begin_evolution().expect("begin session");
     (mgr, leaf)
@@ -220,7 +249,7 @@ fn open_session(n: usize) -> (SchemaManager, gom_model::TypeId) {
 
 /// Add the attribute `name` to `ty` when absent, else remove it: one
 /// primitive inside the open session.
-fn toggle_attr(mgr: &mut SchemaManager, ty: gom_model::TypeId, name: &str) {
+fn toggle_attr(mgr: &mut SchemaManager, ty: TypeId, name: &str) {
     if !mgr.meta.remove_attr(ty, name).expect("remove attr") {
         let int_ty = mgr.meta.builtins.int;
         mgr.meta.add_attr(ty, name, int_ty).expect("add attr");
@@ -247,13 +276,66 @@ fn check_in_session(name: &'static str, n: usize) -> Bench<'static> {
 /// violates `slot_for_every_attr` (the leaf's live instance lacks the
 /// new attribute's slot), the full check that reports it, repair
 /// generation for the first violation, then the undoing primitive.
-fn repairs_after_violation_iter(mgr: &mut SchemaManager, leaf: gom_model::TypeId) -> u64 {
+fn repairs_after_violation_iter(mgr: &mut SchemaManager, leaf: TypeId) -> u64 {
     toggle_attr(mgr, leaf, "bm_repair");
     let vs = mgr.check().expect("check");
     let first = vs.first().expect("the new attribute violates a constraint");
     let repairs = mgr.repairs_for(first).expect("repairs").len();
     toggle_attr(mgr, leaf, "bm_repair");
     (vs.len() + repairs) as u64
+}
+
+/// An open session with `k` `slot_for_every_attr` violations: `k`
+/// instantiated types of a flat schema each gained an attribute without
+/// a slot (the §3.5 situation, k-fold).
+fn violated_manager(k: usize) -> SchemaManager {
+    let (mut mgr, types) = synth_manager(SynthParams {
+        types: k.max(8) * 2,
+        subtype_pct: 0, // flat hierarchy: one violation per added attr
+        ..Default::default()
+    });
+    populate_objects(&mut mgr, &types[..k], 1);
+    mgr.begin_evolution().expect("begin session");
+    let string = mgr.meta.builtins.string;
+    for (i, &t) in types[..k].iter().enumerate() {
+        mgr.meta
+            .add_attr(t, &format!("gap{i}"), string)
+            .expect("add attr");
+    }
+    mgr
+}
+
+/// One type `Car` with `objects` instances.
+fn cure_world(objects: usize) -> (SchemaManager, TypeId, Vec<Oid>) {
+    let mut mgr = SchemaManager::new().expect("manager");
+    mgr.define_schema("schema S is type Car is [ milage : float; ] end type Car; end schema S;")
+        .expect("define schema");
+    let s = mgr.meta.schema_by_name("S").expect("schema S");
+    let car = mgr.meta.type_by_name(s, "Car").expect("type Car");
+    let oids = (0..objects)
+        .map(|_| mgr.create_object(car).expect("object"))
+        .collect();
+    (mgr, car, oids)
+}
+
+/// B4: add `fuelType` to a fresh 200-object `Car` under `policy`, then
+/// read it 50 times (units = reads that saw the default).
+fn cure_bench(name: &'static str, policy: CurePolicy) -> Bench<'static> {
+    fresh(
+        name,
+        || cure_world(200),
+        move |(mgr, car, oids)| {
+            let string = mgr.meta.builtins.string;
+            let default = Value::Str("unleaded".into());
+            cure_add_attr(mgr, *car, "fuelType", string, default, policy).expect("cure");
+            (0..50)
+                .filter(|i| {
+                    let v = mgr.get_attr(oids[i % oids.len()], "fuelType");
+                    matches!(v.expect("read"), Value::Str(_))
+                })
+                .count() as u64
+        },
+    )
 }
 
 /// A gomd reader connection over a populated synth5000 base whose writer
@@ -377,6 +459,18 @@ fn main() {
     let refresh = Rc::new(RefCell::new(ReaderBench::new(5000)));
     let first_check = Rc::new(RefCell::new(ReaderBench::new(5000)));
 
+    // ---- experiment subjects B3, B5, B6, B7 --------------------------------
+    let mut naive_chain = chain_db(128);
+    let naive_path = naive_chain.pred_id("Path").unwrap();
+    let mut vmgr = violated_manager(16);
+    let violations = vmgr.meta.db.check().expect("check");
+    assert_eq!(violations.len(), 16, "expected 16 violations");
+    let (fixed_mgr, _) = synth_manager(SynthParams {
+        types: 500,
+        ..Default::default()
+    });
+    let synth200_src = gom_bench::synth_source(200);
+
     let _ = ts;
     let mut benches: Vec<Bench> = vec![
         Bench {
@@ -386,6 +480,12 @@ fn main() {
                 chain.invalidate_caches();
                 chain.derived_facts(chain_path).unwrap().len() as u64
             }),
+            units: 0,
+        },
+        Bench {
+            name: "fixpoint_naive_chain128",
+            prep: None,
+            run: Box::new(move || naive_chain.reference_facts(naive_path).unwrap().len() as u64),
             units: 0,
         },
         Bench {
@@ -541,6 +641,37 @@ fn main() {
             }),
             units: 0,
         },
+        Bench {
+            name: "repairs_all_k16",
+            prep: None,
+            run: Box::new(move || {
+                let repairs = violations
+                    .iter()
+                    .map(|v| vmgr.meta.db.repairs(v).unwrap().len());
+                repairs.sum::<usize>() as u64
+            }),
+            units: 0,
+        },
+        cure_bench("cure_conversion_200x50", CurePolicy::ImmediateConversion),
+        cure_bench("cure_masking_200x50", CurePolicy::Masking),
+        Bench {
+            name: "fixed_check_synth500",
+            prep: None,
+            run: Box::new(move || fixed_check(&fixed_mgr.meta).len() as u64 + 1),
+            units: 0,
+        },
+        fresh(
+            "analyzer_lower_synth200",
+            || SchemaManager::new().expect("manager"),
+            move |mgr| {
+                // Units = source bytes lowered.
+                mgr.begin_evolution().expect("begin session");
+                let lowered = mgr.analyzer.lower_source(&mut mgr.meta, &synth200_src);
+                mgr.rollback_evolution().expect("rollback");
+                lowered.expect("lower");
+                synth200_src.len() as u64
+            },
+        ),
     ];
 
     let mut reports: Vec<Report> = Vec::new();

@@ -8,30 +8,7 @@
 
 use gom_core::SchemaManager;
 use gom_model::TypeId;
-
-/// Minimal deterministic PRNG (splitmix64) so workload generation needs no
-/// external crates; benchmark workloads only need reproducible shuffling,
-/// not statistical quality.
-pub struct SplitMix64(u64);
-
-impl SplitMix64 {
-    pub fn new(seed: u64) -> Self {
-        SplitMix64(seed)
-    }
-
-    pub fn next_u64(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform-enough value in `0..bound` (`bound` must be nonzero).
-    pub fn below(&mut self, bound: usize) -> usize {
-        (self.next_u64() % bound as u64) as usize
-    }
-}
+use gom_obs::SplitMix64;
 
 /// Parameters of a synthetic schema.
 #[derive(Clone, Copy, Debug)]

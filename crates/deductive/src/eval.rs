@@ -824,16 +824,9 @@ fn match_body(
 }
 
 /// Evaluate one stratum naively (re-deriving everything each round) with
-/// the tuple-at-a-time interpreter. Returns the number of rounds.
-fn eval_stratum_naive(
-    db: &Database,
-    idb: &mut [Relation],
-    rules: &[Rule],
-    rule_ixs: &[usize],
-) -> usize {
-    let mut rounds = 0;
+/// the tuple-at-a-time interpreter.
+fn eval_stratum_naive(db: &Database, idb: &mut [Relation], rules: &[Rule], rule_ixs: &[usize]) {
     loop {
-        rounds += 1;
         let mut new_facts: Vec<(PredId, Tuple)> = Vec::new();
         for &ri in rule_ixs {
             let rule = &rules[ri];
@@ -852,7 +845,7 @@ fn eval_stratum_naive(
             }
         }
         if !changed {
-            return rounds;
+            return;
         }
     }
 }
@@ -879,21 +872,6 @@ impl Database {
         self.idb_size_hints = idb.rels.iter().map(|r| r.len()).collect();
         self.idb = Some(idb);
         Ok(())
-    }
-
-    /// Evaluate the whole program with the naive (non-semi-naive, unplanned)
-    /// strategy, returning the number of fixpoint rounds. Benchmark ablation
-    /// only; the result is not cached.
-    pub fn evaluate_naive_for_bench(&mut self) -> Result<usize> {
-        self.ensure_compiled()?;
-        let compiled = self.compiled.take().expect("just compiled");
-        let mut rels: Vec<Relation> = vec![Relation::new(); self.pred_count()];
-        let mut rounds = 0;
-        for stratum in &compiled.strat.rule_strata {
-            rounds += eval_stratum_naive(self, &mut rels, &compiled.rules, stratum);
-        }
-        self.compiled = Some(compiled);
-        Ok(rounds)
     }
 
     /// Sorted facts of a derived predicate computed by the naive
@@ -1091,9 +1069,6 @@ mod tests {
         }
         db.insert(edge, t2(3, 0)).unwrap();
         let semi = db.derived_facts(path).unwrap();
-        let rounds = db.evaluate_naive_for_bench().unwrap();
-        assert!(rounds > 1);
-        assert_eq!(semi.len(), db.derived_facts(path).unwrap().len());
         assert_eq!(semi, db.reference_facts(path).unwrap());
     }
 

@@ -1,4 +1,4 @@
-//! Shared fixtures for the differential tests: a deterministic RNG and a
+//! Shared fixtures for the differential tests: the workspace PRNG and a
 //! generator for randomized stratified programs (recursion + negation)
 //! over randomized EDBs. Failures reproduce from the seed printed in the
 //! assertion message.
@@ -6,27 +6,7 @@
 #![allow(dead_code)] // each test binary uses a subset
 
 use gom_deductive::{Const, Database, Tuple};
-
-/// SplitMix64 — deterministic, dependency-free.
-pub struct Rng(pub u64);
-
-impl Rng {
-    pub fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    pub fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-}
+pub use gom_obs::SplitMix64;
 
 const VARS: [&str; 4] = ["X", "Y", "Z", "W"];
 const DOMAIN: usize = 5;
@@ -36,7 +16,7 @@ const DOMAIN: usize = 5;
 /// literal. `pos_pool` may include `head` itself (recursion); `neg_pool`
 /// holds only strictly-lower predicates, so the program stays stratified.
 fn gen_rule(
-    rng: &mut Rng,
+    rng: &mut SplitMix64,
     head: (&str, usize),
     pos_pool: &[(&str, usize)],
     neg_pool: &[(&str, usize)],
@@ -48,7 +28,7 @@ fn gen_rule(
         let (p, ar) = pos_pool[rng.below(pos_pool.len())];
         let args: Vec<String> = (0..ar)
             .map(|_| {
-                if rng.chance(20) {
+                if rng.below(100) < 20 {
                     rng.below(DOMAIN).to_string()
                 } else {
                     let v = VARS[rng.below(VARS.len())];
@@ -65,11 +45,11 @@ fn gen_rule(
         body.push("B0(X, Y)".to_string());
         bound.extend(["X", "Y"]);
     }
-    if !neg_pool.is_empty() && rng.chance(40) {
+    if !neg_pool.is_empty() && rng.below(100) < 40 {
         let (p, ar) = neg_pool[rng.below(neg_pool.len())];
         let args: Vec<String> = (0..ar)
             .map(|_| {
-                if rng.chance(20) {
+                if rng.below(100) < 20 {
                     rng.below(DOMAIN).to_string()
                 } else {
                     bound[rng.below(bound.len())].to_string()
@@ -100,8 +80,8 @@ pub fn build(seed: u64) -> Database {
 /// (whose own predicates must not be named `B*`/`D*`). Returns the
 /// generator, positioned after the draws `build` makes, for callers that
 /// keep drawing from the same seed.
-pub fn build_into(db: &mut Database, seed: u64) -> Rng {
-    let mut rng = Rng(seed);
+pub fn build_into(db: &mut Database, seed: u64) -> SplitMix64 {
+    let mut rng = SplitMix64::new(seed);
     let b0 = ("B0", 2usize);
     let b1 = ("B1", 1usize);
     let d0 = ("D0", 2usize);
@@ -151,7 +131,7 @@ pub fn build_into(db: &mut Database, seed: u64) -> Rng {
 /// One to three random range-restricted constraints over [`build`]'s
 /// predicates, as program text. Random EDBs violate them often, so the
 /// compiled violation relations are regularly non-empty.
-pub fn constraints(rng: &mut Rng, tag: usize) -> String {
+pub fn constraints(rng: &mut SplitMix64, tag: usize) -> String {
     const BIN: [&str; 3] = ["B0", "D0", "D1"];
     const UN: [&str; 2] = ["B1", "D2"];
     let mut text = String::new();

@@ -11,23 +11,7 @@
 
 use gom_deductive::value::Const;
 use gom_deductive::{Database, Tuple};
-
-/// splitmix64: deterministic, seed-stable across platforms.
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
+use gom_obs::SplitMix64;
 
 const PROGRAM: &str = "base Edge(a, b).
      base Flag(x).
@@ -37,11 +21,11 @@ const PROGRAM: &str = "base Edge(a, b).
      constraint no_self_reach \"reachability must be irreflexive\":
        forall X: !Reach(X, X).";
 
-fn pair(a: u64, b: u64) -> Tuple {
+fn pair(a: usize, b: usize) -> Tuple {
     Tuple::from(vec![Const::Int(a as i64), Const::Int(b as i64)])
 }
 
-fn one(x: u64) -> Tuple {
+fn one(x: usize) -> Tuple {
     Tuple::from(vec![Const::Int(x as i64)])
 }
 
@@ -61,7 +45,7 @@ fn run_session(seed: u64, threads: usize) {
     let flag = db.pred_id("Flag").expect("Flag");
     let preds = [edge, flag];
 
-    let mut rng = Rng(seed);
+    let mut rng = SplitMix64::new(seed);
     let mut snaps: Vec<(Database, Oracle)> = Vec::new();
 
     for step in 0..1800u64 {

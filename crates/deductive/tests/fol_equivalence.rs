@@ -1,22 +1,23 @@
-#![cfg(feature = "proptest-tests")]
-// Gated: requires the external `proptest` crate (no offline mirror).
-// See the `proptest-tests` feature note in Cargo.toml.
-
-//! Property test: the constraint compiler is equivalent to naive FOL model
-//! checking.
+//! Differential test: the constraint compiler is equivalent to naive FOL
+//! model checking.
 //!
 //! For random range-restricted constraints of the supported normal form
 //! `forall X̄: premise -> conclusion` and random extensional databases, a
 //! constraint must be *violated* under the compiled violation rules exactly
 //! when the formula evaluates to *false* under naive first-order semantics
-//! over the database's active domain.
+//! over the database's active domain. Cases are drawn from
+//! `gom_obs::SplitMix64`, one seed per case, and every failure prints its
+//! seed.
 
 use gom_deductive::ast::{Atom, CmpOp, Term, Var};
 use gom_deductive::constraint::{Constraint, Formula};
 use gom_deductive::{Const, Database, PredId, Tuple};
-use proptest::prelude::*;
+use gom_obs::SplitMix64;
 
 const DOMAIN: i64 = 4; // constants 0..DOMAIN
+
+/// Random cases, one seed each.
+const SEEDS: u64 = 2000;
 
 /// Predicates: P/1, Q/2, R/2 — all base.
 fn setup_db(
@@ -42,7 +43,7 @@ fn setup_db(
 
 /// A generated conclusion, using only variables `0..avail` plus fresh
 /// existentials.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum GenF {
     AtomP(u32),
     AtomQ(u32, u32),
@@ -60,30 +61,50 @@ enum GenF {
     False,
 }
 
-fn genf_strategy(avail: u32, depth: u32) -> BoxedStrategy<GenF> {
-    let leaf = prop_oneof![
-        (0..avail).prop_map(GenF::AtomP),
-        (0..avail, 0..avail).prop_map(|(a, b)| GenF::AtomQ(a, b)),
-        (0..avail, 0..avail).prop_map(|(a, b)| GenF::Cmp(CmpOp::Eq, a, b)),
-        (0..avail, 0..avail).prop_map(|(a, b)| GenF::Cmp(CmpOp::Ne, a, b)),
-        (0..avail).prop_map(GenF::NotAtomP),
-        (0..avail).prop_map(GenF::ExistsR),
-        (0..avail).prop_map(GenF::ExistsRP),
-        (0..avail).prop_map(GenF::ForallRP),
-        Just(GenF::True),
-        Just(GenF::False),
-    ];
-    if depth == 0 {
-        leaf.boxed()
-    } else {
-        let inner = genf_strategy(avail, depth - 1);
-        prop_oneof![
-            4 => leaf,
-            1 => proptest::collection::vec(inner.clone(), 1..3).prop_map(GenF::And),
-            1 => proptest::collection::vec(inner, 1..3).prop_map(GenF::Or),
-        ]
-        .boxed()
+/// A random conclusion of nesting depth at most `depth` over the outer
+/// variables `0..avail`: a leaf four times in six, else a one- or
+/// two-element conjunction or disjunction.
+fn gen_f(rng: &mut SplitMix64, avail: u32, depth: u32) -> GenF {
+    if depth > 0 {
+        match rng.below(6) {
+            4 => return GenF::And(gen_fs(rng, avail, depth - 1)),
+            5 => return GenF::Or(gen_fs(rng, avail, depth - 1)),
+            _ => {}
+        }
     }
+    let kind = rng.below(10);
+    let mut var = || rng.below(avail as usize) as u32;
+    match kind {
+        0 => GenF::AtomP(var()),
+        1 => GenF::AtomQ(var(), var()),
+        2 => GenF::Cmp(CmpOp::Eq, var(), var()),
+        3 => GenF::Cmp(CmpOp::Ne, var(), var()),
+        4 => GenF::NotAtomP(var()),
+        5 => GenF::ExistsR(var()),
+        6 => GenF::ExistsRP(var()),
+        7 => GenF::ForallRP(var()),
+        8 => GenF::True,
+        _ => GenF::False,
+    }
+}
+
+fn gen_fs(rng: &mut SplitMix64, avail: u32, depth: u32) -> Vec<GenF> {
+    (0..1 + rng.below(2))
+        .map(|_| gen_f(rng, avail, depth))
+        .collect()
+}
+
+/// `0..max_len` random tuples, each drawn by `draw`.
+fn gen_facts<T>(rng: &mut SplitMix64, max_len: usize, draw: fn(&mut SplitMix64) -> T) -> Vec<T> {
+    (0..rng.below(max_len)).map(|_| draw(rng)).collect()
+}
+
+fn constant(rng: &mut SplitMix64) -> i64 {
+    rng.below(DOMAIN as usize) as i64
+}
+
+fn pair(rng: &mut SplitMix64) -> (i64, i64) {
+    (constant(rng), constant(rng))
 }
 
 /// Turn a generated conclusion into a Formula, allocating fresh variables
@@ -213,49 +234,55 @@ fn iterate(
     go(vs, 0, g, env, db, forall)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(200))]
+/// One random case: a random EDB and one constraint over it.
+fn check_case(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
+    let p_facts = gen_facts(&mut rng, 5, constant);
+    let q_facts = gen_facts(&mut rng, 8, pair);
+    let r_facts = gen_facts(&mut rng, 8, pair);
+    let n_outer = 1 + rng.below(2) as u32;
+    let conclusion = gen_f(&mut rng, n_outer, 1);
 
-    #[test]
-    fn compiled_violations_equal_naive_falsity(
-        p_facts in proptest::collection::vec(0..DOMAIN, 0..5),
-        q_facts in proptest::collection::vec((0..DOMAIN, 0..DOMAIN), 0..8),
-        r_facts in proptest::collection::vec((0..DOMAIN, 0..DOMAIN), 0..8),
-        (n_outer, conclusion) in (1u32..3)
-            .prop_flat_map(|n| (Just(n), genf_strategy(n, 1))),
-    ) {
-        let (mut db, p, q, r) = setup_db(&p_facts, &q_facts, &r_facts);
-        // Premise: bind each outer var: X0 via Q(X0, X1)/P, ensure all
-        // bound positively. Use Q(X0, X1) when n_outer == 2, else P(X0).
-        let outer: Vec<Var> = (0..n_outer).map(Var).collect();
-        let premise = if n_outer == 1 {
-            Formula::Atom(Atom::new(p, vec![Term::Var(Var(0))]))
-        } else {
-            Formula::Atom(Atom::new(q, vec![Term::Var(Var(0)), Term::Var(Var(1))]))
-        };
-        let mut next = n_outer;
-        let conclusion_f = to_formula(&conclusion, p, q, r, &mut next);
-        let formula = Formula::Forall(
-            outer,
-            Box::new(Formula::Implies(Box::new(premise), Box::new(conclusion_f))),
-        );
-        let var_names = (0..next).map(|i| format!("V{i}")).collect();
-        let constraint = Constraint::new("prop", var_names, formula.clone());
-        db.add_constraint(constraint);
+    let (mut db, p, q, r) = setup_db(&p_facts, &q_facts, &r_facts);
+    // Premise: bind each outer var positively — P(X0) when n_outer == 1,
+    // else Q(X0, X1).
+    let outer: Vec<Var> = (0..n_outer).map(Var).collect();
+    let premise = if n_outer == 1 {
+        Formula::Atom(Atom::new(p, vec![Term::Var(Var(0))]))
+    } else {
+        Formula::Atom(Atom::new(q, vec![Term::Var(Var(0)), Term::Var(Var(1))]))
+    };
+    let mut next = n_outer;
+    let conclusion_f = to_formula(&conclusion, p, q, r, &mut next);
+    let formula = Formula::Forall(
+        outer,
+        Box::new(Formula::Implies(Box::new(premise), Box::new(conclusion_f))),
+    );
+    let var_names = (0..next).map(|i| format!("V{i}")).collect();
+    let constraint = Constraint::new("prop", var_names, formula.clone());
+    db.add_constraint(constraint);
 
-        let compiled_violations = db.check().unwrap();
-        let mut env: Vec<Option<i64>> = vec![None; next as usize];
-        let naive_holds = naive_eval(&formula, &mut env, &db);
+    let compiled_violations = db.check().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+    let mut env: Vec<Option<i64>> = vec![None; next as usize];
+    let naive_holds = naive_eval(&formula, &mut env, &db);
 
-        prop_assert_eq!(
-            compiled_violations.is_empty(),
-            naive_holds,
-            "formula {:?}\nviolations: {:?}",
-            formula,
-            compiled_violations
-                .iter()
-                .map(|v| v.render(&db))
-                .collect::<Vec<_>>()
-        );
+    assert_eq!(
+        compiled_violations.is_empty(),
+        naive_holds,
+        "seed {seed}: formula {:?}\nviolations: {:?}",
+        formula,
+        compiled_violations
+            .iter()
+            .map(|v| v.render(&db))
+            .collect::<Vec<_>>()
+    );
+}
+
+#[test]
+fn compiled_violations_equal_naive_falsity() {
+    for seed in 0..SEEDS {
+        if std::panic::catch_unwind(|| check_case(seed)).is_err() {
+            panic!("seed {seed}: panicked (message above)");
+        }
     }
 }

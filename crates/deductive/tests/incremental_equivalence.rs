@@ -13,7 +13,7 @@
 
 mod common;
 
-use common::Rng;
+use common::SplitMix64;
 use gom_deductive::{Const, Database, PredId, Tuple};
 
 const SEEDS: u64 = 100;
@@ -23,7 +23,7 @@ const BATCHES: usize = 6;
 /// when 9 lies on a cycle, so an edge closing such a cycle adds both at
 /// once, and `Stuck(9)` must be over-deleted against the old state of
 /// both negations.
-fn fixed_program(rng: &mut Rng) -> Database {
+fn fixed_program(rng: &mut SplitMix64) -> Database {
     let mut db = Database::new();
     db.load(
         "base Edge(a, b).
@@ -50,7 +50,7 @@ fn fixed_program(rng: &mut Rng) -> Database {
     db
 }
 
-fn random_tuple(rng: &mut Rng, arity: usize, domain: usize) -> Tuple {
+fn random_tuple(rng: &mut SplitMix64, arity: usize, domain: usize) -> Tuple {
     Tuple::from(
         (0..arity)
             .map(|_| Const::Int(rng.below(domain) as i64))
@@ -66,11 +66,11 @@ fn run(seed: u64, threads: usize) {
     // Even seeds: a random program; odd seeds: the fixed one.
     let (mut db, mut rng, bases, derived, domain) = if seed.is_multiple_of(2) {
         let db = common::build(seed);
-        let rng = Rng(seed ^ 0xD4ED);
+        let rng = SplitMix64::new(seed ^ 0xD4ED);
         let (b, d) = (preds(&db, &["B0", "B1"]), preds(&db, &["D0", "D1", "D2"]));
         (db, rng, b, d, 5)
     } else {
-        let mut rng = Rng(seed);
+        let mut rng = SplitMix64::new(seed);
         let db = fixed_program(&mut rng);
         let (b, d) = (
             preds(&db, &["Edge", "Blocked"]),

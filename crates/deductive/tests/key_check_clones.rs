@@ -7,9 +7,18 @@
 //! invariant (0 on clean data, exactly 2 per violating pair).
 //!
 //! Lives in its own integration-test binary so the process-global gom-obs
-//! aggregator is not shared with unrelated tests.
+//! aggregator is not shared with unrelated tests. The tests here still run
+//! on parallel threads, so each holds [`OBS`] while it checks: another
+//! test's check must not add to the counted one's clones.
 
 use gom_deductive::{Const, Database};
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+static OBS: Mutex<()> = Mutex::new(());
+
+fn obs_lock() -> MutexGuard<'static, ()> {
+    OBS.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn counted_check(db: &mut Database) -> (usize, u64) {
     gom_obs::reset();
@@ -22,6 +31,7 @@ fn counted_check(db: &mut Database) -> (usize, u64) {
 
 #[test]
 fn clean_key_check_clones_no_tuples() {
+    let _obs = obs_lock();
     let mut db = Database::new();
     let p = db.declare_base_keyed("P", 2, &[0]).expect("declare");
     for i in 0..500 {
@@ -51,6 +61,7 @@ fn clean_key_check_clones_no_tuples() {
 fn index_grouped_check_matches_selective_check() {
     // The full (index-grouped) scan and the incremental (per-insert probe)
     // path must report the same violating pairs.
+    let _obs = obs_lock();
     let mut db = Database::new();
     let p = db.declare_base_keyed("P", 3, &[0, 1]).expect("declare");
     for i in 0..80 {

@@ -3,9 +3,8 @@
 //! tuple-at-a-time reference interpreter, on randomized stratified
 //! programs (recursion + negation) over randomized EDBs.
 //!
-//! Runs ungated (no external property-testing crate): programs are drawn
-//! with a local SplitMix64 generator (`tests/common`) so failures
-//! reproduce from the seed printed in the assertion message.
+//! Programs are drawn from `gom_obs::SplitMix64` (`tests/common`) so
+//! failures reproduce from the seed printed in the assertion message.
 
 mod common;
 

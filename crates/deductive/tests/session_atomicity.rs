@@ -12,34 +12,13 @@
 //!   evaluation paths.
 
 use gom_deductive::{Const, Database, Error, Tuple};
-
-/// SplitMix64 — deterministic, dependency-free (same generator as
-/// `planned_equivalence.rs`).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-
-    fn chance(&mut self, pct: u64) -> bool {
-        self.next() % 100 < pct
-    }
-}
+use gom_obs::SplitMix64;
 
 const DOMAIN: i64 = 7;
 
 /// A database with recursion (transitive closure) and negation, so both
 /// semi-naive deltas and stratified evaluation run over the session data.
-fn build(rng: &mut Rng) -> Database {
+fn build(rng: &mut SplitMix64) -> Database {
     let mut db = Database::new();
     db.load(
         "base Edge(a, b).
@@ -67,7 +46,7 @@ fn build(rng: &mut Rng) -> Database {
     db
 }
 
-fn random_tuple(rng: &mut Rng, arity: usize) -> Tuple {
+fn random_tuple(rng: &mut SplitMix64, arity: usize) -> Tuple {
     Tuple::from(
         (0..arity)
             .map(|_| Const::Int(rng.below(DOMAIN as usize) as i64))
@@ -81,7 +60,7 @@ fn random_tuple(rng: &mut Rng, arity: usize) -> Tuple {
 #[test]
 fn rollback_restores_bit_identical_state() {
     for seed in 0..40u64 {
-        let mut rng = Rng(seed.wrapping_mul(0x9E37_79B9) + 1);
+        let mut rng = SplitMix64::new(seed.wrapping_mul(0x9E37_79B9) + 1);
         let mut db = build(&mut rng);
         db.evaluate().expect("evaluate");
         let before = db.debug_state_digest();
@@ -91,9 +70,13 @@ fn rollback_restores_bit_identical_state() {
         let mark = db.pred_id("Mark").expect("Mark");
         db.begin_session().expect("bes");
         for _ in 0..(1 + rng.below(30)) {
-            let (pred, arity) = if rng.chance(70) { (edge, 2) } else { (mark, 1) };
+            let (pred, arity) = if rng.below(100) < 70 {
+                (edge, 2)
+            } else {
+                (mark, 1)
+            };
             let t = random_tuple(&mut rng, arity);
-            if rng.chance(60) {
+            if rng.below(100) < 60 {
                 db.insert(pred, t).expect("insert");
             } else {
                 db.remove(pred, &t).expect("remove");
@@ -101,7 +84,7 @@ fn rollback_restores_bit_identical_state() {
             // Occasionally evaluate mid-session: deferred checking allows
             // it, and it exercises incremental index maintenance on the
             // session's dirty state.
-            if rng.chance(15) {
+            if rng.below(100) < 15 {
                 db.evaluate().expect("mid-session evaluate");
             }
         }
@@ -127,7 +110,7 @@ fn rollback_restores_bit_identical_state() {
 /// digest as no session at all (recycled buffers included).
 #[test]
 fn self_cancelling_session_commits_to_identical_state() {
-    let mut rng = Rng(0xD1D_0001);
+    let mut rng = SplitMix64::new(0xD1D_0001);
     let mut db = build(&mut rng);
     db.evaluate().expect("evaluate");
     let before = db.debug_state_digest();
@@ -145,7 +128,7 @@ fn self_cancelling_session_commits_to_identical_state() {
 }
 
 fn eval_panic_is_contained(threads: usize) {
-    let mut rng = Rng(0xEE7 + threads as u64);
+    let mut rng = SplitMix64::new(0xEE7 + threads as u64);
     let mut db = build(&mut rng);
     db.set_eval_threads(threads);
     db.evaluate().expect("healthy evaluate");

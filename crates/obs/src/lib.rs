@@ -27,7 +27,8 @@
 //! build (enforced by the ≤2% microbench gate in `scripts/check.sh`).
 //!
 //! The crate is dependency-free and fully offline, like the rest of the
-//! workspace.
+//! workspace. Because nearly every crate already depends on it, it also
+//! hosts [`SplitMix64`], the workspace's one seedable PRNG.
 
 use std::collections::BTreeMap;
 use std::io::Write;
@@ -36,9 +37,11 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 mod hist;
+mod rng;
 mod table;
 
 pub use hist::{bucket_index, bucket_lower_bound, Hist, BUCKETS};
+pub use rng::SplitMix64;
 pub use table::render_table;
 
 // ---------------------------------------------------------------------------

@@ -1,16 +1,18 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
-#![cfg(feature = "proptest-tests")]
-// Gated: requires the external `proptest` crate (no offline mirror).
-// See the `proptest-tests` feature note in Cargo.toml.
 
-//! Property tests: the Runtime System keeps the Object Base Model faithful
-//! — after any sequence of object creations, deletions, and conversions,
-//! the §3.4 schema/object constraints hold.
+//! Seeded property test: the Runtime System keeps the Object Base Model
+//! faithful — after any sequence of object creations, deletions, and
+//! conversions, the §3.4 schema/object constraints hold. Action sequences
+//! are drawn from `gom_obs::SplitMix64`, one seed per sequence, and every
+//! failure prints its seed.
 
 use gom_core::SchemaManager;
 use gom_model::TypeId;
+use gom_obs::SplitMix64;
 use gom_runtime::{Value, ValueSource};
-use proptest::prelude::*;
+
+/// Random action sequences, one seed each.
+const SEEDS: u64 = 100;
 
 fn hierarchy_manager() -> (SchemaManager, Vec<TypeId>) {
     let mut mgr = SchemaManager::new().unwrap();
@@ -31,7 +33,7 @@ fn hierarchy_manager() -> (SchemaManager, Vec<TypeId>) {
     (mgr, types)
 }
 
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 enum Action {
     Create(usize),
     DeleteNth(usize),
@@ -39,88 +41,115 @@ enum Action {
     ConvertRemove(usize, u8),
 }
 
-fn action_strategy() -> impl Strategy<Value = Action> {
-    prop_oneof![
-        4 => (0usize..4).prop_map(Action::Create),
-        2 => (0usize..8).prop_map(Action::DeleteNth),
-        1 => (0usize..4, 0u8..3).prop_map(|(t, a)| Action::ConvertAdd(t, a)),
-        1 => (0usize..4, 0u8..3).prop_map(|(t, a)| Action::ConvertRemove(t, a)),
-    ]
+/// A random action: creation four times in eight, deletion twice,
+/// conversion-add and conversion-remove once each.
+fn gen_action(rng: &mut SplitMix64) -> Action {
+    match rng.below(8) {
+        0..=3 => Action::Create(rng.below(4)),
+        4 | 5 => Action::DeleteNth(rng.below(8)),
+        6 => Action::ConvertAdd(rng.below(4), rng.below(3) as u8),
+        _ => Action::ConvertRemove(rng.below(4), rng.below(3) as u8),
+    }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    #[test]
-    fn object_lifecycle_preserves_schema_object_consistency(
-        actions in proptest::collection::vec(action_strategy(), 1..25),
-    ) {
-        let (mut mgr, types) = hierarchy_manager();
-        let mut live: Vec<gom_model::Oid> = Vec::new();
-        for action in &actions {
-            match action {
-                Action::Create(t) => {
-                    let oid = mgr.create_object(types[*t]).unwrap();
-                    live.push(oid);
-                }
-                Action::DeleteNth(n) => {
-                    if !live.is_empty() {
-                        let oid = live.remove(n % live.len());
-                        mgr.runtime.delete(&mut mgr.meta, oid).unwrap();
-                    }
-                }
-                Action::ConvertAdd(t, a) => {
-                    // Conversion must accompany the schema change in one
-                    // session (the §3.5 discipline).
-                    let ty = types[*t];
-                    let attr = format!("extra{a}");
-                    if mgr.meta.attrs_inherited(ty).iter().any(|(n, _)| *n == attr) {
-                        continue; // already there (possibly inherited)
-                    }
-                    // Adding attr to ty may clash with a same-named attr
-                    // already added to a SUBTYPE earlier; skip those too.
-                    let clash = gom_runtime::affected_types(&mgr.meta, ty)
-                        .iter()
-                        .any(|&s| mgr.meta.attrs_inherited(s).iter().any(|(n, _)| *n == attr));
-                    if clash {
-                        continue;
-                    }
-                    mgr.begin_evolution().unwrap();
-                    let int = mgr.meta.builtins.int;
-                    mgr.meta.add_attr(ty, &attr, int).unwrap();
-                    mgr.runtime
-                        .convert_add_slot(&mut mgr.meta, ty, &attr, int,
-                            ValueSource::Default(Value::Int(0)))
-                        .unwrap();
-                    let out = mgr.end_evolution().unwrap();
-                    prop_assert!(out.is_consistent(),
-                        "convert-add left: {:?}",
-                        out.violations().iter().map(|v| v.render(&mgr.meta.db)).collect::<Vec<_>>());
-                }
-                Action::ConvertRemove(t, a) => {
-                    let ty = types[*t];
-                    let attr = format!("extra{a}");
-                    // Only remove attrs we added directly on this type.
-                    if !mgr.meta.attrs_of(ty).iter().any(|(n, _)| *n == attr) {
-                        continue;
-                    }
-                    mgr.begin_evolution().unwrap();
-                    mgr.meta.remove_attr(ty, &attr).unwrap();
-                    mgr.runtime.convert_remove_slot(&mut mgr.meta, ty, &attr).unwrap();
-                    let out = mgr.end_evolution().unwrap();
-                    prop_assert!(out.is_consistent(),
-                        "convert-remove left: {:?}",
-                        out.violations().iter().map(|v| v.render(&mgr.meta.db)).collect::<Vec<_>>());
-                }
-            }
-            // The standing invariant after every action:
-            let violations = mgr.check().unwrap();
-            prop_assert!(
-                violations.is_empty(),
-                "after {:?}: {:?}",
-                action,
-                violations.iter().map(|v| v.render(&mgr.meta.db)).collect::<Vec<_>>()
-            );
+#[test]
+fn object_lifecycle_preserves_schema_object_consistency() {
+    for seed in 0..SEEDS {
+        let mut rng = SplitMix64::new(seed);
+        let actions: Vec<Action> = (0..1 + rng.below(24))
+            .map(|_| gen_action(&mut rng))
+            .collect();
+        match std::panic::catch_unwind(|| run_actions(seed, &actions)) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("seed {seed}: {e}"),
+            Err(_) => panic!("seed {seed}: panicked (message above)"),
         }
     }
+}
+
+fn run_actions(seed: u64, actions: &[Action]) -> Result<(), Box<dyn std::error::Error>> {
+    let (mut mgr, types) = hierarchy_manager();
+    let mut live: Vec<gom_model::Oid> = Vec::new();
+    for action in actions {
+        match action {
+            Action::Create(t) => {
+                let oid = mgr.create_object(types[*t])?;
+                live.push(oid);
+            }
+            Action::DeleteNth(n) => {
+                if !live.is_empty() {
+                    let oid = live.remove(n % live.len());
+                    mgr.runtime.delete(&mut mgr.meta, oid)?;
+                }
+            }
+            Action::ConvertAdd(t, a) => {
+                // Conversion must accompany the schema change in one
+                // session (the §3.5 discipline).
+                let ty = types[*t];
+                let attr = format!("extra{a}");
+                if mgr.meta.attrs_inherited(ty).iter().any(|(n, _)| *n == attr) {
+                    continue; // already there (possibly inherited)
+                }
+                // Adding attr to ty may clash with a same-named attr
+                // already added to a SUBTYPE earlier; skip those too.
+                let clash = gom_runtime::affected_types(&mgr.meta, ty)
+                    .iter()
+                    .any(|&s| mgr.meta.attrs_inherited(s).iter().any(|(n, _)| *n == attr));
+                if clash {
+                    continue;
+                }
+                mgr.begin_evolution()?;
+                let int = mgr.meta.builtins.int;
+                mgr.meta.add_attr(ty, &attr, int)?;
+                mgr.runtime.convert_add_slot(
+                    &mut mgr.meta,
+                    ty,
+                    &attr,
+                    int,
+                    ValueSource::Default(Value::Int(0)),
+                )?;
+                let out = mgr.end_evolution()?;
+                assert!(
+                    out.is_consistent(),
+                    "seed {seed}: convert-add left: {:?}",
+                    out.violations()
+                        .iter()
+                        .map(|v| v.render(&mgr.meta.db))
+                        .collect::<Vec<_>>()
+                );
+            }
+            Action::ConvertRemove(t, a) => {
+                let ty = types[*t];
+                let attr = format!("extra{a}");
+                // Only remove attrs we added directly on this type.
+                if !mgr.meta.attrs_of(ty).iter().any(|(n, _)| *n == attr) {
+                    continue;
+                }
+                mgr.begin_evolution()?;
+                mgr.meta.remove_attr(ty, &attr)?;
+                mgr.runtime.convert_remove_slot(&mut mgr.meta, ty, &attr)?;
+                let out = mgr.end_evolution()?;
+                assert!(
+                    out.is_consistent(),
+                    "seed {seed}: convert-remove left: {:?}",
+                    out.violations()
+                        .iter()
+                        .map(|v| v.render(&mgr.meta.db))
+                        .collect::<Vec<_>>()
+                );
+            }
+        }
+        // The standing invariant after every action:
+        let violations = mgr.check()?;
+        assert!(
+            violations.is_empty(),
+            "seed {seed}: after {:?}: {:?}",
+            action,
+            violations
+                .iter()
+                .map(|v| v.render(&mgr.meta.db))
+                .collect::<Vec<_>>()
+        );
+    }
+    Ok(())
 }

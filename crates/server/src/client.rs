@@ -8,8 +8,8 @@
 //! with deterministic jittered exponential backoff so a thundering herd of
 //! rejected writers de-synchronises itself.
 
-use crate::fault::SplitMix64;
 use crate::wire::{self, ErrorKind, Reply, Request};
+use gom_obs::SplitMix64;
 use std::io;
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};

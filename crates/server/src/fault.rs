@@ -18,11 +18,11 @@
 //! Faults fire on both directions, so a commit can be *applied* while its
 //! ack is lost — exactly the case idempotent EES tokens exist for.
 //!
-//! The schedule is derived from a seed ([`SplitMix64`]), per connection
-//! and direction, so a sweep is reproducible run-to-run: the *decisions*
-//! are a pure function of the seed and chunk index. (Chunk boundaries
-//! depend on kernel buffering, so byte-exact fault positions may shift;
-//! the harness asserts outcomes, not positions.)
+//! The schedule is derived from a seed ([`gom_obs::SplitMix64`]), per
+//! connection and direction, so a sweep is reproducible run-to-run: the
+//! *decisions* are a pure function of the seed and chunk index. (Chunk
+//! boundaries depend on kernel buffering, so byte-exact fault positions
+//! may shift; the harness asserts outcomes, not positions.)
 
 use std::io::{Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -31,34 +31,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// SplitMix64: tiny, seedable, no dependencies — the workspace's standard
-/// offline PRNG (also used by the store fault-injection sweeps).
-pub struct SplitMix64 {
-    state: u64,
-}
-
-impl SplitMix64 {
-    /// A generator seeded with `seed`.
-    pub fn new(seed: u64) -> SplitMix64 {
-        SplitMix64 { state: seed }
-    }
-
-    /// Next 64 pseudo-random bits. (Named like the PRNG literature, not
-    /// `Iterator::next` — an infinite generator has no `None`.)
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        z ^ (z >> 31)
-    }
-
-    /// Uniform draw in `[0, bound)` (`bound` ≥ 1).
-    pub fn below(&mut self, bound: u64) -> u64 {
-        self.next() % bound.max(1)
-    }
-}
+use gom_obs::SplitMix64;
 
 /// What the proxy may inject, and how often.
 #[derive(Debug, Clone)]
@@ -283,7 +256,7 @@ fn pump(
             }
         };
         let chunk = &mut buf[..n];
-        let fault = faults_left > 0 && rng.below(100) < plan.fault_chance_pct;
+        let fault = faults_left > 0 && (rng.below(100) as u64) < plan.fault_chance_pct;
         if !fault {
             if to.write_all(chunk).is_err() {
                 sever(&from, &to);
@@ -296,8 +269,8 @@ fn pump(
             // Delay: pause, then forward intact.
             0..=39 => {
                 counters.delays.fetch_add(1, Ordering::SeqCst);
-                let nanos = plan.delay_max.as_nanos().max(1) as u64;
-                std::thread::sleep(Duration::from_nanos(1 + rng.below(nanos)));
+                let nanos = plan.delay_max.as_nanos().max(1) as usize;
+                std::thread::sleep(Duration::from_nanos(1 + rng.below(nanos) as u64));
                 if to.write_all(chunk).is_err() {
                     sever(&from, &to);
                     return;
@@ -306,9 +279,9 @@ fn pump(
             // Partial write: split the chunk, breathe, send the rest.
             40..=64 => {
                 counters.partials.fetch_add(1, Ordering::SeqCst);
-                let cut = 1 + rng.below(n.max(2) as u64 - 1) as usize;
+                let cut = 1 + rng.below(n.max(2) - 1);
                 let ok = to.write_all(&chunk[..cut]).is_ok() && {
-                    std::thread::sleep(Duration::from_millis(1 + rng.below(10)));
+                    std::thread::sleep(Duration::from_millis(1 + rng.below(10) as u64));
                     to.write_all(&chunk[cut..]).is_ok()
                 };
                 if !ok {
@@ -319,7 +292,7 @@ fn pump(
             // Corruption: flip one byte, let CRC catch it downstream.
             65..=84 => {
                 counters.corruptions.fetch_add(1, Ordering::SeqCst);
-                let at = rng.below(n as u64) as usize;
+                let at = rng.below(n);
                 chunk[at] ^= 1 << rng.below(8);
                 if to.write_all(chunk).is_err() {
                     sever(&from, &to);
@@ -330,7 +303,7 @@ fn pump(
             // then drop the whole proxied connection.
             85..=92 => {
                 counters.stalls.fetch_add(1, Ordering::SeqCst);
-                let cut = 1 + rng.below(n.max(2) as u64 - 1) as usize;
+                let cut = 1 + rng.below(n.max(2) - 1);
                 let _ = to.write_all(&chunk[..cut]);
                 std::thread::sleep(plan.stall);
                 dropped.store(true, Ordering::SeqCst);
@@ -367,29 +340,6 @@ pub fn scratch_socket(tag: &str) -> PathBuf {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn splitmix_is_deterministic_and_spreads() {
-        let a: Vec<u64> = {
-            let mut r = SplitMix64::new(42);
-            (0..8).map(|_| r.next()).collect()
-        };
-        let b: Vec<u64> = {
-            let mut r = SplitMix64::new(42);
-            (0..8).map(|_| r.next()).collect()
-        };
-        assert_eq!(a, b);
-        let mut r = SplitMix64::new(43);
-        let c: Vec<u64> = (0..8).map(|_| r.next()).collect();
-        assert_ne!(a, c);
-        // below() respects its bound.
-        let mut r = SplitMix64::new(7);
-        for bound in [1u64, 2, 10, 255] {
-            for _ in 0..32 {
-                assert!(r.below(bound) < bound);
-            }
-        }
-    }
 
     #[test]
     fn clean_plan_forwards_bytes_unchanged() {

@@ -26,7 +26,7 @@ pub mod snapshot;
 pub mod wire;
 
 pub use client::{Client, RetryPolicy, RetryStats};
-pub use fault::{FaultPlan, FaultProxy, FaultStats, SplitMix64};
+pub use fault::{FaultPlan, FaultProxy, FaultStats};
 pub use server::{serve, Config, ServerHandle, SlowEntry};
 pub use session::{Acquire, SessionLock};
 pub use snapshot::{ReaderCache, Snapshot, SnapshotCell};

@@ -31,6 +31,7 @@
 //! with a typed `Timeout` error; a session whose lease the reaper expired
 //! answers the zombie's next session frame with `LeaseExpired`.
 
+use gom_store::crc32;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
 
@@ -266,19 +267,6 @@ fn corrupt(what: &str) -> WireError {
 // ---------------------------------------------------------------------------
 // Framing
 // ---------------------------------------------------------------------------
-
-/// CRC-32 (IEEE), bit-reflected — the same polynomial as the journal.
-fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
 
 /// Write one frame.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
@@ -915,19 +903,6 @@ mod tests {
         }
     }
 
-    /// Deterministic xorshift-style generator for the mutation sweep.
-    struct SplitMix64(u64);
-
-    impl SplitMix64 {
-        fn next(&mut self) -> u64 {
-            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-            let mut z = self.0;
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-    }
-
     /// Decoder never-panic property sweep: for every variant, (a) every
     /// strict truncation is a typed error, never a panic, and (b) ≥64
     /// seeded random single- and multi-byte mutations decode to either a
@@ -935,7 +910,7 @@ mod tests {
     /// arbitrary bytes without panicking or over-allocating.
     #[test]
     fn decoder_survives_truncation_and_mutation() {
-        let mut rng = SplitMix64(0x0C0F_FEE0_5EED);
+        let mut rng = gom_obs::SplitMix64::new(0x0C0F_FEE0_5EED);
         let mut sweep = |payload: Vec<u8>, decode: &dyn Fn(&[u8]) -> bool| {
             // Truncation at every byte offset: strictly shorter payloads
             // must be rejected (every variant encodes its exact length).

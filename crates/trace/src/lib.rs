@@ -239,7 +239,9 @@ pub struct Trace {
     pub sessions: Vec<Session>,
 }
 
-/// SplitMix64 — the workspace's standard deterministic PRNG.
+/// SplitMix64 — the same stream as `gom_obs::SplitMix64`, kept private
+/// because this crate has no dependencies (one would rewrite
+/// `gomd_bench/Cargo.lock`).
 struct Rng(u64);
 
 impl Rng {
@@ -559,7 +561,8 @@ impl Trace {
 
     /// CRC-32 (IEEE) of the rendered trace — a compact fingerprint the
     /// SLO report embeds so two runs can prove they replayed the same
-    /// op sequence.
+    /// op sequence. Same polynomial as `gom_store::crc32`; local for the
+    /// same no-dependency reason as `Rng`.
     pub fn crc32(&self) -> u32 {
         let mut crc: u32 = !0;
         for &b in self.render().as_bytes() {

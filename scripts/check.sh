@@ -46,8 +46,11 @@ fi
 step "cargo build --release"
 cargo build --release
 
-step "cargo test -q"
-cargo test -q
+# Every package's tests, not only the root package's: the crate-level
+# referees (CoW snapshots, key checks, server concurrency and telemetry,
+# the wire decoder sweep, the store CRC vectors) live in member crates.
+step "cargo test --workspace -q"
+cargo test --workspace -q
 
 # The planned/parallel evaluator must agree with the naive reference
 # interpreter; run the differential suite in release so it exercises the
@@ -102,6 +105,16 @@ no_fixpoint_under "$trace_tmp/trace.jsonl" check.full \
 step "differential test (maintained vs full EES check)"
 cargo test --release --test maintained_soundness
 cargo test -p gom-deductive --release --test incremental_equivalence
+
+# The seeded property oracles, in release: compiled FOL constraints agree
+# with naive model checking, the parser survives arbitrary input, object
+# lifecycles keep the schema/object constraints, and the core invariants
+# (rollback, repairs, closure, change-set inversion) hold.
+step "seeded property oracles (release)"
+cargo test -p gom-deductive --release --test fol_equivalence
+cargo test -p gom-analyzer --release --test robustness
+cargo test -p gom-runtime --release --test consistency_maintenance
+cargo test --release --test properties
 
 # Crash recovery must land on a session boundary from any journal prefix,
 # partial write, or corrupted tail; run the sweep in release so the
@@ -322,9 +335,6 @@ if cargo run --release -q --bin gomsh -- \
   exit 1
 fi
 rm -rf "$lint_tmp"
-
-step "bench harness compiles"
-cargo bench --workspace --no-run
 
 if command -v cargo-clippy >/dev/null 2>&1; then
   step "cargo clippy -D warnings"

@@ -6,7 +6,8 @@
 //! to pin down determinism of both the footprint and the check.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gom_bench::{populate_objects, synth_manager, SplitMix64, SynthParams};
+use gom_bench::{populate_objects, synth_manager, SynthParams};
+use gom_obs::SplitMix64;
 use gomflex::impact::ImpactIndex;
 use gomflex::prelude::*;
 

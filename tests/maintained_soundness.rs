@@ -9,8 +9,9 @@
 //! through durable-store recovery (which rebuild it from a journal).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use gom_bench::{build_synth_schema, populate_objects, synth_manager, SplitMix64, SynthParams};
+use gom_bench::{build_synth_schema, populate_objects, synth_manager, SynthParams};
 use gom_deductive::Database;
+use gom_obs::SplitMix64;
 use gomflex::prelude::*;
 
 /// Random sessions per thread configuration (the issue asks for >= 120).

@@ -1,15 +1,32 @@
-#![cfg(feature = "proptest-tests")]
-// Gated: requires the external `proptest` crate (no offline mirror).
-// See the `proptest-tests` feature note in Cargo.toml.
+//! Seeded property tests on the core invariants of the system. Inputs are
+//! drawn from `gom_obs::SplitMix64`, one seed per case, and every failure
+//! prints its seed.
 
-//! Property-based tests (proptest) on the core invariants of the system.
-
+use gom_obs::SplitMix64;
+use gomflex::deductive::{ChangeSet, Const, Tuple};
 use gomflex::prelude::*;
-use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::panic::AssertUnwindSafe;
 
-/// A recipe for a small random schema, expressed as indices so shrinking
-/// stays meaningful.
-#[derive(Clone, Debug)]
+/// Random cases per property, one seed each.
+const SEEDS: u64 = 100;
+
+type CaseResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
+
+/// Run `case` once per seed, on a generator seeded with it. An error or
+/// a panic fails the test naming the seed.
+fn for_each_seed(mut case: impl FnMut(u64, &mut SplitMix64) -> CaseResult) {
+    for seed in 0..SEEDS {
+        let run = AssertUnwindSafe(|| case(seed, &mut SplitMix64::new(seed)));
+        match std::panic::catch_unwind(run) {
+            Ok(Ok(())) => {}
+            Ok(Err(e)) => panic!("seed {seed}: {e}"),
+            Err(_) => panic!("seed {seed}: panicked (message above)"),
+        }
+    }
+}
+
+/// A recipe for a small random schema, expressed as indices.
 struct SchemaRecipe {
     types: usize,
     // for each type: optional supertype (index of an earlier type)
@@ -20,25 +37,32 @@ struct SchemaRecipe {
     decls: Vec<(usize, usize)>,
 }
 
-fn recipe_strategy() -> impl Strategy<Value = SchemaRecipe> {
-    (2usize..8).prop_flat_map(|types| {
-        let supers = proptest::collection::vec(proptest::option::of(0usize..types), types);
-        let attrs = proptest::collection::vec((0usize..types, 0usize..4), 0..12);
-        let decls = proptest::collection::vec((0usize..types, 0usize..4), 0..6);
-        (supers, attrs, decls).prop_map(move |(supers, attrs, decls)| SchemaRecipe {
+impl SchemaRecipe {
+    fn random(rng: &mut SplitMix64) -> SchemaRecipe {
+        let types = 2 + rng.below(6);
+        let supers = (0..types)
+            .map(|_| (rng.below(2) == 0).then(|| rng.below(types)))
+            .collect();
+        let attrs = (0..rng.below(12))
+            .map(|_| (rng.below(types), rng.below(4)))
+            .collect();
+        let decls = (0..rng.below(6))
+            .map(|_| (rng.below(types), rng.below(4)))
+            .collect();
+        SchemaRecipe {
             types,
             supers,
             attrs,
             decls,
-        })
-    })
+        }
+    }
 }
 
 /// Materialise a recipe into a consistent schema (supertype edges only to
 /// EARLIER types keep the hierarchy acyclic; every attr/decl name is
 /// unique).
-fn build(mgr: &mut SchemaManager, r: &SchemaRecipe) -> Vec<TypeId> {
-    let schema = mgr.meta.new_schema("P").unwrap();
+fn build(mgr: &mut SchemaManager, r: &SchemaRecipe) -> CaseResult<Vec<TypeId>> {
+    let schema = mgr.meta.new_schema("P")?;
     let any = mgr.meta.builtins.any;
     let doms = [
         mgr.meta.builtins.int,
@@ -48,173 +72,187 @@ fn build(mgr: &mut SchemaManager, r: &SchemaRecipe) -> Vec<TypeId> {
     ];
     let mut types = Vec::new();
     for i in 0..r.types {
-        let t = mgr.meta.new_type(schema, &format!("T{i}")).unwrap();
+        let t = mgr.meta.new_type(schema, &format!("T{i}"))?;
         match r.supers[i] {
-            Some(j) if j < i => mgr.meta.add_subtype(t, types[j]).unwrap(),
-            _ => mgr.meta.add_subtype(t, any).unwrap(),
+            Some(j) if j < i => mgr.meta.add_subtype(t, types[j])?,
+            _ => mgr.meta.add_subtype(t, any)?,
         }
         types.push(t);
     }
     for (k, &(ti, di)) in r.attrs.iter().enumerate() {
-        mgr.meta
-            .add_attr(types[ti], &format!("a{k}"), doms[di])
-            .unwrap();
+        mgr.meta.add_attr(types[ti], &format!("a{k}"), doms[di])?;
     }
     for (k, &(ti, ri)) in r.decls.iter().enumerate() {
-        let d = mgr
-            .meta
-            .new_decl(types[ti], &format!("op{k}"), doms[ri])
-            .unwrap();
-        mgr.meta.new_code(d, "return 0;").unwrap();
+        let d = mgr.meta.new_decl(types[ti], &format!("op{k}"), doms[ri])?;
+        mgr.meta.new_code(d, "return 0;")?;
     }
-    types
+    Ok(types)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+fn rendered(mgr: &mut SchemaManager) -> CaseResult<Vec<String>> {
+    let vs = mgr.check()?;
+    Ok(vs.iter().map(|v| v.render(&mgr.meta.db)).collect())
+}
 
-    /// Recipes always produce consistent schemas, and checking is
-    /// deterministic and idempotent.
-    #[test]
-    fn random_schemas_are_consistent_and_check_is_idempotent(r in recipe_strategy()) {
-        let mut mgr = SchemaManager::new().unwrap();
-        build(&mut mgr, &r);
-        let v1: Vec<String> = mgr.check().unwrap().iter().map(|v| v.render(&mgr.meta.db)).collect();
-        prop_assert!(v1.is_empty(), "{v1:?}");
+/// Recipes always produce consistent schemas, and checking is
+/// deterministic and idempotent.
+#[test]
+fn random_schemas_are_consistent_and_check_is_idempotent() {
+    for_each_seed(|seed, rng| {
+        let r = SchemaRecipe::random(rng);
+        let mut mgr = SchemaManager::new()?;
+        build(&mut mgr, &r)?;
+        let v1 = rendered(&mut mgr)?;
+        assert!(v1.is_empty(), "seed {seed}: {v1:?}");
         mgr.meta.db.invalidate_caches();
-        let v2: Vec<String> = mgr.check().unwrap().iter().map(|v| v.render(&mgr.meta.db)).collect();
-        prop_assert_eq!(v1, v2);
-    }
+        assert_eq!(v1, rendered(&mut mgr)?, "seed {seed}");
+        Ok(())
+    });
+}
 
-    /// Rolling back a session restores the exact fact population, whatever
-    /// happened inside.
-    #[test]
-    fn rollback_restores_everything(r in recipe_strategy(), seed in 0u64..1000) {
-        let mut mgr = SchemaManager::new().unwrap();
-        let types = build(&mut mgr, &r);
+/// Rolling back a session restores the exact fact population, whatever
+/// happened inside.
+#[test]
+fn rollback_restores_everything() {
+    for_each_seed(|seed, rng| {
+        let r = SchemaRecipe::random(rng);
+        let chaos = rng.below(1000);
+        let mut mgr = SchemaManager::new()?;
+        let types = build(&mut mgr, &r)?;
         let before = mgr.meta.db.fact_count();
-        mgr.begin_evolution().unwrap();
+        mgr.begin_evolution()?;
         // A messy session driven by the seed.
-        let t = types[(seed as usize) % types.len()];
+        let t = types[chaos % types.len()];
         let int = mgr.meta.builtins.int;
-        mgr.meta.add_attr(t, "chaos", int).unwrap();
-        if seed % 2 == 0 {
-            delete_type(&mut mgr, t, DeleteTypeSemantics::Orphan).unwrap();
+        mgr.meta.add_attr(t, "chaos", int)?;
+        if chaos.is_multiple_of(2) {
+            delete_type(&mut mgr, t, DeleteTypeSemantics::Orphan)?;
         }
-        if seed % 3 == 0 {
-            let s = mgr.meta.schema_by_name("P").unwrap();
-            let fresh = mgr.meta.new_type(s, "Fresh").unwrap();
+        if chaos.is_multiple_of(3) {
+            let s = mgr.meta.schema_by_name("P").ok_or("schema P")?;
+            let fresh = mgr.meta.new_type(s, "Fresh")?;
             let any = mgr.meta.builtins.any;
-            mgr.meta.add_subtype(fresh, any).unwrap();
+            mgr.meta.add_subtype(fresh, any)?;
         }
-        mgr.rollback_evolution().unwrap();
-        prop_assert_eq!(mgr.meta.db.fact_count(), before);
-        prop_assert!(mgr.check().unwrap().is_empty());
-    }
+        mgr.rollback_evolution()?;
+        assert_eq!(mgr.meta.db.fact_count(), before, "seed {seed}");
+        assert!(mgr.check()?.is_empty(), "seed {seed}");
+        Ok(())
+    });
+}
 
-    /// The declarative and the fixed-procedural checker agree on
-    /// consistency verdicts for random schemas, both intact and corrupted.
-    #[test]
-    fn declarative_and_fixed_checkers_agree(r in recipe_strategy(), kill in 0usize..4) {
-        let mut mgr = SchemaManager::new().unwrap();
-        let types = build(&mut mgr, &r);
-        prop_assert!(mgr.check().unwrap().is_empty());
-        prop_assert!(fixed_check(&mgr.meta).is_empty());
+/// The declarative and the fixed-procedural checker agree on
+/// consistency verdicts for random schemas, both intact and corrupted.
+#[test]
+fn declarative_and_fixed_checkers_agree() {
+    for_each_seed(|seed, rng| {
+        let r = SchemaRecipe::random(rng);
+        let kill = rng.below(4);
+        let mut mgr = SchemaManager::new()?;
+        let types = build(&mut mgr, &r)?;
+        assert!(mgr.check()?.is_empty(), "seed {seed}");
+        assert!(fixed_check(&mgr.meta).is_empty(), "seed {seed}");
         // Corrupt: orphan-delete one type (dangles if referenced).
-        mgr.begin_evolution().unwrap();
+        mgr.begin_evolution()?;
         let victim = types[kill % types.len()];
-        delete_type(&mut mgr, victim, DeleteTypeSemantics::Orphan).unwrap();
-        let declarative = mgr.meta.db.check().unwrap();
+        delete_type(&mut mgr, victim, DeleteTypeSemantics::Orphan)?;
+        let declarative = mgr.meta.db.check()?;
         let fixed = fixed_check(&mgr.meta);
         // Both must detect the inconsistency (the victim had at least a
         // subtype edge to ANY or a supertype, which now dangles).
-        prop_assert!(!declarative.is_empty());
-        prop_assert!(!fixed.is_empty());
-        mgr.rollback_evolution().unwrap();
-    }
+        assert!(!declarative.is_empty(), "seed {seed}");
+        assert!(!fixed.is_empty(), "seed {seed}");
+        mgr.rollback_evolution()?;
+        Ok(())
+    });
+}
 
-    /// Every generated repair, executed, removes the violation it was
-    /// generated for (soundness of repair generation).
-    #[test]
-    fn repairs_are_sound(r in recipe_strategy(), which in 0usize..8) {
-        let mut mgr = SchemaManager::new().unwrap();
-        let types = build(&mut mgr, &r);
-        // Create one object so schema/object constraints engage, then break
-        // (*) by adding an attribute without a slot.
-        let t = types[which % types.len()];
-        mgr.create_object(t).unwrap();
-        mgr.begin_evolution().unwrap();
-        let string = mgr.meta.builtins.string;
-        mgr.meta.add_attr(t, "gap", string).unwrap();
-        let out = mgr.end_evolution().unwrap();
+/// A manager built from `r` with one object of its `which`-th type and
+/// an open session that added an attribute without a slot, violating (*).
+fn gapped(r: &SchemaRecipe, which: usize) -> CaseResult<(SchemaManager, EvolutionOutcome)> {
+    let mut mgr = SchemaManager::new()?;
+    let types = build(&mut mgr, r)?;
+    let t = types[which % types.len()];
+    mgr.create_object(t)?;
+    mgr.begin_evolution()?;
+    let string = mgr.meta.builtins.string;
+    mgr.meta.add_attr(t, "gap", string)?;
+    let out = mgr.end_evolution()?;
+    Ok((mgr, out))
+}
+
+/// Every generated repair, executed, removes the violation it was
+/// generated for (soundness of repair generation).
+#[test]
+fn repairs_are_sound() {
+    for_each_seed(|seed, rng| {
+        let r = SchemaRecipe::random(rng);
+        let which = rng.below(8);
+        let (mut mgr, out) = gapped(&r, which)?;
         let violations = out.violations().to_vec();
-        prop_assert!(!violations.is_empty());
-        let target = violations[0].clone();
-        let repairs = mgr.repairs_for(&target).unwrap();
-        prop_assert!(!repairs.is_empty());
-        for er in &repairs {
-            // Work on a snapshot via sub-session semantics: execute, verify
-            // the target violation is gone, then undo by rolling back the
-            // whole session and rebuilding.
-            let mut m2 = SchemaManager::new().unwrap();
-            let t2types = build(&mut m2, &r);
-            let t2 = t2types[which % t2types.len()];
-            m2.create_object(t2).unwrap();
-            m2.begin_evolution().unwrap();
-            let string2 = m2.meta.builtins.string;
-            m2.meta.add_attr(t2, "gap", string2).unwrap();
-            let out2 = m2.end_evolution().unwrap();
-            prop_assert!(!out2.is_consistent());
-            // Map the repair into m2's world by re-generating (ids differ);
-            // repair sets correspond by index because generation is
-            // deterministic.
-            let reps2 = m2.repairs_for(&out2.violations()[0]).unwrap();
-            prop_assert_eq!(reps2.len(), repairs.len());
-            let idx = repairs.iter().position(|x| std::ptr::eq(x, er)).unwrap();
-            let outcome = m2.execute_repair(&reps2[idx].repair, Value::Null).unwrap();
+        assert!(!violations.is_empty(), "seed {seed}");
+        let repairs = mgr.repairs_for(&violations[0])?;
+        assert!(!repairs.is_empty(), "seed {seed}");
+        for idx in 0..repairs.len() {
+            // Execute each repair in a fresh copy of the world; repair sets
+            // correspond by index because generation is deterministic.
+            let (mut m2, out2) = gapped(&r, which)?;
+            assert!(!out2.is_consistent(), "seed {seed}");
+            let reps2 = m2.repairs_for(&out2.violations()[0])?;
+            assert_eq!(reps2.len(), repairs.len(), "seed {seed}");
+            let outcome = m2.execute_repair(&reps2[idx].repair, Value::Null)?;
             // The specific target violation must be gone (others may remain
             // in principle, but in this scenario the fix is complete).
-            prop_assert!(outcome.is_consistent(),
-                "repair {} left: {:?}",
+            assert!(
+                outcome.is_consistent(),
+                "seed {seed}: repair {} left: {:?}",
                 reps2[idx].repair.render(&m2.meta.db),
-                outcome.violations().iter().map(|v| v.render(&m2.meta.db)).collect::<Vec<_>>());
+                outcome
+                    .violations()
+                    .iter()
+                    .map(|v| v.render(&m2.meta.db))
+                    .collect::<Vec<_>>()
+            );
         }
-        mgr.rollback_evolution().unwrap();
-    }
+        mgr.rollback_evolution()?;
+        Ok(())
+    });
+}
 
-    /// Transitive closure computed by the deductive engine equals BFS
-    /// reachability computed in plain Rust, on random edge sets.
-    #[test]
-    fn datalog_closure_equals_bfs(edges in proptest::collection::vec((0u8..12, 0u8..12), 0..40)) {
+/// Transitive closure computed by the deductive engine equals BFS
+/// reachability computed in plain Rust, on random edge sets.
+#[test]
+fn datalog_closure_equals_bfs() {
+    for_each_seed(|seed, rng| {
+        let edges: Vec<(i64, i64)> = (0..rng.below(40))
+            .map(|_| (rng.below(12) as i64, rng.below(12) as i64))
+            .collect();
         let mut db = Database::new();
         db.load(
             "base Edge(a, b).
              derived Path(a, b).
              Path(X, Y) :- Edge(X, Y).
              Path(X, Z) :- Edge(X, Y), Path(Y, Z).",
-        ).unwrap();
-        let e = db.pred_id("Edge").unwrap();
+        )?;
+        let e = db.pred_id("Edge").ok_or("Edge")?;
         for &(a, b) in &edges {
-            let ca = gomflex::deductive::Const::Int(a as i64);
-            let cb = gomflex::deductive::Const::Int(b as i64);
-            db.insert(e, vec![ca, cb]).unwrap();
+            db.insert(e, vec![Const::Int(a), Const::Int(b)])?;
         }
-        let p = db.pred_id("Path").unwrap();
-        let derived: std::collections::BTreeSet<(i64, i64)> = db
-            .derived_facts(p)
-            .unwrap()
+        let p = db.pred_id("Path").ok_or("Path")?;
+        let derived: BTreeSet<(i64, i64)> = db
+            .derived_facts(p)?
             .iter()
             .map(|t| (t.get(0).as_int().unwrap(), t.get(1).as_int().unwrap()))
             .collect();
         // BFS reachability (1+ steps).
-        let mut expect = std::collections::BTreeSet::new();
-        let mut adj: std::collections::BTreeMap<i64, Vec<i64>> = Default::default();
+        let mut expect = BTreeSet::new();
+        let mut adj: BTreeMap<i64, Vec<i64>> = BTreeMap::new();
         for &(a, b) in &edges {
-            adj.entry(a as i64).or_default().push(b as i64);
+            adj.entry(a).or_default().push(b);
         }
         for &start in adj.keys() {
             let mut stack: Vec<i64> = adj[&start].clone();
-            let mut seen = std::collections::BTreeSet::new();
+            let mut seen = BTreeSet::new();
             while let Some(x) = stack.pop() {
                 if seen.insert(x) {
                     expect.insert((start, x));
@@ -224,38 +262,42 @@ proptest! {
                 }
             }
         }
-        prop_assert_eq!(derived, expect);
-    }
+        assert_eq!(derived, expect, "seed {seed}");
+        Ok(())
+    });
+}
 
-    /// Applying a change set and then its inverse is an identity on the
-    /// fact population.
-    #[test]
-    fn changesets_invert(vals in proptest::collection::vec((0i64..20, 0i64..20), 1..20)) {
+/// Applying a change set and then its inverse is an identity on the
+/// fact population.
+#[test]
+fn changesets_invert() {
+    for_each_seed(|seed, rng| {
+        let vals: Vec<(i64, i64)> = (0..1 + rng.below(19))
+            .map(|_| (rng.below(20) as i64, rng.below(20) as i64))
+            .collect();
         let mut db = Database::new();
-        let p = db.declare_base("P", 2).unwrap();
+        let p = db.declare_base("P", 2)?;
         // preload half
         for &(a, b) in vals.iter().take(vals.len() / 2) {
-            db.insert(p, vec![gomflex::deductive::Const::Int(a), gomflex::deductive::Const::Int(b)]).unwrap();
+            db.insert(p, vec![Const::Int(a), Const::Int(b)])?;
         }
         let before: usize = db.fact_count();
-        let mut cs = gomflex::deductive::ChangeSet::new();
+        let mut cs = ChangeSet::new();
         for &(a, b) in &vals {
-            let t = gomflex::deductive::Tuple::from(vec![
-                gomflex::deductive::Const::Int(a),
-                gomflex::deductive::Const::Int(b),
-            ]);
+            let t = Tuple::from(vec![Const::Int(a), Const::Int(b)]);
             if a % 2 == 0 {
                 cs.insert(p, t);
             } else {
                 cs.delete(p, t);
             }
         }
-        let effective = db.apply(&cs).unwrap();
-        let mut inverse = gomflex::deductive::ChangeSet::new();
+        let effective = db.apply(&cs)?;
+        let mut inverse = ChangeSet::new();
         for op in effective.ops.iter().rev() {
             inverse.ops.push(op.inverse());
         }
-        db.apply(&inverse).unwrap();
-        prop_assert_eq!(db.fact_count(), before);
-    }
+        db.apply(&inverse)?;
+        assert_eq!(db.fact_count(), before, "seed {seed}");
+        Ok(())
+    });
 }

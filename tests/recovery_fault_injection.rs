@@ -17,27 +17,10 @@
 //!   the writer leaves exactly the reference prefix on "disk" and that
 //!   the manager surfaces journal failures as errors, never panics.
 
+use gom_obs::SplitMix64;
 use gomflex::prelude::*;
 use gomflex::store::{FailpointWriter, MemBackend, MAGIC};
 use std::collections::HashSet;
-
-/// SplitMix64 — deterministic, dependency-free (same generator as the
-/// deductive crate's property tests).
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.0;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() % n as u64) as usize
-    }
-}
 
 /// Expected durable state at one session boundary of the reference run.
 struct Boundary {
@@ -211,7 +194,7 @@ fn truncation_sweep_recovers_to_a_session_boundary() {
     // Every record boundary…
     let mut cuts = ends.clone();
     // …plus ≥32 random mid-record offsets (torn headers, torn payloads).
-    let mut rng = Rng(0x0901_4e5d_ab1e_0000);
+    let mut rng = SplitMix64::new(0x0901_4e5d_ab1e_0000);
     let mut random_cuts = 0usize;
     while random_cuts < 48 {
         let cut = rng.below(bytes.len() + 1);
@@ -257,7 +240,7 @@ fn failpoint_partial_writes_recover_to_a_session_boundary() {
     // Budgets: every session boundary, a spread of record ends, and ≥32
     // seeded random mid-record byte counts.
     let mut budgets: Vec<usize> = bounds.iter().map(|b| b.offset as usize).collect();
-    let mut rng = Rng(0xfa11_9019_7e57_0001);
+    let mut rng = SplitMix64::new(0xfa11_9019_7e57_0001);
     for _ in 0..12 {
         budgets.push(ends[rng.below(ends.len())]);
     }
