@@ -11,7 +11,7 @@
 use crate::ast::*;
 use crate::codereq::{self, AnalysisError};
 use crate::parse::{parse_source, ParseError};
-use crate::paths::{Hierarchy, PathError};
+use crate::paths::{Hierarchy, PathError, Undo};
 use gom_model::{DeclId, MetaModel, SchemaId, TypeId};
 
 /// Extension predicates owned by the Analyzer: enum sorts, the schema
@@ -100,11 +100,17 @@ pub struct LoweredSchema {
 
 /// The Analyzer: front end for user-initiated schema updates.
 ///
-/// Retains every frame it has lowered so that later frames can reference
-/// earlier schemas through subschema entries, imports, and at-notation.
+/// Keeps one schema hierarchy of every frame it has lowered, so that later
+/// frames can reference earlier schemas through subschema entries, imports,
+/// and at-notation. Each lowering extends it in place; a lowering inside an
+/// evolution session can be undone with the session
+/// ([`Self::undo_session`]).
 #[derive(Default)]
 pub struct Analyzer {
-    items: Vec<Item>,
+    hier: Hierarchy,
+    /// Undo records of the frames lowered inside the open evolution
+    /// session, oldest first.
+    session_undo: Vec<Undo>,
     /// When set, every lowering ends with a lint of the schema base and
     /// fails with [`AnalyzeError::Lint`] if any diagnostic reaches this
     /// severity.
@@ -135,8 +141,22 @@ impl Analyzer {
     }
 
     /// The accumulated schema hierarchy (appendix A view).
-    pub fn hierarchy(&self) -> Result<Hierarchy, AnalyzeError> {
-        Ok(Hierarchy::build(&self.items)?)
+    pub fn hierarchy(&self) -> &Hierarchy {
+        &self.hier
+    }
+
+    /// Keep every frame lowered so far: the evolution session they were
+    /// lowered in committed, or a new one begins.
+    pub fn forget_undo(&mut self) {
+        self.session_undo.clear();
+    }
+
+    /// Remove the frames lowered since the last [`Self::forget_undo`] from
+    /// the hierarchy: their evolution session was rolled back.
+    pub fn undo_session(&mut self) {
+        while let Some(undo) = self.session_undo.pop() {
+            self.hier.revert(undo);
+        }
     }
 
     /// Parse and lower a source file into the database model.
@@ -153,22 +173,14 @@ impl Analyzer {
         self.lower_items(m, items)
     }
 
-    /// Lower already-parsed items.
+    /// Lower already-parsed items. The hierarchy is extended first and
+    /// restored if any later pass fails.
     pub fn lower_items(
         &mut self,
         m: &mut MetaModel,
         items: Vec<Item>,
     ) -> Result<Vec<LoweredSchema>, AnalyzeError> {
         Self::install_extensions(m)?;
-        // System definitions installed so far are exempt from the lint
-        // gate; only the schema-level (fact) lints can fire on lowering.
-        let lint_baseline = gom_lint::Baseline::current(&m.db);
-        // Validate the combined hierarchy before touching the database.
-        let mut combined = self.items.clone();
-        combined.extend(items.iter().cloned());
-        let hierarchy = Hierarchy::build(&combined)?;
-
-        let mut lowered = Vec::new();
         let new_schemas: Vec<&SchemaDef> = items
             .iter()
             .filter_map(|i| match i {
@@ -176,9 +188,40 @@ impl Analyzer {
                 Item::Fashion(_) => None,
             })
             .collect();
+        // Validate the combined hierarchy before touching the database.
+        let undo = self.hier.extend(&new_schemas)?;
+        match self.lower_frames(m, &items, &new_schemas) {
+            Ok(lowered) => {
+                if m.db.in_session() {
+                    self.session_undo.push(undo);
+                }
+                Ok(lowered)
+            }
+            Err(e) => {
+                self.hier.revert(undo);
+                Err(e)
+            }
+        }
+    }
+
+    /// Passes 1–6 of lowering, then fashions and the lint gate, against
+    /// the hierarchy already extended with `new_schemas`.
+    fn lower_frames(
+        &self,
+        m: &mut MetaModel,
+        items: &[Item],
+        new_schemas: &[&SchemaDef],
+    ) -> Result<Vec<LoweredSchema>, AnalyzeError> {
+        // System definitions installed so far are exempt from the lint
+        // gate; only the schema-level (fact) lints can fire on lowering.
+        let gate = self
+            .lint_gate
+            .map(|level| (level, gom_lint::Baseline::current(&m.db)));
+        let hierarchy = &self.hier;
+        let mut lowered = Vec::new();
 
         // Pass 1: schema facts.
-        for s in &new_schemas {
+        for s in new_schemas {
             if m.schema_by_name(&s.name).is_some() {
                 return Err(AnalyzeError::Resolve(format!(
                     "schema `{}` already exists",
@@ -195,7 +238,7 @@ impl Analyzer {
 
         // Pass 2: subschema links (both directions may involve old schemas).
         let subschema_pred = m.db.pred_id_req("SubSchemaOf")?;
-        for s in &new_schemas {
+        for s in new_schemas {
             for c in s.components() {
                 if let Component::Subschema(sub) = c {
                     let parent = m.schema_by_name(&s.name).expect("just created");
@@ -251,19 +294,19 @@ impl Analyzer {
                             m.add_subtype(tid, m.builtins.any)?;
                         }
                         for sup in &t.supertypes {
-                            let sup_tid = resolve_type_ref(m, &hierarchy, &s.name, sup)?;
+                            let sup_tid = resolve_type_ref(m, hierarchy, &s.name, sup)?;
                             m.add_subtype(tid, sup_tid)?;
                         }
                         for a in &t.attrs {
-                            let dom = resolve_type_ref(m, &hierarchy, &s.name, &a.ty)?;
+                            let dom = resolve_type_ref(m, hierarchy, &s.name, &a.ty)?;
                             m.add_attr(tid, &a.name, dom)?;
                         }
                         for sig in &t.ops {
-                            lower_sig(m, &hierarchy, &s.name, tid, sig)?;
+                            lower_sig(m, hierarchy, &s.name, tid, sig)?;
                         }
                     }
                     Component::Var(v) => {
-                        let tid = resolve_type_ref(m, &hierarchy, &s.name, &v.ty)?;
+                        let tid = resolve_type_ref(m, hierarchy, &s.name, &v.ty)?;
                         let sid = ls.id;
                         let name = m.db.constant(&v.name);
                         m.db.insert(schemavar_pred, vec![sid.constant(), name, tid.constant()])?;
@@ -281,7 +324,7 @@ impl Analyzer {
                 };
                 let tid = ls.types.iter().find(|(n, _)| n == &t.name).expect("p3").1;
                 for sig in &t.refines {
-                    let did = lower_sig(m, &hierarchy, &s.name, tid, sig)?;
+                    let did = lower_sig(m, hierarchy, &s.name, tid, sig)?;
                     let targets = refinement_targets(m, tid, &sig.name);
                     if targets.is_empty() {
                         return Err(AnalyzeError::Resolve(format!(
@@ -310,15 +353,15 @@ impl Analyzer {
         }
 
         // Fashion declarations (require the §4.1 extension predicates).
-        for item in &items {
+        for item in items {
             if let Item::Fashion(f) = item {
                 lower_fashion(m, f)?;
             }
         }
 
-        if let Some(level) = self.lint_gate {
+        if let Some((level, baseline)) = gate {
             let cfg = gom_lint::LintConfig {
-                baseline: lint_baseline,
+                baseline,
                 ..gom_lint::LintConfig::default()
             };
             let report = gom_lint::lint_database(&mut m.db, &cfg);
@@ -331,7 +374,6 @@ impl Analyzer {
             }
         }
 
-        self.items.extend(items);
         Ok(lowered)
     }
 }

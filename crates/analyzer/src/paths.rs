@@ -8,7 +8,7 @@
 //! *and* the name is actually used does resolution fail.
 
 use crate::ast::{Component, Item, Rename, RenameKind, SchemaDef, SchemaPath};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Resolution error.
 #[derive(Clone, Debug, PartialEq)]
@@ -81,9 +81,29 @@ pub struct Hierarchy {
     pub parent: BTreeMap<String, String>,
 }
 
+/// What one [`Hierarchy::extend`] changed, in order, so that
+/// [`Hierarchy::revert`] can put it back.
+#[derive(Debug, Default)]
+#[must_use = "dropping an Undo makes the extension permanent"]
+pub struct Undo {
+    /// `(name, previous definition)` per inserted definition.
+    defs: Vec<(String, Option<SchemaDef>)>,
+    /// `(child, previous parent)` per changed parent link.
+    parent: Vec<(String, Option<String>)>,
+}
+
+/// Names of the direct subschemas a definition lists, in declaration order.
+fn subschema_names(def: &SchemaDef) -> impl Iterator<Item = &str> {
+    def.components().filter_map(|c| match c {
+        Component::Subschema(s) => Some(s.name.as_str()),
+        _ => None,
+    })
+}
+
 impl Hierarchy {
     /// Build the hierarchy from parsed items, validating single-parenthood
-    /// and acyclicity.
+    /// and acyclicity. A later definition of a name replaces an earlier one.
+    /// This is the reference [`Self::extend`] is tested against.
     pub fn build(items: &[Item]) -> Result<Hierarchy, PathError> {
         let mut h = Hierarchy::default();
         for item in items {
@@ -125,6 +145,140 @@ impl Hierarchy {
         Ok(h)
     }
 
+    /// Add `new` definitions (replacing same-named ones) and their parent
+    /// links in place. Accepts and rejects exactly what [`Self::build`]
+    /// does over the earlier frames followed by `new`, with the same error,
+    /// but looks only at the new definitions, the current parents of the
+    /// schemas they claim, and the parent chains above the new links. On
+    /// error nothing changes; on success the returned [`Undo`] reverts it.
+    pub fn extend(&mut self, new: &[&SchemaDef]) -> Result<Undo, PathError> {
+        let mut undo = Undo::default();
+        for s in new {
+            let prev = self.defs.insert(s.name.clone(), (*s).clone());
+            undo.defs.push((s.name.clone(), prev));
+        }
+        // A replaced definition takes its parent links with it.
+        let parent = &self.parent;
+        let dropped: Vec<String> = undo
+            .defs
+            .iter()
+            .filter_map(|(name, prev)| Some((name, prev.as_ref()?)))
+            .flat_map(|(name, old)| {
+                subschema_names(old).filter(move |c| parent.get(*c) == Some(name))
+            })
+            .map(str::to_string)
+            .collect();
+        for child in dropped {
+            let prev = self.parent.remove(&child);
+            undo.parent.push((child, prev));
+        }
+        let fresh: BTreeSet<&str> = new.iter().map(|s| s.name.as_str()).collect();
+        let checked = self.new_links(&fresh).and_then(|links| {
+            for (child, parent) in links {
+                let prev = self.parent.insert(child.clone(), parent);
+                undo.parent.push((child, prev));
+            }
+            self.find_cycle(&fresh)
+        });
+        match checked {
+            Ok(()) => Ok(undo),
+            Err(e) => {
+                self.revert(undo);
+                Err(e)
+            }
+        }
+    }
+
+    /// [`Self::build`]'s link pass, run over only the definitions that can
+    /// take part in a conflict: the `fresh` ones and the current parents of
+    /// the schemas they claim. Every other definition's links were valid
+    /// before and claim no schema a fresh one claims. Returns the fresh
+    /// definitions' links as `(child, parent)`.
+    fn new_links(&self, fresh: &BTreeSet<&str>) -> Result<Vec<(String, String)>, PathError> {
+        let mut involved = fresh.clone();
+        for &name in fresh {
+            for sub in subschema_names(&self.defs[name]) {
+                if let Some(p) = self.parent.get(sub) {
+                    involved.insert(p);
+                }
+            }
+        }
+        let mut claims: BTreeMap<&str, &str> = BTreeMap::new();
+        for &name in &involved {
+            for sub in subschema_names(&self.defs[name]) {
+                if !self.defs.contains_key(sub) {
+                    return Err(PathError::UnknownSchema(sub.to_string()));
+                }
+                if let Some(&prev) = claims.get(sub) {
+                    if prev != name {
+                        return Err(PathError::TwoParents {
+                            schema: sub.to_string(),
+                            a: prev.to_string(),
+                            b: name.to_string(),
+                        });
+                    }
+                }
+                claims.insert(sub, name);
+            }
+        }
+        Ok(claims
+            .into_iter()
+            .filter(|(_, p)| fresh.contains(p))
+            .map(|(c, p)| (c.to_string(), p.to_string()))
+            .collect())
+    }
+
+    /// [`Self::build`]'s acyclicity pass. Every cycle runs through a link of
+    /// a `fresh` definition, so walking up from those links' children finds
+    /// them all. `build` names the least schema whose upward walk never
+    /// ends: the least schema on or below a cycle.
+    fn find_cycle(&self, fresh: &BTreeSet<&str>) -> Result<(), PathError> {
+        // Schemas on a cycle, then (as a work stack) everything below them.
+        let mut stack: Vec<&str> = Vec::new();
+        for &name in fresh {
+            for start in subschema_names(&self.defs[name]) {
+                let mut seen = BTreeSet::new();
+                let mut cur = start;
+                while seen.insert(cur) {
+                    match self.parent.get(cur) {
+                        Some(p) => cur = p,
+                        None => break,
+                    }
+                }
+                if self.parent.contains_key(cur) {
+                    stack.push(cur); // the walk came back to `cur`
+                }
+            }
+        }
+        let mut reach: BTreeSet<&str> = BTreeSet::new();
+        while let Some(n) = stack.pop() {
+            if reach.insert(n) {
+                stack.extend(subschema_names(&self.defs[n]));
+            }
+        }
+        match reach.first() {
+            Some(least) => Err(PathError::Cycle(least.to_string())),
+            None => Ok(()),
+        }
+    }
+
+    /// Put back what one [`Self::extend`] changed. Undo records must be
+    /// reverted newest first.
+    pub fn revert(&mut self, undo: Undo) {
+        for (child, prev) in undo.parent.into_iter().rev() {
+            match prev {
+                Some(p) => self.parent.insert(child, p),
+                None => self.parent.remove(&child),
+            };
+        }
+        for (name, prev) in undo.defs.into_iter().rev() {
+            match prev {
+                Some(d) => self.defs.insert(name, d),
+                None => self.defs.remove(&name),
+            };
+        }
+    }
+
     /// Root schemas (no parent), sorted.
     pub fn roots(&self) -> Vec<&str> {
         self.defs
@@ -136,15 +290,9 @@ impl Hierarchy {
 
     /// Direct subschemas of `name`, in declaration order.
     pub fn children(&self, name: &str) -> Vec<&str> {
-        let Some(def) = self.defs.get(name) else {
-            return Vec::new();
-        };
-        def.components()
-            .filter_map(|c| match c {
-                Component::Subschema(s) => Some(s.name.as_str()),
-                _ => None,
-            })
-            .collect()
+        self.defs
+            .get(name)
+            .map_or_else(Vec::new, |def| subschema_names(def).collect())
     }
 
     /// Absolute path of a schema from its root, e.g.

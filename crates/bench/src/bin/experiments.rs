@@ -346,7 +346,7 @@ fn f3_schema_hierarchy() -> Result<(), Box<dyn std::error::Error>> {
     let mut mgr = SchemaManager::new()?;
     mgr.define_schema(COMPANY_SCHEMA_SRC)
         .map_err(|e| e.to_string())?;
-    let h = mgr.analyzer.hierarchy().map_err(|e| e.to_string())?;
+    let h = mgr.analyzer.hierarchy();
     fn tree(h: &gomflex::analyzer::paths::Hierarchy, n: &str, d: usize) {
         println!("{}{n}", "    ".repeat(d));
         for c in h.children(n) {
@@ -354,7 +354,7 @@ fn f3_schema_hierarchy() -> Result<(), Box<dyn std::error::Error>> {
         }
     }
     for r in h.roots() {
-        tree(&h, r, 0);
+        tree(h, r, 0);
     }
     println!("\nname-space demonstration:");
     println!(

@@ -26,7 +26,10 @@
 //!   reads through it (B4),
 //! * `fixed_check_synth500` — the Orion-style fixed checker (B5; its
 //!   declarative side is `ees_full_synth500`),
-//! * `analyzer_lower_synth200` — GOM parse + lower (B6).
+//! * `analyzer_lower_synth200` — GOM parse + lower (B6),
+//! * `analyzer_define_after_*` — lowering one trace-shaped frame into an
+//!   open session after 0 or 2000 committed frames (should not grow with
+//!   the history).
 
 use gom_bench::{populate_objects, synth_manager, SynthParams};
 use gom_deductive::{ChangeSet, Database, Tuple};
@@ -245,6 +248,72 @@ fn open_session(n: usize) -> (SchemaManager, TypeId) {
     let (mut mgr, leaf) = maintained_commit_setup(n);
     mgr.begin_evolution().expect("begin session");
     (mgr, leaf)
+}
+
+/// Trace-shaped GOM source for the one-type schema `{prefix}{i}`, with
+/// one attribute per domain, named like the trace names them: uniquely.
+fn define_source(prefix: &str, i: usize, domains: &[&str]) -> String {
+    gom_trace::TraceOp::DefineType {
+        schema: format!("{prefix}{i}"),
+        ty: format!("T{prefix}{i}"),
+        attrs: domains
+            .iter()
+            .enumerate()
+            .map(|(k, d)| (format!("a{prefix}{i}_{k}"), d.to_string()))
+            .collect(),
+    }
+    .gom_source()
+    .expect("a DefineType has source")
+}
+
+/// A row lowering one trace-shaped frame (one type, two builtin
+/// attributes) into an open session on a manager that has committed
+/// `history` earlier one-type frames (units = source bytes). Only the
+/// lowering is timed: the untimed prep commits the previous run's session
+/// and opens the next, so each run defines a fresh schema and the history
+/// grows by one frame per run. The session commits rather than rolls back
+/// because a rollback drops the maintained IDB and the next BES re-derives
+/// all of it, which leaves the timed lowering on a cache the fixpoint has
+/// just flushed: at 2000 frames that alone costs more than the lowering.
+/// The manager is built in the row's first prep, not up front: a
+/// 2000-frame heap built beside the other rows' worlds slows
+/// `snapshot_publish_synth5000` by half again.
+fn define_after(name: &'static str, history: usize) -> Bench<'static> {
+    let world: Rc<RefCell<Option<SchemaManager>>> = Rc::new(RefCell::new(None));
+    let prep_world = Rc::clone(&world);
+    let mut runs = 0;
+    Bench {
+        name,
+        prep: Some(Box::new(move || {
+            let mut world = prep_world.borrow_mut();
+            let mgr = world.get_or_insert_with(|| {
+                let mut mgr = SchemaManager::new().expect("manager");
+                if history > 0 {
+                    let src: String = (0..history)
+                        .map(|i| define_source("History", i, &["int"]))
+                        .collect();
+                    mgr.define_schema(&src).expect("history commits");
+                }
+                mgr
+            });
+            if mgr.in_evolution() {
+                let outcome = mgr.end_evolution().expect("ees");
+                assert!(outcome.is_consistent(), "a one-type frame must commit");
+            }
+            mgr.begin_evolution().expect("begin session");
+        })),
+        run: Box::new(move || {
+            let mut world = world.borrow_mut();
+            let mgr = world.as_mut().expect("prep builds the world");
+            runs += 1;
+            let src = define_source("Probe", runs, &["int", "string"]);
+            mgr.analyzer
+                .lower_source(&mut mgr.meta, &src)
+                .expect("lower");
+            src.len() as u64
+        }),
+        units: 0,
+    }
 }
 
 /// Add the attribute `name` to `ty` when absent, else remove it: one
@@ -672,6 +741,8 @@ fn main() {
                 synth200_src.len() as u64
             },
         ),
+        define_after("analyzer_define_after_0", 0),
+        define_after("analyzer_define_after_2000", 2000),
     ];
 
     let mut reports: Vec<Report> = Vec::new();

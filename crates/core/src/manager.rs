@@ -195,6 +195,7 @@ impl SchemaManager {
     pub fn begin_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.bes");
         self.meta.db.begin_session()?;
+        self.analyzer.forget_undo();
         if let Some(j) = self.store.as_mut() {
             if let Err(e) = j.append(&gom_store::Record::Bes) {
                 let _ = self.meta.db.rollback_session();
@@ -241,6 +242,7 @@ impl SchemaManager {
             self.check_lint_gate()?;
             self.journal_commit()?;
             let delta = self.meta.db.commit_session()?;
+            self.analyzer.forget_undo();
             gom_obs::counter_add("session.commits", 1);
             Ok(EvolutionOutcome::Consistent(delta))
         } else {
@@ -279,6 +281,7 @@ impl SchemaManager {
             self.check_lint_gate()?;
             self.journal_commit()?;
             let delta = self.meta.db.commit_session()?;
+            self.analyzer.forget_undo();
             Ok(EvolutionOutcome::Consistent(delta))
         } else {
             Ok(EvolutionOutcome::Inconsistent(violations))
@@ -444,13 +447,15 @@ impl SchemaManager {
         self.end_evolution()
     }
 
-    /// Roll the whole session back (always-available repair). The journal
-    /// records `EesRollback`; even if that write is lost to a crash, the
+    /// Roll the whole session back (always-available repair), including
+    /// the frames the Analyzer lowered in it. The journal records
+    /// `EesRollback`; even if that write is lost to a crash, the
     /// dangling `Bes` is discarded at recovery — the same end state.
     pub fn rollback_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.rollback");
         gom_obs::counter_add("session.rollbacks", 1);
         self.meta.db.rollback_session()?;
+        self.analyzer.undo_session();
         if let Some(j) = self.store.as_mut() {
             j.append(&gom_store::Record::EesRollback)
                 .map_err(crate::durable::db_err)?;

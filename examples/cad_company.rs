@@ -18,10 +18,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .map_err(|e| e.to_string())?;
 
     // Figure 3, regenerated from the parsed frames.
-    let h = mgr.analyzer.hierarchy().map_err(|e| e.to_string())?;
+    let h = mgr.analyzer.hierarchy();
     println!("== Figure 3: the sample schema hierarchy ==");
     for root in h.roots() {
-        print_tree(&h, root, 0);
+        print_tree(h, root, 0);
     }
 
     // Absolute paths (appendix A.5).

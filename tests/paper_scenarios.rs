@@ -379,7 +379,7 @@ fn f3_company_hierarchy_and_namespaces() {
     let mut mgr = SchemaManager::new().unwrap();
     mgr.define_schema(COMPANY_SCHEMA_SRC).unwrap();
     assert!(mgr.check().unwrap().is_empty());
-    let h = mgr.analyzer.hierarchy().unwrap();
+    let h = mgr.analyzer.hierarchy();
     assert_eq!(h.roots(), vec!["Company"]);
     assert_eq!(
         h.children("CAD"),

@@ -206,3 +206,24 @@ schema Bad is type B supertype Ghost is end type B; end schema Bad;";
     assert!(mgr.meta.schema_by_name("Bad").is_none());
     assert!(mgr.check().unwrap().is_empty());
 }
+
+#[test]
+fn rolled_back_define_leaves_no_trace_in_the_analyzer() {
+    let mut mgr = SchemaManager::new().unwrap();
+    mgr.define_schema("schema Child is end schema Child;")
+        .unwrap();
+    mgr.begin_evolution().unwrap();
+    mgr.analyzer
+        .lower_source(
+            &mut mgr.meta,
+            "schema P1 is subschema Child; end schema P1;",
+        )
+        .unwrap();
+    mgr.rollback_evolution().unwrap();
+    // P1's claim on Child went with the session: P2 may claim it now.
+    mgr.define_schema("schema P2 is subschema Child; end schema P2;")
+        .unwrap();
+    let h = mgr.analyzer.hierarchy();
+    assert!(!h.defs.contains_key("P1"));
+    assert_eq!(h.parent.get("Child").map(String::as_str), Some("P2"));
+}
