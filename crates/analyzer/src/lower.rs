@@ -124,10 +124,9 @@ impl Analyzer {
     }
 
     /// Enable (or disable, with `None`) linting after every lowering.
-    /// Diagnostics at `level` or worse make the lowering fail; the
-    /// definitions the linter flags stay in the database, so callers
-    /// driving an evolution session should roll it back (the
-    /// `SchemaManager::define_schema` front end does).
+    /// Diagnostics at `level` or worse make the lowering fail. Inside an
+    /// evolution session the lowering's facts are then undone (see
+    /// [`Self::lower_items`]); outside one they stay in the database.
     pub fn set_lint_gate(&mut self, level: Option<gom_lint::Severity>) {
         self.lint_gate = level;
     }
@@ -174,7 +173,9 @@ impl Analyzer {
     }
 
     /// Lower already-parsed items. The hierarchy is extended first and
-    /// restored if any later pass fails.
+    /// restored if any later pass fails; inside an evolution session the
+    /// facts the failed lowering wrote are undone too, so a failed source
+    /// leaves nothing behind for the session to commit.
     pub fn lower_items(
         &mut self,
         m: &mut MetaModel,
@@ -190,15 +191,19 @@ impl Analyzer {
             .collect();
         // Validate the combined hierarchy before touching the database.
         let undo = self.hier.extend(&new_schemas)?;
+        let mark = m.db.session_mark();
         match self.lower_frames(m, &items, &new_schemas) {
             Ok(lowered) => {
-                if m.db.in_session() {
+                if mark.is_some() {
                     self.session_undo.push(undo);
                 }
                 Ok(lowered)
             }
             Err(e) => {
                 self.hier.revert(undo);
+                if let Some(mark) = mark {
+                    m.db.rollback_to(mark)?;
+                }
                 Err(e)
             }
         }

@@ -29,7 +29,13 @@
 //! * `analyzer_lower_synth200` — GOM parse + lower (B6),
 //! * `analyzer_define_after_*` — lowering one trace-shaped frame into an
 //!   open session after 0 or 2000 committed frames (should not grow with
-//!   the history).
+//!   the history),
+//! * `journal_commit_*` — committing a six-op session to the journal under
+//!   `SyncPolicy::OnCommit`, in memory and to a temporary file (one append
+//!   and one fsync).
+//!
+//! Each row builds its world only when it is selected, and drops it before
+//! the next row runs.
 
 use gom_bench::{populate_objects, synth_manager, SynthParams};
 use gom_deductive::{ChangeSet, Database, Tuple};
@@ -39,15 +45,15 @@ use gom_runtime::Value;
 use gom_server::{ReaderCache, Snapshot, SnapshotCell};
 use gomflex::core::SchemaManager;
 use gomflex::impact::{ImpactIndex, PlanConfig};
+use gomflex::store::{JConst, JOp, Journal, MemBackend, SyncPolicy};
 use std::cell::RefCell;
 use std::hint::black_box;
 use std::rc::Rc;
 use std::time::Instant;
 
-/// One measured benchmark: name, per-iteration closure returning the number
+/// One measured benchmark: a per-iteration closure returning the number
 /// of "work units" processed (derived facts, violations scanned, …).
 struct Bench<'a> {
-    name: &'static str,
     /// Untimed set-up before every run (warmups included).
     prep: Option<Box<dyn FnMut() + 'a>>,
     run: Box<dyn FnMut() -> u64 + 'a>,
@@ -67,6 +73,15 @@ struct Report {
     probes: u64,
 }
 
+/// A row with no per-run set-up.
+fn bench<'a>(run: impl FnMut() -> u64 + 'a) -> Bench<'a> {
+    Bench {
+        prep: None,
+        run: Box::new(run),
+        units: 0,
+    }
+}
+
 impl Bench<'_> {
     fn prep(&mut self) {
         if let Some(prep) = &mut self.prep {
@@ -75,7 +90,7 @@ impl Bench<'_> {
     }
 }
 
-fn measure(b: &mut Bench, iters: usize) -> Report {
+fn measure(name: &'static str, b: &mut Bench, iters: usize) -> Report {
     // Warmup: populate caches/indexes and record the unit count.
     b.prep();
     b.units = (b.run)();
@@ -100,7 +115,7 @@ fn measure(b: &mut Bench, iters: usize) -> Report {
     }
     samples.sort_unstable();
     Report {
-        name: b.name,
+        name,
         median_ns: samples[samples.len() / 2],
         min_ns: samples[0],
         units: b.units,
@@ -112,14 +127,12 @@ fn measure(b: &mut Bench, iters: usize) -> Report {
 /// A row whose every run gets a fresh world from `setup`. The world is
 /// built in `prep`, and the previous one is dropped there, both untimed.
 fn fresh<'a, W: 'a>(
-    name: &'static str,
     mut setup: impl FnMut() -> W + 'a,
     mut run: impl FnMut(&mut W) -> u64 + 'a,
 ) -> Bench<'a> {
     let world: Rc<RefCell<Option<W>>> = Rc::new(RefCell::new(None));
     let prep_world = Rc::clone(&world);
     Bench {
-        name,
         prep: Some(Box::new(move || {
             *prep_world.borrow_mut() = Some(setup());
         })),
@@ -275,27 +288,20 @@ fn define_source(prefix: &str, i: usize, domains: &[&str]) -> String {
 /// because a rollback drops the maintained IDB and the next BES re-derives
 /// all of it, which leaves the timed lowering on a cache the fixpoint has
 /// just flushed: at 2000 frames that alone costs more than the lowering.
-/// The manager is built in the row's first prep, not up front: a
-/// 2000-frame heap built beside the other rows' worlds slows
-/// `snapshot_publish_synth5000` by half again.
-fn define_after(name: &'static str, history: usize) -> Bench<'static> {
-    let world: Rc<RefCell<Option<SchemaManager>>> = Rc::new(RefCell::new(None));
+fn define_after(history: usize) -> Bench<'static> {
+    let mut mgr = SchemaManager::new().expect("manager");
+    if history > 0 {
+        let src: String = (0..history)
+            .map(|i| define_source("History", i, &["int"]))
+            .collect();
+        mgr.define_schema(&src).expect("history commits");
+    }
+    let world = Rc::new(RefCell::new(mgr));
     let prep_world = Rc::clone(&world);
     let mut runs = 0;
     Bench {
-        name,
         prep: Some(Box::new(move || {
-            let mut world = prep_world.borrow_mut();
-            let mgr = world.get_or_insert_with(|| {
-                let mut mgr = SchemaManager::new().expect("manager");
-                if history > 0 {
-                    let src: String = (0..history)
-                        .map(|i| define_source("History", i, &["int"]))
-                        .collect();
-                    mgr.define_schema(&src).expect("history commits");
-                }
-                mgr
-            });
+            let mgr = &mut *prep_world.borrow_mut();
             if mgr.in_evolution() {
                 let outcome = mgr.end_evolution().expect("ees");
                 assert!(outcome.is_consistent(), "a one-type frame must commit");
@@ -303,8 +309,7 @@ fn define_after(name: &'static str, history: usize) -> Bench<'static> {
             mgr.begin_evolution().expect("begin session");
         })),
         run: Box::new(move || {
-            let mut world = world.borrow_mut();
-            let mgr = world.as_mut().expect("prep builds the world");
+            let mgr = &mut *world.borrow_mut();
             runs += 1;
             let src = define_source("Probe", runs, &["int", "string"]);
             mgr.analyzer
@@ -327,12 +332,11 @@ fn toggle_attr(mgr: &mut SchemaManager, ty: TypeId, name: &str) {
 
 /// A full check right after one primitive inside an open session on an
 /// `n`-type base (units = violations + 1).
-fn check_in_session(name: &'static str, n: usize) -> Bench<'static> {
+fn check_in_session(n: usize) -> Bench<'static> {
     let (mgr, leaf) = open_session(n);
     let mgr = Rc::new(RefCell::new(mgr));
     let prep_mgr = Rc::clone(&mgr);
     Bench {
-        name,
         prep: Some(Box::new(move || {
             toggle_attr(&mut prep_mgr.borrow_mut(), leaf, "bm_check")
         })),
@@ -389,9 +393,8 @@ fn cure_world(objects: usize) -> (SchemaManager, TypeId, Vec<Oid>) {
 
 /// B4: add `fuelType` to a fresh 200-object `Car` under `policy`, then
 /// read it 50 times (units = reads that saw the default).
-fn cure_bench(name: &'static str, policy: CurePolicy) -> Bench<'static> {
+fn cure_bench(policy: CurePolicy) -> Bench<'static> {
     fresh(
-        name,
         || cure_world(200),
         move |(mgr, car, oids)| {
             let string = mgr.meta.builtins.string;
@@ -441,6 +444,274 @@ fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
+/// The six ops of one `maintained_commit_iter` session (three attributes
+/// added and removed again), as the journal stores them.
+fn six_jops() -> Vec<JOp> {
+    (0..6)
+        .map(|i| JOp {
+            insert: i < 3,
+            pred: "Attr".into(),
+            tuple: vec![
+                JConst::Sym("tid4".into()),
+                JConst::Sym(format!("bm{}", i % 3)),
+                JConst::Sym("tid_int".into()),
+            ],
+        })
+        .collect()
+}
+
+/// A journal on a temporary file, removed when dropped.
+struct TempJournal {
+    journal: Journal,
+    path: std::path::PathBuf,
+}
+
+impl Drop for TempJournal {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+/// Commit the six-op session to `journal` (units = bytes appended).
+fn commit_six(journal: &mut Journal, ops: &[JOp]) -> u64 {
+    let before = journal.position();
+    journal.commit(ops).expect("commit") - before
+}
+
+/// A named row whose world is built only when the row is selected.
+type Row = (&'static str, Box<dyn FnOnce() -> Bench<'static>>);
+
+fn row(name: &'static str, build: impl FnOnce() -> Bench<'static> + 'static) -> Row {
+    (name, Box::new(build))
+}
+
+/// Every row, in report order.
+fn rows() -> Vec<Row> {
+    vec![
+        row("fixpoint_tc_chain128", || {
+            let mut chain = chain_db(128);
+            let path = chain.pred_id("Path").unwrap();
+            bench(move || {
+                chain.invalidate_caches();
+                chain.derived_facts(path).unwrap().len() as u64
+            })
+        }),
+        row("fixpoint_naive_chain128", || {
+            let mut chain = chain_db(128);
+            let path = chain.pred_id("Path").unwrap();
+            bench(move || chain.reference_facts(path).unwrap().len() as u64)
+        }),
+        row("fixpoint_tc_graph200x420", || {
+            let mut graph = graph_db(200, 420, 0xB0B);
+            let path = graph.pred_id("Path").unwrap();
+            bench(move || {
+                graph.invalidate_caches();
+                graph.derived_facts(path).unwrap().len() as u64
+            })
+        }),
+        row("ees_check_synth50", || {
+            let (mut mgr, _) = synth_manager(SynthParams {
+                types: 50,
+                ..Default::default()
+            });
+            bench(move || {
+                mgr.meta.db.invalidate_caches();
+                let v = mgr.meta.db.check().unwrap();
+                black_box(v.len());
+                mgr.meta.db.fact_count() as u64
+            })
+        }),
+        row("dred_attr_toggle_synth50", || {
+            let (mut mgr, ts) = synth_manager(SynthParams {
+                types: 50,
+                ..Default::default()
+            });
+            mgr.meta.db.ensure_maintained().unwrap();
+            let int_ty = mgr.meta.builtins.int;
+            let attr_name = mgr.meta.db.constant("bench_new_attr");
+            let mut forward = ChangeSet::new();
+            forward.insert(
+                mgr.meta.cat.attr,
+                Tuple::from(vec![ts[0].constant(), attr_name, int_ty.constant()]),
+            );
+            let mut backward = ChangeSet::new();
+            for op in forward.ops.iter().rev() {
+                backward.ops.push(op.inverse());
+            }
+            bench(move || {
+                mgr.meta.db.apply(&forward).unwrap();
+                let v1 = mgr.meta.db.check().unwrap().len();
+                mgr.meta.db.apply(&backward).unwrap();
+                let v2 = mgr.meta.db.check().unwrap().len();
+                (v1 + v2) as u64 + 2
+            })
+        }),
+        row("impact_plan_synth500", || {
+            let (mut mgr, delta) = synth500_session();
+            bench(move || {
+                // Cold plan: rebuild the whole impact index (reflect the
+                // program into the meta-EDB, run the meta-fixpoint) and
+                // produce the full plan report for the open session.
+                let index = ImpactIndex::build(&mut mgr.meta.db).unwrap();
+                let plan =
+                    gomflex::impact::plan(&mgr.meta.db, &index, &delta, &PlanConfig::default());
+                black_box(plan.footprint.len() as u64 + plan.total_constraints as u64)
+            })
+        }),
+        row("ees_full_synth500", || {
+            let (mut mgr, delta) = synth500_session();
+            bench(move || {
+                mgr.meta.db.invalidate_caches();
+                mgr.meta.db.check_delta(&delta).unwrap().len() as u64 + 1
+            })
+        }),
+        row("ees_check_synth500", || {
+            let (mut mgr, t0) = maintained_commit_setup(500);
+            bench(move || maintained_commit_iter(&mut mgr, t0))
+        }),
+        row("ees_check_synth5000", || {
+            let (mut mgr, t0) = maintained_commit_setup(5000);
+            bench(move || maintained_commit_iter(&mut mgr, t0))
+        }),
+        row("check_in_session_synth500", || check_in_session(500)),
+        row("check_in_session_synth5000", || check_in_session(5000)),
+        row("repairs_after_violation_synth5000", || {
+            let (mut mgr, leaf) = open_session(5000);
+            bench(move || repairs_after_violation_iter(&mut mgr, leaf))
+        }),
+        row("snapshot_publish_synth5000", || {
+            let (mgr, _) = maintained_commit_setup(5000);
+            let mut epoch = 0u64;
+            bench(move || {
+                // What every EES commit pays to publish a reader epoch:
+                // with CoW page sharing this is O(#relations + #chunks)
+                // Arc bumps, independent of the tuple count (units = facts
+                // made visible per publication).
+                epoch += 1;
+                let snap = Snapshot::capture(epoch, &mgr.meta);
+                black_box(&snap);
+                mgr.meta.db.fact_count() as u64
+            })
+        }),
+        row("snapshot_publish_deep_synth5000", || {
+            let (mgr, _) = maintained_commit_setup(5000);
+            bench(move || {
+                // The pre-CoW publication path (deep per-tuple clone plus
+                // the eager digest it always computed), kept as a
+                // permanent contrast row for the CoW one above.
+                let deep = mgr.meta.db.deep_snapshot_clone();
+                black_box(deep.debug_state_digest().len());
+                mgr.meta.db.fact_count() as u64
+            })
+        }),
+        row("query_path_join96", || {
+            let mut db = chain_db(96);
+            let edge = db.pred_id("Edge").unwrap();
+            let path = db.pred_id("Path").unwrap();
+            bench(move || {
+                use gom_deductive::ast::{Atom, Literal, Term, Var};
+                let v = |n: u32| Term::Var(Var(n));
+                let body = vec![
+                    Literal::Pos(Atom::new(path, vec![v(0), v(1)])),
+                    Literal::Pos(Atom::new(edge, vec![v(1), v(2)])),
+                ];
+                db.query(&body, &[Var(0), Var(2)]).unwrap().len() as u64
+            })
+        }),
+        row("reader_refresh_synth5000", || {
+            let reader = Rc::new(RefCell::new(ReaderBench::new(5000)));
+            let prep_reader = Rc::clone(&reader);
+            Bench {
+                prep: Some(Box::new(move || prep_reader.borrow_mut().next_epoch())),
+                run: Box::new(move || {
+                    // A reader's first request after a commit: replace its
+                    // private view with a share of the new epoch and make
+                    // it probe-ready (units = facts in the view).
+                    let r = &mut *reader.borrow_mut();
+                    let (_, meta) = r.cache.view(&r.cell);
+                    meta.db.fact_count() as u64
+                }),
+                units: 0,
+            }
+        }),
+        row("reader_first_check_synth5000", || {
+            let reader = Rc::new(RefCell::new(ReaderBench::new(5000)));
+            let prep_reader = Rc::clone(&reader);
+            Bench {
+                prep: Some(Box::new(move || {
+                    let r = &mut *prep_reader.borrow_mut();
+                    r.next_epoch();
+                    r.cache.view(&r.cell);
+                })),
+                run: Box::new(move || {
+                    // The first full check on a freshly refreshed view
+                    // (units = violations + 1). Later checks of the epoch
+                    // are served from the snapshot's stored answer in gomd.
+                    let r = &mut *reader.borrow_mut();
+                    let (_, meta) = r.cache.view(&r.cell);
+                    meta.db.check().unwrap().len() as u64 + 1
+                }),
+                units: 0,
+            }
+        }),
+        row("repairs_all_k16", || {
+            let mut mgr = violated_manager(16);
+            let violations = mgr.meta.db.check().expect("check");
+            assert_eq!(violations.len(), 16, "expected 16 violations");
+            bench(move || {
+                let repairs = violations
+                    .iter()
+                    .map(|v| mgr.meta.db.repairs(v).unwrap().len());
+                repairs.sum::<usize>() as u64
+            })
+        }),
+        row("cure_conversion_200x50", || {
+            cure_bench(CurePolicy::ImmediateConversion)
+        }),
+        row("cure_masking_200x50", || cure_bench(CurePolicy::Masking)),
+        row("fixed_check_synth500", || {
+            let (mgr, _) = synth_manager(SynthParams {
+                types: 500,
+                ..Default::default()
+            });
+            bench(move || fixed_check(&mgr.meta).len() as u64 + 1)
+        }),
+        row("analyzer_lower_synth200", || {
+            let src = gom_bench::synth_source(200);
+            fresh(
+                || SchemaManager::new().expect("manager"),
+                move |mgr| {
+                    // Units = source bytes lowered.
+                    mgr.begin_evolution().expect("begin session");
+                    let lowered = mgr.analyzer.lower_source(&mut mgr.meta, &src);
+                    mgr.rollback_evolution().expect("rollback");
+                    lowered.expect("lower");
+                    src.len() as u64
+                },
+            )
+        }),
+        row("analyzer_define_after_0", || define_after(0)),
+        row("analyzer_define_after_2000", || define_after(2000)),
+        row("journal_commit_mem", || {
+            let (mut journal, _) =
+                Journal::open(Box::new(MemBackend::new()), SyncPolicy::OnCommit).expect("open");
+            let ops = six_jops();
+            bench(move || commit_six(&mut journal, &ops))
+        }),
+        row("journal_commit_file", || {
+            let path = std::env::temp_dir().join(format!(
+                "gom_microbench_journal_{}.gomj",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            let (journal, _) = Journal::open_path(&path, SyncPolicy::OnCommit).expect("open");
+            let mut temp = TempJournal { journal, path };
+            let ops = six_jops();
+            bench(move || commit_six(&mut temp.journal, &ops))
+        }),
+    ]
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut out_path: Option<String> = None;
@@ -472,285 +743,12 @@ fn main() {
         .and_then(|v| v.parse().ok())
         .unwrap_or(1);
 
-    // ---- fixpoint: transitive closure --------------------------------------
-    let mut chain = chain_db(128);
-    let chain_path = chain.pred_id("Path").unwrap();
-    let mut graph = graph_db(200, 420, 0xB0B);
-    let graph_path = graph.pred_id("Path").unwrap();
-
-    // ---- EES consistency check over the GOM catalog ------------------------
-    let (mut mgr, ts) = synth_manager(SynthParams {
-        types: 50,
-        ..Default::default()
-    });
-
-    // ---- DRed incremental maintenance --------------------------------------
-    let (mut dred_mgr, dred_ts) = synth_manager(SynthParams {
-        types: 50,
-        ..Default::default()
-    });
-    dred_mgr.meta.db.ensure_maintained().unwrap();
-    let t0 = dred_ts[0];
-    let int_ty = dred_mgr.meta.builtins.int;
-    let attr_name = dred_mgr.meta.db.constant("bench_new_attr");
-    let mut forward = ChangeSet::new();
-    forward.insert(
-        dred_mgr.meta.cat.attr,
-        Tuple::from(vec![t0.constant(), attr_name, int_ty.constant()]),
-    );
-    let mut backward = ChangeSet::new();
-    for op in forward.ops.iter().rev() {
-        backward.ops.push(op.inverse());
-    }
-
-    // ---- ad-hoc query ------------------------------------------------------
-    let mut qdb = chain_db(96);
-    let q_edge = qdb.pred_id("Edge").unwrap();
-    let q_path = qdb.pred_id("Path").unwrap();
-
-    // ---- impact planner + delta-checked EES over synth500 -------------------
-    let (mut pmgr, pdelta) = synth500_session();
-    let (mut gmgr, gdelta) = synth500_session();
-
-    // ---- maintained EES commit, flat-in-schema-size rows -------------------
-    let (mut m500, m500_t0) = maintained_commit_setup(500);
-    let (mut m5000, m5000_t0) = maintained_commit_setup(5000);
-
-    // ---- repairs inside an open session ------------------------------------
-    let (mut r5000, r5000_leaf) = open_session(5000);
-
-    // ---- epoch snapshot publication over synth5000 -------------------------
-    let (snap_mgr, _snap_ts) = maintained_commit_setup(5000);
-    let (deep_mgr, _deep_ts) = maintained_commit_setup(5000);
-    let mut snap_epoch = 0u64;
-
-    // ---- reader connection per epoch over synth5000 ------------------------
-    let refresh = Rc::new(RefCell::new(ReaderBench::new(5000)));
-    let first_check = Rc::new(RefCell::new(ReaderBench::new(5000)));
-
-    // ---- experiment subjects B3, B5, B6, B7 --------------------------------
-    let mut naive_chain = chain_db(128);
-    let naive_path = naive_chain.pred_id("Path").unwrap();
-    let mut vmgr = violated_manager(16);
-    let violations = vmgr.meta.db.check().expect("check");
-    assert_eq!(violations.len(), 16, "expected 16 violations");
-    let (fixed_mgr, _) = synth_manager(SynthParams {
-        types: 500,
-        ..Default::default()
-    });
-    let synth200_src = gom_bench::synth_source(200);
-
-    let _ = ts;
-    let mut benches: Vec<Bench> = vec![
-        Bench {
-            name: "fixpoint_tc_chain128",
-            prep: None,
-            run: Box::new(move || {
-                chain.invalidate_caches();
-                chain.derived_facts(chain_path).unwrap().len() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "fixpoint_naive_chain128",
-            prep: None,
-            run: Box::new(move || naive_chain.reference_facts(naive_path).unwrap().len() as u64),
-            units: 0,
-        },
-        Bench {
-            name: "fixpoint_tc_graph200x420",
-            prep: None,
-            run: Box::new(move || {
-                graph.invalidate_caches();
-                graph.derived_facts(graph_path).unwrap().len() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "ees_check_synth50",
-            prep: None,
-            run: Box::new(move || {
-                mgr.meta.db.invalidate_caches();
-                let v = mgr.meta.db.check().unwrap();
-                black_box(v.len());
-                mgr.meta.db.fact_count() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "dred_attr_toggle_synth50",
-            prep: None,
-            run: Box::new(move || {
-                dred_mgr.meta.db.apply(&forward).unwrap();
-                let v1 = dred_mgr.meta.db.check().unwrap().len();
-                dred_mgr.meta.db.apply(&backward).unwrap();
-                let v2 = dred_mgr.meta.db.check().unwrap().len();
-                (v1 + v2) as u64 + 2
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "impact_plan_synth500",
-            prep: None,
-            run: Box::new(move || {
-                // Cold plan: rebuild the whole impact index (reflect the
-                // program into the meta-EDB, run the meta-fixpoint) and
-                // produce the full plan report for the open session.
-                let index = ImpactIndex::build(&mut pmgr.meta.db).unwrap();
-                let plan =
-                    gomflex::impact::plan(&pmgr.meta.db, &index, &pdelta, &PlanConfig::default());
-                black_box(plan.footprint.len() as u64 + plan.total_constraints as u64)
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "ees_full_synth500",
-            prep: None,
-            run: Box::new(move || {
-                gmgr.meta.db.invalidate_caches();
-                gmgr.meta.db.check_delta(&gdelta).unwrap().len() as u64 + 1
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "ees_check_synth500",
-            prep: None,
-            run: Box::new(move || maintained_commit_iter(&mut m500, m500_t0)),
-            units: 0,
-        },
-        Bench {
-            name: "ees_check_synth5000",
-            prep: None,
-            run: Box::new(move || maintained_commit_iter(&mut m5000, m5000_t0)),
-            units: 0,
-        },
-        check_in_session("check_in_session_synth500", 500),
-        check_in_session("check_in_session_synth5000", 5000),
-        Bench {
-            name: "repairs_after_violation_synth5000",
-            prep: None,
-            run: Box::new(move || repairs_after_violation_iter(&mut r5000, r5000_leaf)),
-            units: 0,
-        },
-        Bench {
-            name: "snapshot_publish_synth5000",
-            prep: None,
-            run: Box::new(move || {
-                // What every EES commit pays to publish a reader epoch:
-                // with CoW page sharing this is O(#relations + #chunks)
-                // Arc bumps, independent of the tuple count (units = facts
-                // made visible per publication).
-                snap_epoch += 1;
-                let snap = Snapshot::capture(snap_epoch, &snap_mgr.meta);
-                black_box(&snap);
-                snap_mgr.meta.db.fact_count() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "snapshot_publish_deep_synth5000",
-            prep: None,
-            run: Box::new(move || {
-                // The pre-CoW publication path (deep per-tuple clone plus
-                // the eager digest it always computed), kept as a
-                // permanent contrast row for the CoW one above.
-                let deep = deep_mgr.meta.db.deep_snapshot_clone();
-                black_box(deep.debug_state_digest().len());
-                deep_mgr.meta.db.fact_count() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "query_path_join96",
-            prep: None,
-            run: Box::new(move || {
-                use gom_deductive::ast::{Atom, Literal, Term, Var};
-                let v = |n: u32| Term::Var(Var(n));
-                let body = vec![
-                    Literal::Pos(Atom::new(q_path, vec![v(0), v(1)])),
-                    Literal::Pos(Atom::new(q_edge, vec![v(1), v(2)])),
-                ];
-                qdb.query(&body, &[Var(0), Var(2)]).unwrap().len() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "reader_refresh_synth5000",
-            prep: Some(Box::new({
-                let r = Rc::clone(&refresh);
-                move || r.borrow_mut().next_epoch()
-            })),
-            run: Box::new(move || {
-                // A reader's first request after a commit: replace its
-                // private view with a share of the new epoch and make it
-                // probe-ready (units = facts in the view).
-                let r = &mut *refresh.borrow_mut();
-                let (_, meta) = r.cache.view(&r.cell);
-                meta.db.fact_count() as u64
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "reader_first_check_synth5000",
-            prep: Some(Box::new({
-                let r = Rc::clone(&first_check);
-                move || {
-                    let r = &mut *r.borrow_mut();
-                    r.next_epoch();
-                    r.cache.view(&r.cell);
-                }
-            })),
-            run: Box::new(move || {
-                // The first full check on a freshly refreshed view (units =
-                // violations + 1). Later checks of the epoch are served
-                // from the snapshot's stored answer in gomd.
-                let r = &mut *first_check.borrow_mut();
-                let (_, meta) = r.cache.view(&r.cell);
-                meta.db.check().unwrap().len() as u64 + 1
-            }),
-            units: 0,
-        },
-        Bench {
-            name: "repairs_all_k16",
-            prep: None,
-            run: Box::new(move || {
-                let repairs = violations
-                    .iter()
-                    .map(|v| vmgr.meta.db.repairs(v).unwrap().len());
-                repairs.sum::<usize>() as u64
-            }),
-            units: 0,
-        },
-        cure_bench("cure_conversion_200x50", CurePolicy::ImmediateConversion),
-        cure_bench("cure_masking_200x50", CurePolicy::Masking),
-        Bench {
-            name: "fixed_check_synth500",
-            prep: None,
-            run: Box::new(move || fixed_check(&fixed_mgr.meta).len() as u64 + 1),
-            units: 0,
-        },
-        fresh(
-            "analyzer_lower_synth200",
-            || SchemaManager::new().expect("manager"),
-            move |mgr| {
-                // Units = source bytes lowered.
-                mgr.begin_evolution().expect("begin session");
-                let lowered = mgr.analyzer.lower_source(&mut mgr.meta, &synth200_src);
-                mgr.rollback_evolution().expect("rollback");
-                lowered.expect("lower");
-                synth200_src.len() as u64
-            },
-        ),
-        define_after("analyzer_define_after_0", 0),
-        define_after("analyzer_define_after_2000", 2000),
-    ];
-
     let mut reports: Vec<Report> = Vec::new();
-    for b in &mut benches {
-        if !filters.is_empty() && !filters.iter().any(|f| b.name.contains(f.as_str())) {
+    for (name, build) in rows() {
+        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
             continue;
         }
-        let r = measure(b, iters);
+        let r = measure(name, &mut build(), iters);
         eprintln!(
             "{:<28} median {:>12} ns   min {:>12} ns   {:>8} units   {:>10} derived   {:>10} probes",
             r.name, r.median_ns, r.min_ns, r.units, r.derived, r.probes,

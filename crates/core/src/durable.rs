@@ -3,20 +3,20 @@
 //!
 //! The paper's evolution session (BES…EES, §3.5) is the natural atomicity
 //! unit, and this module makes it the *durability* unit too. When a
-//! [`SchemaManager`] has a store attached, the session protocol writes a
-//! `gom-store` journal with write-ahead discipline:
+//! [`SchemaManager`] has a store attached, only committed sessions reach
+//! the `gom-store` journal, with write-ahead discipline:
 //!
-//! * **BES** appends a [`Record::Bes`] immediately;
-//! * **EES (commit)** appends the session's net delta as [`Record::Op`]s
-//!   followed by [`Record::EesCommit`] — *before* the in-memory commit, and
-//!   with an fsync under [`SyncPolicy::OnCommit`] — so a reported commit
-//!   survives a crash;
-//! * **EES (rollback)** appends [`Record::EesRollback`];
-//! * [`SchemaManager::checkpoint`] appends a full EDB [`Record::Snapshot`],
-//!   bounding future replay work.
+//! * **BES** and **rollback** do no journal I/O;
+//! * **EES (commit)** hands the session's net delta to
+//!   [`Journal::commit`], which writes it and its commit boundary as one
+//!   append — *before* the in-memory commit, and with an fsync under
+//!   [`SyncPolicy::OnCommit`] — so a reported commit survives a crash. A
+//!   failed commit leaves no bytes behind and the session stays open;
+//! * [`SchemaManager::checkpoint`] rotates the journal down to a full EDB
+//!   snapshot, bounding future replay work.
 //!
 //! A crash at *any* byte leaves either a complete committed session on disk
-//! or a tail (torn record, dangling `Bes`, corrupt CRC) that
+//! or a tail (torn record, ops without their commit, corrupt CRC) that
 //! [`SchemaManager::open`] truncates — recovery always lands exactly on a
 //! session boundary, never between BES and EES.
 //!
@@ -28,9 +28,7 @@
 
 use crate::manager::SchemaManager;
 use gom_deductive::{Const, Database, Error as DbError, Op, Result as DbResult, Tuple};
-use gom_store::{
-    Backend, JConst, JOp, Journal, Record, Replay, SnapshotPred, StoreError, SyncPolicy,
-};
+use gom_store::{Backend, JConst, JOp, Journal, Replay, SnapshotPred, StoreError, SyncPolicy};
 use std::path::Path;
 
 /// What [`SchemaManager::open`] reconstructed from the journal.
@@ -40,14 +38,10 @@ pub struct RecoveryReport {
     pub snapshot_loaded: bool,
     /// Committed sessions replayed (after the snapshot, if any).
     pub sessions_replayed: usize,
-    /// Rolled-back sessions skipped.
-    pub sessions_rolled_back: usize,
     /// Individual base-fact operations re-applied.
     pub ops_applied: usize,
-    /// Whether an in-flight session (dangling `Bes`) was discarded.
-    pub discarded_in_flight: bool,
-    /// Bytes truncated off the journal tail (torn records + in-flight
-    /// session).
+    /// Bytes truncated off the journal tail: torn records, and ops whose
+    /// commit never landed.
     pub truncated_bytes: u64,
     /// Total journal bytes the recovery scan examined (durable prefix +
     /// truncated tail).
@@ -57,10 +51,10 @@ pub struct RecoveryReport {
 }
 
 impl RecoveryReport {
-    /// True when recovery had to discard anything (torn tail or in-flight
-    /// session) — the recovered state is still exactly a session boundary.
+    /// True when recovery had to discard anything (a torn or uncommitted
+    /// tail) — the recovered state is still exactly a session boundary.
     pub fn recovered_from_crash(&self) -> bool {
-        self.discarded_in_flight || self.torn.is_some() || self.truncated_bytes > 0
+        self.torn.is_some() || self.truncated_bytes > 0
     }
 
     /// One-line recovery summary, e.g.
@@ -251,8 +245,6 @@ impl SchemaManager {
         let mut report = RecoveryReport {
             snapshot_loaded: replay.snapshot.is_some(),
             sessions_replayed: replay.sessions_replayed,
-            sessions_rolled_back: replay.sessions_rolled_back,
-            discarded_in_flight: replay.discarded_in_flight,
             truncated_bytes: replay.truncated_bytes,
             bytes_scanned: replay.durable_len + replay.truncated_bytes,
             torn: replay.torn.clone(),
@@ -291,7 +283,7 @@ impl SchemaManager {
     }
 
     /// Rotate the journal down to a full EDB snapshot: the entire history
-    /// is replaced by one [`Record::Snapshot`] via a crash-safe
+    /// is replaced by one snapshot record via a crash-safe
     /// write-to-temp / fsync / atomic-rename sequence, so the journal file
     /// size after a checkpoint is bounded by the snapshot itself rather
     /// than growing with every session ever committed. Refused inside an
@@ -308,7 +300,7 @@ impl SchemaManager {
         let journal = self.store_mut().ok_or_else(|| {
             DbError::SessionProtocol("no durable store attached (open with --store)".into())
         })?;
-        journal.rotate(&Record::Snapshot(snap)).map_err(db_err)
+        journal.rotate(&snap).map_err(db_err)
     }
 
     /// Is a durable store attached?
@@ -358,16 +350,21 @@ mod tests {
         let (mut mgr, _) = open_mem(&mem);
         mgr.define_schema(CAR_SCHEMA_SRC).expect("define");
         let dump = mgr.meta.db.dump_facts();
+        let pos = mgr.store_position();
         mgr.begin_evolution().expect("bes");
+        assert_eq!(mgr.store_position(), pos, "BES writes nothing");
         let sid = mgr.meta.schema_by_name("CarSchema").expect("schema");
         let car = mgr.meta.type_by_name(sid, "Car").expect("car");
         let string = mgr.meta.builtins.string;
         mgr.meta.add_attr(car, "fuelType", string).expect("attr");
         mgr.rollback_evolution().expect("rollback");
+        assert_eq!(mgr.store_position(), pos, "rollback writes nothing");
+        assert_eq!(mem.bytes().len() as u64, pos.expect("store attached"));
         drop(mgr);
 
         let (mgr2, r) = open_mem(&mem);
-        assert_eq!(r.sessions_rolled_back, 1);
+        assert_eq!(r.sessions_replayed, 1);
+        assert!(!r.recovered_from_crash());
         assert_eq!(mgr2.meta.db.dump_facts(), dump);
     }
 
@@ -387,18 +384,22 @@ mod tests {
     }
 
     #[test]
-    fn dangling_bes_is_discarded_on_reopen() {
+    fn dangling_bes_leaves_no_durable_trace() {
         let mem = MemBackend::new();
         let (mut mgr, _) = open_mem(&mem);
         mgr.define_schema(CAR_SCHEMA_SRC).expect("define");
         let dump = mgr.meta.db.dump_facts();
-        // Crash mid-session: BES written, no EES ever.
+        let pos = mgr.store_position();
+        // Crash mid-session: BES and an op, no EES ever.
         mgr.begin_evolution().expect("bes");
+        let sid = mgr.meta.schema_by_name("CarSchema").expect("schema");
+        mgr.meta.new_type(sid, "Truck").expect("type");
+        assert_eq!(mgr.store_position(), pos, "an open session writes nothing");
         drop(mgr);
 
         let (mgr2, r) = open_mem(&mem);
-        assert!(r.discarded_in_flight);
-        assert!(r.truncated_bytes > 0);
+        assert!(!r.recovered_from_crash());
+        assert_eq!(mgr2.store_position(), pos);
         assert_eq!(mgr2.meta.db.dump_facts(), dump);
         assert!(!mgr2.in_evolution());
     }

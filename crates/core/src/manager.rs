@@ -189,19 +189,12 @@ impl SchemaManager {
 
     // ----- session protocol ------------------------------------------------------
 
-    /// Step 1 — BES: begin an evolution session. With a durable store
-    /// attached, the `Bes` record is journaled immediately; if journaling
-    /// fails, the in-memory session is rolled back so memory and disk agree.
+    /// Step 1 — BES: begin an evolution session. No journal I/O: only a
+    /// committed session reaches the durable store, at EES.
     pub fn begin_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.bes");
         self.meta.db.begin_session()?;
         self.analyzer.forget_undo();
-        if let Some(j) = self.store.as_mut() {
-            if let Err(e) = j.append(&gom_store::Record::Bes) {
-                let _ = self.meta.db.rollback_session();
-                return Err(crate::durable::db_err(e));
-            }
-        }
         // Arm IDB maintenance: every primitive inside the session feeds its
         // delta through DRed, so EES, check, query, why and repairs read
         // the maintained IDB (O(Δ) per op, flat in schema size). A no-op
@@ -240,7 +233,7 @@ impl SchemaManager {
         };
         if violations.is_empty() {
             self.check_lint_gate()?;
-            self.journal_commit()?;
+            self.journal_commit(&delta)?;
             let delta = self.meta.db.commit_session()?;
             self.analyzer.forget_undo();
             gom_obs::counter_add("session.commits", 1);
@@ -251,41 +244,22 @@ impl SchemaManager {
         }
     }
 
-    /// Write-ahead commit: journal the session's delta and the `EesCommit`
-    /// boundary (with a durability barrier) *before* the in-memory commit.
-    /// On failure the session stays open and rollbackable.
-    fn journal_commit(&mut self) -> DbResult<()> {
+    /// Write-ahead commit: journal the session's delta and its commit
+    /// boundary as one append (with a durability barrier) *before* the
+    /// in-memory commit. On failure nothing reaches the journal and the
+    /// session stays open and rollbackable.
+    fn journal_commit(&mut self, delta: &ChangeSet) -> DbResult<()> {
         let Some(j) = self.store.as_mut() else {
             return Ok(());
         };
         let _sp = gom_obs::span("session.journal_commit");
-        let delta = self.meta.db.session_delta()?;
-        for op in &delta.ops {
-            j.append(&gom_store::Record::Op(crate::durable::to_jop(
-                &self.meta.db,
-                op,
-            )))
-            .map_err(crate::durable::db_err)?;
-        }
-        j.append(&gom_store::Record::EesCommit)
-            .map_err(crate::durable::db_err)?;
-        j.boundary_sync().map_err(crate::durable::db_err)?;
+        let ops: Vec<_> = delta
+            .ops
+            .iter()
+            .map(|op| crate::durable::to_jop(&self.meta.db, op))
+            .collect();
+        j.commit(&ops).map_err(crate::durable::db_err)?;
         Ok(())
-    }
-
-    /// Like [`Self::end_evolution`] but with a *full* (non-incremental)
-    /// check — used when the pre-session state may already be inconsistent.
-    pub fn end_evolution_full_check(&mut self) -> DbResult<EvolutionOutcome> {
-        let violations = self.meta.db.check()?;
-        if violations.is_empty() {
-            self.check_lint_gate()?;
-            self.journal_commit()?;
-            let delta = self.meta.db.commit_session()?;
-            self.analyzer.forget_undo();
-            Ok(EvolutionOutcome::Consistent(delta))
-        } else {
-            Ok(EvolutionOutcome::Inconsistent(violations))
-        }
     }
 
     /// Steps 6–7: generate repairs for a violation, each explained in
@@ -448,19 +422,13 @@ impl SchemaManager {
     }
 
     /// Roll the whole session back (always-available repair), including
-    /// the frames the Analyzer lowered in it. The journal records
-    /// `EesRollback`; even if that write is lost to a crash, the
-    /// dangling `Bes` is discarded at recovery — the same end state.
+    /// the frames the Analyzer lowered in it. No journal I/O: the session
+    /// never reached the journal.
     pub fn rollback_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.rollback");
         gom_obs::counter_add("session.rollbacks", 1);
         self.meta.db.rollback_session()?;
         self.analyzer.undo_session();
-        if let Some(j) = self.store.as_mut() {
-            j.append(&gom_store::Record::EesRollback)
-                .map_err(crate::durable::db_err)?;
-            j.boundary_sync().map_err(crate::durable::db_err)?;
-        }
         Ok(())
     }
 

@@ -504,23 +504,38 @@ impl Database {
         }
     }
 
-    /// Roll back the session: undo all journalled changes in reverse order.
+    /// Roll back the session: undo all journalled changes in reverse order
+    /// and close it.
     pub fn rollback_session(&mut self) -> Result<()> {
-        let journal = self
-            .journal
-            .take()
-            .ok_or_else(|| Error::SessionProtocol("no active session".into()))?;
+        self.rollback_to(0)?;
+        self.journal = None;
+        Ok(())
+    }
+
+    /// A mark of the active session's progress, for [`Self::rollback_to`];
+    /// `None` outside a session.
+    pub fn session_mark(&self) -> Option<usize> {
+        self.journal.as_ref().map(Vec::len)
+    }
+
+    /// Undo, in reverse order, every change the active session journalled
+    /// after `mark` (from [`Self::session_mark`]); the session stays open.
+    pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
+        let Some(journal) = self.journal.as_mut() else {
+            return Err(Error::SessionProtocol("no active session".into()));
+        };
+        let undone = journal.split_off(mark.min(journal.len()));
         // The inverse ops below go straight to the relations (no
         // journalling, no re-maintenance); the IDB cannot follow and is
         // dropped — the next session begin re-arms it.
         self.retire_idb();
-        for op in journal.iter().rev() {
-            match op.inverse() {
+        for op in undone.into_iter().rev() {
+            match op {
                 Op::Insert(p, t) => {
-                    self.rels[p.index()].insert(t);
+                    self.rels[p.index()].remove(&t);
                 }
                 Op::Delete(p, t) => {
-                    self.rels[p.index()].remove(&t);
+                    self.rels[p.index()].insert(t);
                 }
             }
         }

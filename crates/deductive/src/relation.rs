@@ -25,7 +25,7 @@
 //! on an unsynced share fall back to a live-row scan, so shares are always
 //! correct even before any rebuild.
 
-use crate::storage::{note_tuple_copies, ChunkStore, LiveRows, TupleStorage};
+use crate::storage::{note_tuple_copies, ChunkStore, LiveRows};
 use crate::symbol::FxHashMap;
 use crate::tuple::Tuple;
 use crate::value::Const;

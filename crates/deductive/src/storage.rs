@@ -21,10 +21,9 @@
 //! the previous flat-vector layout — iteration order, `sorted()` output
 //! and state digests of a shared store are bit-identical to a deep clone.
 //!
-//! The store sits behind the small [`TupleStorage`] trait; the in-memory
-//! chunked backend is the only implementation today, but the trait is the
-//! seam where a paged/mmap backend plugs in later (row access, liveness,
-//! append, tombstone, share — everything `Relation` needs).
+//! [`ChunkStore`] is the only storage backend: stable insertion-ordered
+//! row ids, row access, liveness, append, tombstone and an O(#chunks)
+//! `share` — everything `Relation` needs.
 
 use crate::tuple::Tuple;
 use crate::value::Const;
@@ -81,40 +80,7 @@ struct LiveMap {
     live: Vec<bool>,
 }
 
-/// The storage operations `Relation` needs from a backend: stable
-/// insertion-ordered row ids, row access, liveness, append, tombstone, and
-/// an O(#chunks) `share`. The in-memory [`ChunkStore`] is the only backend
-/// today; a paged/mmap backend would implement the same surface.
-pub(crate) trait TupleStorage: Default {
-    /// Total rows including tombstones (the next append's id).
-    fn len_rows(&self) -> usize;
-    /// Tombstoned rows.
-    fn dead(&self) -> usize;
-    /// Borrow a row by id (valid for tombstoned rows too, until compaction).
-    fn row(&self, id: u32) -> &Tuple;
-    /// Is the row with this id live?
-    fn is_live(&self, id: u32) -> bool;
-    /// Append a row, returning its id (`len_rows` before the call).
-    fn push(&mut self, t: Tuple) -> u32;
-    /// Mark a row dead. The row stays addressable until compaction.
-    fn tombstone(&mut self, id: u32);
-    /// A second store over the same pages: O(#chunks) `Arc` bumps, zero
-    /// tuple copies. Writes to either store copy-on-write the touched page.
-    fn share(&self) -> Self;
-    /// Drop all rows (shared pages are released, not copied).
-    fn clear(&mut self);
-    /// Pre-size for about `n` total rows.
-    fn reserve(&mut self, n: usize);
-    /// Rebuild densely packed (drop tombstones, renumber ids in live
-    /// order). Buffers of uniquely-owned dead rows are parked in `pool`.
-    fn compact(&mut self, pool: &mut Vec<Vec<Const>>);
-    /// Empty the store, moving every uniquely-owned tuple buffer into
-    /// `pool` and parking page shells for reuse (the relation-recycling
-    /// path of the fixpoint evaluator).
-    fn recycle_into(&mut self, pool: &mut Vec<Vec<Const>>);
-}
-
-/// The in-memory chunked backend (see module docs).
+/// The in-memory chunked tuple store (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct ChunkStore {
     chunks: Vec<Arc<Chunk>>,
@@ -182,27 +148,28 @@ impl ChunkStore {
             None => unreachable!("liveness page was just materialised"),
         }
     }
-}
-
-impl TupleStorage for ChunkStore {
+    /// Total rows including tombstones (the next append's id).
     #[inline]
-    fn len_rows(&self) -> usize {
+    pub(crate) fn len_rows(&self) -> usize {
         self.len
     }
 
+    /// Tombstoned rows.
     #[inline]
-    fn dead(&self) -> usize {
+    pub(crate) fn dead(&self) -> usize {
         self.dead
     }
 
+    /// Borrow a row by id (valid for tombstoned rows too, until compaction).
     #[inline]
-    fn row(&self, id: u32) -> &Tuple {
+    pub(crate) fn row(&self, id: u32) -> &Tuple {
         let (ci, off) = split(id);
         &self.chunks[ci].rows[off]
     }
 
+    /// Is the row with this id live?
     #[inline]
-    fn is_live(&self, id: u32) -> bool {
+    pub(crate) fn is_live(&self, id: u32) -> bool {
         if self.dead == 0 {
             return true;
         }
@@ -213,7 +180,8 @@ impl TupleStorage for ChunkStore {
         }
     }
 
-    fn push(&mut self, t: Tuple) -> u32 {
+    /// Append a row, returning its id (`len_rows` before the call).
+    pub(crate) fn push(&mut self, t: Tuple) -> u32 {
         if self.len & CHUNK_MASK == 0 {
             self.open_tail();
         }
@@ -224,7 +192,8 @@ impl TupleStorage for ChunkStore {
         id
     }
 
-    fn tombstone(&mut self, id: u32) {
+    /// Mark a row dead. The row stays addressable until compaction.
+    pub(crate) fn tombstone(&mut self, id: u32) {
         let (ci, off) = split(id);
         let lm = self.live_page(ci);
         if std::mem::replace(&mut lm.live[off], false) {
@@ -232,7 +201,9 @@ impl TupleStorage for ChunkStore {
         }
     }
 
-    fn share(&self) -> ChunkStore {
+    /// A second store over the same pages: O(#chunks) `Arc` bumps, zero
+    /// tuple copies. Writes to either store copy-on-write the touched page.
+    pub(crate) fn share(&self) -> ChunkStore {
         ChunkStore {
             chunks: self.chunks.clone(),
             lives: self.lives.clone(),
@@ -243,7 +214,8 @@ impl TupleStorage for ChunkStore {
         }
     }
 
-    fn clear(&mut self) {
+    /// Drop all rows (shared pages are released, not copied).
+    pub(crate) fn clear(&mut self) {
         // Reclaim uniquely-owned page shells; shared pages just drop.
         for chunk in self.chunks.drain(..) {
             if let Ok(mut c) = Arc::try_unwrap(chunk) {
@@ -261,7 +233,8 @@ impl TupleStorage for ChunkStore {
         self.dead = 0;
     }
 
-    fn reserve(&mut self, n: usize) {
+    /// Pre-size for about `n` total rows.
+    pub(crate) fn reserve(&mut self, n: usize) {
         if n <= self.len {
             return;
         }
@@ -279,7 +252,9 @@ impl TupleStorage for ChunkStore {
         self.lives.reserve(pages.saturating_sub(self.lives.len()));
     }
 
-    fn compact(&mut self, pool: &mut Vec<Vec<Const>>) {
+    /// Rebuild densely packed (drop tombstones, renumber ids in live
+    /// order). Buffers of uniquely-owned dead rows are parked in `pool`.
+    pub(crate) fn compact(&mut self, pool: &mut Vec<Vec<Const>>) {
         let chunks = std::mem::take(&mut self.chunks);
         let lives = std::mem::take(&mut self.lives);
         self.len = 0;
@@ -321,7 +296,10 @@ impl TupleStorage for ChunkStore {
         }
     }
 
-    fn recycle_into(&mut self, pool: &mut Vec<Vec<Const>>) {
+    /// Empty the store, moving every uniquely-owned tuple buffer into
+    /// `pool` and parking page shells for reuse (the relation-recycling
+    /// path of the fixpoint evaluator).
+    pub(crate) fn recycle_into(&mut self, pool: &mut Vec<Vec<Const>>) {
         for chunk in self.chunks.drain(..) {
             if let Ok(mut c) = Arc::try_unwrap(chunk) {
                 pool.extend(c.rows.drain(..).map(Tuple::into_vec));

@@ -1,7 +1,7 @@
-//! Machine-readable emission: a hand-rolled JSON serializer and a minimal
-//! parser, so reports round-trip with zero external crates.
+//! Machine-readable emission: a hand-rolled JSON serializer, so reports
+//! are emitted with zero external crates.
 
-use crate::diag::{Diagnostic, LintReport, Severity, Span};
+use crate::diag::{Diagnostic, LintReport};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -21,22 +21,6 @@ pub enum Value {
     Arr(Vec<Value>),
     /// Object with deterministic (sorted) key order.
     Obj(BTreeMap<String, Value>),
-}
-
-impl Value {
-    fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(n) => Some(*n),
-            _ => None,
-        }
-    }
 }
 
 /// Serialize a value to compact JSON.
@@ -97,172 +81,7 @@ fn emit_str(s: &str, out: &mut String) {
     out.push('"');
 }
 
-/// Parse a JSON document.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let mut p = P {
-        src: text.as_bytes(),
-        pos: 0,
-    };
-    p.ws();
-    let v = p.value()?;
-    p.ws();
-    if p.pos != p.src.len() {
-        return Err(format!("trailing garbage at byte {}", p.pos));
-    }
-    Ok(v)
-}
-
-struct P<'a> {
-    src: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> P<'a> {
-    fn ws(&mut self) {
-        while self
-            .src
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        if self.src.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", b as char, self.pos))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Value) -> Result<Value, String> {
-        if self.src[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at byte {}", self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Value, String> {
-        match self.src.get(self.pos) {
-            Some(b'n') => self.lit("null", Value::Null),
-            Some(b't') => self.lit("true", Value::Bool(true)),
-            Some(b'f') => self.lit("false", Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => {
-                self.pos += 1;
-                let mut xs = Vec::new();
-                self.ws();
-                if self.src.get(self.pos) == Some(&b']') {
-                    self.pos += 1;
-                    return Ok(Value::Arr(xs));
-                }
-                loop {
-                    self.ws();
-                    xs.push(self.value()?);
-                    self.ws();
-                    match self.src.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b']') => {
-                            self.pos += 1;
-                            return Ok(Value::Arr(xs));
-                        }
-                        _ => return Err(format!("expected `,` or `]` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b'{') => {
-                self.pos += 1;
-                let mut m = BTreeMap::new();
-                self.ws();
-                if self.src.get(self.pos) == Some(&b'}') {
-                    self.pos += 1;
-                    return Ok(Value::Obj(m));
-                }
-                loop {
-                    self.ws();
-                    let k = self.string()?;
-                    self.ws();
-                    self.eat(b':')?;
-                    self.ws();
-                    m.insert(k, self.value()?);
-                    self.ws();
-                    match self.src.get(self.pos) {
-                        Some(b',') => self.pos += 1,
-                        Some(b'}') => {
-                            self.pos += 1;
-                            return Ok(Value::Obj(m));
-                        }
-                        _ => return Err(format!("expected `,` or `}}` at byte {}", self.pos)),
-                    }
-                }
-            }
-            Some(b) if b.is_ascii_digit() || *b == b'-' => {
-                let start = self.pos;
-                if self.src.get(self.pos) == Some(&b'-') {
-                    self.pos += 1;
-                }
-                while self.src.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-                    self.pos += 1;
-                }
-                std::str::from_utf8(&self.src[start..self.pos])
-                    .ok()
-                    .and_then(|s| s.parse().ok())
-                    .map(Value::Int)
-                    .ok_or_else(|| format!("bad number at byte {start}"))
-            }
-            _ => Err(format!("unexpected byte {}", self.pos)),
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut s = Vec::new();
-        loop {
-            match self.src.get(self.pos).copied() {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return String::from_utf8(s).map_err(|e| e.to_string());
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.src.get(self.pos).copied() {
-                        Some(b'"') => s.push(b'"'),
-                        Some(b'\\') => s.push(b'\\'),
-                        Some(b'/') => s.push(b'/'),
-                        Some(b'n') => s.push(b'\n'),
-                        Some(b'r') => s.push(b'\r'),
-                        Some(b't') => s.push(b'\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .src
-                                .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            let mut buf = [0u8; 4];
-                            s.extend_from_slice(hex.encode_utf8(&mut buf).as_bytes());
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                    self.pos += 1;
-                }
-                Some(b) => {
-                    s.push(b);
-                    self.pos += 1;
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-}
-
-// ----- report <-> JSON ------------------------------------------------------
+// ----- report -> JSON -------------------------------------------------------
 
 fn diag_to_value(d: &Diagnostic) -> Value {
     let mut m = BTreeMap::new();
@@ -289,75 +108,10 @@ fn diag_to_value(d: &Diagnostic) -> Value {
     Value::Obj(m)
 }
 
-/// The known codes, for interning `&'static str` codes on deserialization.
-const CODES: &[&str] = &[
-    "L0001", "L0002", "L0101", "L0102", "L0103", "L0201", "L0301", "L0302", "L0303", "L0304",
-    "L0305", "L0401", "L0402", "L0403", "L0501", "L0502", "L0503", "L0601", "L0602", "L0603",
-];
-
-fn diag_from_value(v: &Value) -> Result<Diagnostic, String> {
-    let Value::Obj(m) = v else {
-        return Err("diagnostic must be an object".into());
-    };
-    let get = |k: &str| m.get(k).ok_or_else(|| format!("missing key `{k}`"));
-    let code_s = get("code")?.as_str().ok_or("code must be a string")?;
-    let code = CODES
-        .iter()
-        .find(|c| **c == code_s)
-        .copied()
-        .ok_or_else(|| format!("unknown diagnostic code `{code_s}`"))?;
-    let severity = get("severity")?
-        .as_str()
-        .and_then(Severity::parse)
-        .ok_or("bad severity")?;
-    let message = get("message")?.as_str().ok_or("bad message")?.to_string();
-    let span = match (get("line")?, get("col")?, get("len")?) {
-        (Value::Null, ..) => None,
-        (l, c, n) => Some(Span {
-            line: l.as_int().ok_or("bad line")? as usize,
-            col: c.as_int().ok_or("bad col")? as usize,
-            len: n.as_int().ok_or("bad len")? as usize,
-        }),
-    };
-    let notes = match get("notes")? {
-        Value::Arr(xs) => xs
-            .iter()
-            .map(|x| x.as_str().map(String::from).ok_or("bad note"))
-            .collect::<Result<Vec<_>, _>>()?,
-        _ => return Err("notes must be an array".into()),
-    };
-    let fix = match get("fix")? {
-        Value::Null => None,
-        Value::Str(s) => Some(s.clone()),
-        _ => return Err("fix must be a string or null".into()),
-    };
-    Ok(Diagnostic {
-        code,
-        severity,
-        message,
-        span,
-        notes,
-        fix,
-    })
-}
-
 impl LintReport {
     /// Serialize to a JSON array of diagnostic objects.
     pub fn to_json(&self) -> String {
         emit(&Value::Arr(self.diags.iter().map(diag_to_value).collect()))
-    }
-
-    /// Parse a report back from [`Self::to_json`] output.
-    pub fn from_json(text: &str) -> Result<LintReport, String> {
-        let Value::Arr(xs) = parse(text)? else {
-            return Err("report must be a JSON array".into());
-        };
-        Ok(LintReport {
-            diags: xs
-                .iter()
-                .map(diag_from_value)
-                .collect::<Result<Vec<_>, _>>()?,
-        })
     }
 }
 
@@ -365,36 +119,32 @@ impl LintReport {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::diag::{Severity, Span};
 
     #[test]
-    fn report_roundtrips_through_json() {
+    fn report_emits_one_object_per_diagnostic() {
         let mut r = LintReport::default();
         r.diags.push(
-            Diagnostic::new("L0201", Severity::Error, "negation cycle \"weird\"\nname")
+            Diagnostic::new("L0201", Severity::Error, "negation cycle")
                 .with_span(Some(Span::point(3, 7)))
                 .with_note("minimal cycle: Foo -> not Bar -> Foo")
                 .with_fix("remove one negation"),
         );
         r.diags
             .push(Diagnostic::new("L0503", Severity::Warn, "spanless"));
-        let json = r.to_json();
-        let back = LintReport::from_json(&json).unwrap();
-        assert_eq!(back.diags, r.diags);
-        // …and the round trip is a fixpoint.
-        assert_eq!(back.to_json(), json);
+        assert_eq!(
+            r.to_json(),
+            "[{\"code\":\"L0201\",\"col\":7,\"fix\":\"remove one negation\",\"len\":1,\
+             \"line\":3,\"message\":\"negation cycle\",\
+             \"notes\":[\"minimal cycle: Foo -> not Bar -> Foo\"],\"severity\":\"error\"},\
+             {\"code\":\"L0503\",\"col\":null,\"fix\":null,\"len\":null,\"line\":null,\
+             \"message\":\"spanless\",\"notes\":[],\"severity\":\"warn\"}]"
+        );
     }
 
     #[test]
-    fn parser_rejects_garbage() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("[] trailing").is_err());
-        assert!(LintReport::from_json("{\"not\":\"an array\"}").is_err());
-    }
-
-    #[test]
-    fn escapes_roundtrip() {
-        let v = Value::Str("a\"b\\c\nd\u{1}".into());
-        assert_eq!(parse(&emit(&v)).unwrap(), v);
+    fn escapes_are_emitted() {
+        let v = Value::Str("a\"b\\c\nd\r\t\u{1}é".into());
+        assert_eq!(emit(&v), r#""a\"b\\c\nd\r\t\u0001é""#);
     }
 }

@@ -7,14 +7,15 @@ use std::fmt;
 pub enum StoreError {
     /// An I/O error from the backing file (or a failpoint-injected crash).
     Io(std::io::Error),
-    /// A structurally invalid byte sequence was found where recovery cannot
-    /// simply truncate (e.g. a record decodes but violates the session
-    /// grammar in the *committed* prefix).
+    /// A record payload does not decode (the recovery scan treats it as
+    /// the start of a torn tail).
     Corrupt(&'static str),
     /// The file does not start with the journal magic.
     BadMagic,
-    /// A record was appended out of protocol (e.g. `Snapshot` mid-session).
-    Protocol(&'static str),
+    /// A failed commit could not be truncated away, so the journal's tail
+    /// is unknown: every later commit and rotation is refused until the
+    /// journal is reopened (recovery then truncates the torn tail).
+    Poisoned(&'static str),
 }
 
 impl fmt::Display for StoreError {
@@ -23,7 +24,7 @@ impl fmt::Display for StoreError {
             StoreError::Io(e) => write!(f, "journal I/O error: {e}"),
             StoreError::Corrupt(msg) => write!(f, "journal corrupt: {msg}"),
             StoreError::BadMagic => write!(f, "not a gom journal (bad magic)"),
-            StoreError::Protocol(msg) => write!(f, "journal protocol violation: {msg}"),
+            StoreError::Poisoned(msg) => write!(f, "journal refuses writes: {msg}"),
         }
     }
 }

@@ -2,7 +2,8 @@
 
 use crate::crc32::crc32;
 use crate::error::{StoreError, StoreResult};
-use crate::record::{JOp, Record, SnapshotPred, MAGIC, MAX_RECORD};
+use crate::record::{frame_commit, frame_op, frame_snapshot, JOp, Record, SnapshotPred};
+use crate::record::{MAGIC, MAX_RECORD};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::Path;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -12,10 +13,12 @@ use std::sync::{Arc, Mutex, PoisonError};
 pub enum SyncPolicy {
     /// Never sync explicitly (fastest; durability left to the OS).
     Never,
-    /// Sync at every session boundary — commit, rollback, snapshot. The
+    /// Sync once per committed session, after its single append. The
     /// default: a reported commit survives a crash.
     OnCommit,
-    /// Sync after every record (slowest, smallest loss window).
+    /// Kept for compatibility: a commit is one append, so there is no
+    /// finer point to sync at and this behaves exactly like
+    /// [`SyncPolicy::OnCommit`].
     Always,
 }
 
@@ -229,12 +232,8 @@ pub struct Replay {
     pub ops: Vec<JOp>,
     /// Committed sessions replayed (after the snapshot).
     pub sessions_replayed: usize,
-    /// Rolled-back sessions skipped.
-    pub sessions_rolled_back: usize,
-    /// Whether an in-flight session (trailing `Bes` without `Ees`) was
-    /// discarded.
-    pub discarded_in_flight: bool,
-    /// Bytes truncated off the tail (torn records + in-flight session).
+    /// Bytes truncated off the tail: torn records, and ops of a session
+    /// whose `EesCommit` never landed.
     pub truncated_bytes: u64,
     /// Why the scan stopped early, when it did (torn tail, CRC mismatch…).
     pub torn: Option<String>,
@@ -244,29 +243,23 @@ pub struct Replay {
 
 /// Scan a journal image, tolerating any torn or corrupt tail: the scan
 /// stops at the first invalid byte and the durable prefix ends at the last
-/// *session boundary* before it. Never panics, whatever the input.
+/// session boundary (`EesCommit` or `Snapshot`) before it. Never panics,
+/// whatever the input.
 pub fn scan(bytes: &[u8]) -> StoreResult<Replay> {
     if bytes.is_empty() {
         // A journal that was never written: treat as fresh.
-        return Ok(Replay {
-            durable_len: 0,
-            ..Replay::default()
-        });
+        return Ok(Replay::default());
     }
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(StoreError::BadMagic);
     }
     let mut replay = Replay::default();
     let mut off = MAGIC.len();
-    let mut boundary = off; // end of the last committed session boundary
-    let mut in_session = false;
+    let mut boundary = off; // end of the last session boundary
     let mut pending: Vec<JOp> = Vec::new();
     let mut torn: Option<String> = None;
 
-    loop {
-        if off == bytes.len() {
-            break;
-        }
+    while off < bytes.len() {
         if off + 8 > bytes.len() {
             torn = Some("torn record header at end of journal".into());
             break;
@@ -293,70 +286,37 @@ pub fn scan(bytes: &[u8]) -> StoreResult<Replay> {
             torn = Some("CRC mismatch — corrupted record".into());
             break;
         }
-        let record = match Record::decode_payload(payload) {
-            Ok(r) => r,
-            Err(e) => {
-                torn = Some(format!("undecodable record: {e}"));
-                break;
-            }
-        };
-        // Session grammar. A violation in the *stored* stream means the
-        // writer crashed in a way framing cannot express (or the file was
-        // tampered with); treat everything from here on as invalid tail.
-        match record {
-            Record::Bes => {
-                if in_session {
-                    torn = Some("BES inside an open session".into());
-                    break;
-                }
-                in_session = true;
-                pending.clear();
-            }
-            Record::Op(op) => {
-                if !in_session {
-                    torn = Some("op outside a session".into());
-                    break;
-                }
-                pending.push(op);
-            }
-            Record::EesCommit => {
-                if !in_session {
-                    torn = Some("EES(commit) without BES".into());
-                    break;
-                }
+        match Record::decode_payload(payload) {
+            Ok(Record::Op(op)) => pending.push(op),
+            Ok(Record::EesCommit) => {
                 replay.ops.append(&mut pending);
                 replay.sessions_replayed += 1;
-                in_session = false;
                 boundary = end;
             }
-            Record::EesRollback => {
-                if !in_session {
-                    torn = Some("EES(rollback) without BES".into());
-                    break;
-                }
-                pending.clear();
-                replay.sessions_rolled_back += 1;
-                in_session = false;
-                boundary = end;
+            // A snapshot between a session's ops and its commit cannot be
+            // written (a session is one append); seeing one means the
+            // image was tampered with, so the scan stops there.
+            Ok(Record::Snapshot(_)) if !pending.is_empty() => {
+                torn = Some("snapshot inside a session".into());
+                break;
             }
-            Record::Snapshot(preds) => {
-                if in_session {
-                    torn = Some("snapshot inside an open session".into());
-                    break;
-                }
+            Ok(Record::Snapshot(preds)) => {
                 replay.snapshot = Some(preds);
                 replay.ops.clear();
                 replay.sessions_replayed = 0;
                 boundary = end;
             }
+            Err(e) => {
+                torn = Some(format!("undecodable record: {e}"));
+                break;
+            }
         }
         off = end;
     }
 
-    replay.discarded_in_flight = in_session;
     replay.torn = torn;
     replay.durable_len = boundary as u64;
-    replay.truncated_bytes = bytes.len() as u64 - boundary as u64;
+    replay.truncated_bytes = (bytes.len() - boundary) as u64;
     Ok(replay)
 }
 
@@ -366,13 +326,18 @@ pub fn scan(bytes: &[u8]) -> StoreResult<Replay> {
 
 /// The write-ahead session journal.
 ///
-/// Appends framed records through a [`Backend`]; [`Journal::open`] scans
-/// the existing contents, truncates any invalid or in-flight tail, and
-/// returns a [`Replay`] for the caller to reconstruct its state from.
+/// [`Journal::commit`] writes one evolution session per backend append;
+/// [`Journal::open`] scans the existing contents, truncates any invalid or
+/// uncommitted tail, and returns a [`Replay`] for the caller to
+/// reconstruct its state from.
 pub struct Journal {
     backend: Box<dyn Backend>,
     policy: SyncPolicy,
     pos: u64,
+    /// Set when a failed write could not be truncated away: the tail past
+    /// `pos` is unknown, so nothing more may be written until a reopen
+    /// scans it.
+    poisoned: bool,
 }
 
 impl Journal {
@@ -384,24 +349,22 @@ impl Journal {
     ) -> StoreResult<(Journal, Replay)> {
         let bytes = backend.read_all()?;
         let replay = scan(&bytes)?;
-        if bytes.is_empty() {
+        let pos = if bytes.is_empty() {
             backend.append(MAGIC)?;
             backend.sync()?;
-            let journal = Journal {
-                backend,
-                policy,
-                pos: MAGIC.len() as u64,
-            };
-            return Ok((journal, replay));
-        }
-        if replay.durable_len < bytes.len() as u64 {
-            backend.truncate(replay.durable_len)?;
-            backend.sync()?;
-        }
+            MAGIC.len() as u64
+        } else {
+            if replay.truncated_bytes > 0 {
+                backend.truncate(replay.durable_len)?;
+                backend.sync()?;
+            }
+            replay.durable_len
+        };
         let journal = Journal {
             backend,
             policy,
-            pos: replay.durable_len,
+            pos,
+            poisoned: false,
         };
         Ok((journal, replay))
     }
@@ -412,7 +375,8 @@ impl Journal {
         Journal::open(Box::new(backend), policy)
     }
 
-    /// Current end-of-journal byte offset (the next record starts here).
+    /// Current end-of-journal byte offset: the end of the last commit or
+    /// snapshot (the next commit starts here).
     pub fn position(&self) -> u64 {
         self.pos
     }
@@ -422,51 +386,68 @@ impl Journal {
         self.policy
     }
 
-    /// Append one record; syncs immediately under [`SyncPolicy::Always`].
-    /// Returns the end offset of the record.
-    pub fn append(&mut self, record: &Record) -> StoreResult<u64> {
-        let framed = record.encode_framed();
-        self.backend.append(&framed)?;
-        self.pos += framed.len() as u64;
-        if gom_obs::enabled() {
-            gom_obs::counter_add("journal.appends", 1);
-            gom_obs::counter_add("journal.bytes", framed.len() as u64);
+    fn refuse_if_poisoned(&self) -> StoreResult<()> {
+        if self.poisoned {
+            return Err(StoreError::Poisoned(
+                "a failed commit could not be truncated away; reopen the journal",
+            ));
         }
-        if self.policy == SyncPolicy::Always {
+        Ok(())
+    }
+
+    /// Commit one evolution session: frame `ops` and the `EesCommit`
+    /// boundary into one buffer, write it with one backend append, and
+    /// sync once unless the policy is [`SyncPolicy::Never`]. Returns the
+    /// new end offset.
+    ///
+    /// If the append or the sync fails, the backend is truncated back to
+    /// [`Self::position`] and the error returned: nothing of the failed
+    /// commit stays behind, so the caller's session can stay open and a
+    /// retry starts from a clean tail. If that truncate fails too, the
+    /// tail is unknown, and every later commit and rotation is refused
+    /// with [`StoreError::Poisoned`] until the journal is reopened.
+    pub fn commit(&mut self, ops: &[JOp]) -> StoreResult<u64> {
+        self.refuse_if_poisoned()?;
+        let mut buf = Vec::new();
+        for op in ops {
+            frame_op(&mut buf, op);
+        }
+        frame_commit(&mut buf);
+        let written = self.backend.append(&buf).and_then(|()| {
+            gom_obs::counter_add("journal.appends", 1);
+            gom_obs::counter_add("journal.bytes", buf.len() as u64);
+            if self.policy == SyncPolicy::Never {
+                return Ok(());
+            }
             self.backend.sync()?;
             gom_obs::counter_add("journal.fsyncs", 1);
+            Ok(())
+        });
+        if let Err(e) = written {
+            if self.backend.truncate(self.pos).is_err() {
+                self.poisoned = true;
+            }
+            return Err(e.into());
         }
+        self.pos += buf.len() as u64;
         Ok(self.pos)
     }
 
     /// Rotate the journal: replace the entire stream with a fresh image
-    /// holding just the magic and `record` (normally a
-    /// [`Record::Snapshot`]), so the file stops growing with history the
-    /// snapshot already subsumes. The replacement is crash-safe and always
-    /// durable on return, whatever the sync policy: a rotation that could
-    /// be half-lost would corrupt the *whole* journal, not just a tail.
-    /// Returns the new end offset.
-    pub fn rotate(&mut self, record: &Record) -> StoreResult<u64> {
-        let mut image = Vec::with_capacity(MAGIC.len() + 64);
-        image.extend_from_slice(MAGIC);
-        image.extend_from_slice(&record.encode_framed());
+    /// holding just the magic and a snapshot of `preds`, so the file stops
+    /// growing with history the snapshot already subsumes. The replacement
+    /// is crash-safe and always durable on return, whatever the sync
+    /// policy: a rotation that could be half-lost would corrupt the
+    /// *whole* journal, not just a tail. Returns the new end offset.
+    pub fn rotate(&mut self, preds: &[SnapshotPred]) -> StoreResult<u64> {
+        self.refuse_if_poisoned()?;
+        let mut image = MAGIC.to_vec();
+        frame_snapshot(&mut image, preds);
         self.backend.rotate(&image)?;
         self.pos = image.len() as u64;
-        if gom_obs::enabled() {
-            gom_obs::counter_add("journal.rotations", 1);
-            gom_obs::counter_add("journal.bytes", image.len() as u64);
-        }
+        gom_obs::counter_add("journal.rotations", 1);
+        gom_obs::counter_add("journal.bytes", image.len() as u64);
         Ok(self.pos)
-    }
-
-    /// Durability barrier at a session boundary: syncs under
-    /// [`SyncPolicy::OnCommit`] and [`SyncPolicy::Always`].
-    pub fn boundary_sync(&mut self) -> StoreResult<()> {
-        if self.policy != SyncPolicy::Never {
-            self.backend.sync()?;
-            gom_obs::counter_add("journal.fsyncs", 1);
-        }
-        Ok(())
     }
 }
 
@@ -484,56 +465,180 @@ mod tests {
         }
     }
 
-    fn write_session(j: &mut Journal, ops: &[JOp], commit: bool) {
-        j.append(&Record::Bes).unwrap();
-        for o in ops {
-            j.append(&Record::Op(o.clone())).unwrap();
+    fn open_mem(mem: &MemBackend) -> (Journal, Replay) {
+        Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap()
+    }
+
+    /// A [`MemBackend`] that counts calls and fails on request: the next
+    /// append writes `half_write` bytes and errors, a sync or truncate
+    /// errors while its flag is set.
+    #[derive(Clone, Default)]
+    struct Flaky {
+        mem: MemBackend,
+        state: Arc<Mutex<FlakyState>>,
+    }
+
+    #[derive(Default)]
+    struct FlakyState {
+        appends: usize,
+        syncs: usize,
+        half_write: Option<usize>,
+        fail_sync: bool,
+        fail_truncate: bool,
+    }
+
+    impl Flaky {
+        fn state(&self) -> std::sync::MutexGuard<'_, FlakyState> {
+            self.state.lock().unwrap()
         }
-        j.append(if commit {
-            &Record::EesCommit
-        } else {
-            &Record::EesRollback
-        })
-        .unwrap();
-        j.boundary_sync().unwrap();
+    }
+
+    impl Backend for Flaky {
+        fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+            self.state().appends += 1;
+            let half_write = self.state().half_write.take();
+            if let Some(n) = half_write {
+                self.mem.append(&bytes[..n])?;
+                return Err(std::io::Error::other("injected: disk full"));
+            }
+            self.mem.append(bytes)
+        }
+        fn sync(&mut self) -> std::io::Result<()> {
+            self.state().syncs += 1;
+            if self.state().fail_sync {
+                return Err(std::io::Error::other("injected: sync failed"));
+            }
+            Ok(())
+        }
+        fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+            if self.state().fail_truncate {
+                return Err(std::io::Error::other("injected: truncate failed"));
+            }
+            self.mem.truncate(len)
+        }
+        fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+            self.mem.read_all()
+        }
+    }
+
+    fn open_flaky(policy: SyncPolicy) -> (Flaky, Journal) {
+        let flaky = Flaky::default();
+        let (j, _) = Journal::open(Box::new(flaky.clone()), policy).unwrap();
+        *flaky.state() = FlakyState::default();
+        (flaky, j)
     }
 
     #[test]
     fn committed_sessions_replay_in_order() {
         let mem = MemBackend::new();
-        let (mut j, r0) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+        let (mut j, r0) = open_mem(&mem);
         assert_eq!(r0.sessions_replayed, 0);
-        write_session(&mut j, &[op(true, "P", &[1]), op(true, "P", &[2])], true);
-        write_session(&mut j, &[op(false, "P", &[1])], true);
-        let (_, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        assert_eq!(r.sessions_replayed, 2);
-        assert_eq!(r.ops.len(), 3);
+        j.commit(&[op(true, "P", &[1]), op(true, "P", &[2])])
+            .unwrap();
+        j.commit(&[op(false, "P", &[1])]).unwrap();
+        j.commit(&[]).unwrap();
+        let (_, r) = open_mem(&mem);
+        assert_eq!(r.sessions_replayed, 3);
+        assert_eq!(
+            r.ops,
+            [
+                op(true, "P", &[1]),
+                op(true, "P", &[2]),
+                op(false, "P", &[1])
+            ]
+        );
         assert!(r.torn.is_none());
-        assert!(!r.discarded_in_flight);
+        assert_eq!(r.truncated_bytes, 0);
     }
 
     #[test]
-    fn rolled_back_sessions_contribute_nothing() {
-        let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1])], false);
-        let (_, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        assert_eq!(r.sessions_replayed, 0);
-        assert_eq!(r.sessions_rolled_back, 1);
-        assert!(r.ops.is_empty());
+    fn a_commit_is_one_append_and_one_sync() {
+        for (policy, syncs) in [
+            (SyncPolicy::Never, 0),
+            (SyncPolicy::OnCommit, 1),
+            (SyncPolicy::Always, 1),
+        ] {
+            let (flaky, mut j) = open_flaky(policy);
+            j.commit(&[op(true, "P", &[1]), op(true, "Q", &[2, 3])])
+                .unwrap();
+            assert_eq!(flaky.state().appends, 1, "{policy:?}");
+            assert_eq!(flaky.state().syncs, syncs, "{policy:?}");
+            assert_eq!(flaky.mem.bytes().len() as u64, j.position());
+        }
     }
 
     #[test]
-    fn in_flight_session_is_discarded_and_truncated() {
+    fn failed_append_leaves_no_bytes_and_a_retry_commits() {
+        let (flaky, mut j) = open_flaky(SyncPolicy::OnCommit);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
+        let before = flaky.mem.bytes();
+        flaky.state().half_write = Some(11);
+        assert!(matches!(
+            j.commit(&[op(true, "P", &[2])]),
+            Err(StoreError::Io(_))
+        ));
+        assert_eq!(
+            flaky.mem.bytes(),
+            before,
+            "the half-written commit is truncated"
+        );
+        assert_eq!(j.position(), before.len() as u64);
+        j.commit(&[op(true, "P", &[2])]).unwrap();
+        let (_, r) = open_mem(&flaky.mem);
+        assert_eq!(r.sessions_replayed, 2);
+        assert_eq!(r.truncated_bytes, 0);
+        assert!(r.torn.is_none());
+    }
+
+    #[test]
+    fn failed_sync_truncates_the_commit() {
+        let (flaky, mut j) = open_flaky(SyncPolicy::OnCommit);
+        flaky.state().fail_sync = true;
+        assert!(j.commit(&[op(true, "P", &[1])]).is_err());
+        assert_eq!(flaky.mem.bytes(), MAGIC);
+        assert_eq!(j.position(), MAGIC.len() as u64);
+    }
+
+    #[test]
+    fn failed_truncate_poisons_the_journal_until_reopen() {
+        let (flaky, mut j) = open_flaky(SyncPolicy::OnCommit);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
+        let boundary = j.position();
+        flaky.state().half_write = Some(11);
+        flaky.state().fail_truncate = true;
+        assert!(matches!(
+            j.commit(&[op(true, "P", &[2])]),
+            Err(StoreError::Io(_))
+        ));
+        flaky.state().fail_truncate = false;
+        assert!(matches!(
+            j.commit(&[op(true, "P", &[3])]),
+            Err(StoreError::Poisoned(_))
+        ));
+        assert!(matches!(j.rotate(&[]), Err(StoreError::Poisoned(_))));
+        assert_eq!(flaky.mem.bytes().len() as u64, boundary + 11);
+        // Reopening scans the unknown tail and lands on the last boundary.
+        let (mut j2, r) = open_mem(&flaky.mem);
+        assert_eq!(r.sessions_replayed, 1);
+        assert_eq!(r.truncated_bytes, 11);
+        assert_eq!(j2.position(), boundary);
+        j2.commit(&[op(true, "P", &[3])]).unwrap();
+    }
+
+    #[test]
+    fn uncommitted_ops_are_a_torn_tail() {
         let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1])], true);
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
         let committed_len = j.position();
-        j.append(&Record::Bes).unwrap();
-        j.append(&Record::Op(op(true, "P", &[2]))).unwrap();
-        // no EES — crash here
-        let (j2, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        assert!(r.discarded_in_flight);
+        // Ops of a session whose `EesCommit` never landed.
+        let mut tail = mem.bytes();
+        frame_op(&mut tail, &op(true, "P", &[2]));
+        frame_op(&mut tail, &op(true, "P", &[3]));
+        mem.set_bytes(tail);
+        let (j2, r) = open_mem(&mem);
+        assert!(r.truncated_bytes > 0);
+        assert!(r.torn.is_none(), "whole records, just uncommitted");
         assert_eq!(r.sessions_replayed, 1);
         assert_eq!(r.ops.len(), 1);
         assert_eq!(j2.position(), committed_len);
@@ -541,19 +646,37 @@ mod tests {
     }
 
     #[test]
+    fn version_1_journals_are_refused() {
+        let mut v1 = b"GOMJRNL1".to_vec();
+        v1.extend_from_slice(&[1, 0, 0, 0]);
+        assert!(matches!(scan(&v1), Err(StoreError::BadMagic)));
+        let mem = MemBackend::new();
+        mem.set_bytes(v1.clone());
+        assert!(matches!(
+            Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit),
+            Err(StoreError::BadMagic)
+        ));
+        assert_eq!(mem.bytes(), v1, "a refused journal is left untouched");
+    }
+
+    #[test]
     fn snapshot_resets_the_replay_base() {
         let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1])], true);
-        j.append(&Record::Snapshot(vec![SnapshotPred {
-            pred: "P".into(),
-            arity: 1,
-            rows: vec![vec![JConst::Int(1)]],
-        }]))
-        .unwrap();
-        j.boundary_sync().unwrap();
-        write_session(&mut j, &[op(true, "P", &[2])], true);
-        let (_, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
+        let mut bytes = mem.bytes();
+        frame_snapshot(
+            &mut bytes,
+            &[SnapshotPred {
+                pred: "P".into(),
+                arity: 1,
+                rows: vec![vec![JConst::Int(1)]],
+            }],
+        );
+        mem.set_bytes(bytes);
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[2])]).unwrap();
+        let (_, r) = open_mem(&mem);
         assert!(r.snapshot.is_some());
         assert_eq!(r.sessions_replayed, 1); // only the post-snapshot session
         assert_eq!(r.ops.len(), 1);
@@ -562,20 +685,23 @@ mod tests {
     #[test]
     fn rotate_replaces_history_with_one_record() {
         let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1]), op(true, "P", &[2])], true);
-        write_session(&mut j, &[op(false, "P", &[1])], true);
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[1]), op(true, "P", &[2])])
+            .unwrap();
+        j.commit(&[op(false, "P", &[1])]).unwrap();
         let history_len = j.position();
-        let snap = Record::Snapshot(vec![SnapshotPred {
+        let snap = [SnapshotPred {
             pred: "P".into(),
             arity: 1,
             rows: vec![vec![JConst::Int(2)]],
-        }]);
+        }];
         let pos = j.rotate(&snap).unwrap();
         assert!(pos < history_len, "rotation must shrink the journal");
         assert_eq!(mem.bytes().len() as u64, pos);
-        assert_eq!(pos, (MAGIC.len() + snap.encode_framed().len()) as u64);
-        let (_, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+        let mut image = MAGIC.to_vec();
+        frame_snapshot(&mut image, &snap);
+        assert_eq!(mem.bytes(), image);
+        let (_, r) = open_mem(&mem);
         assert!(r.snapshot.is_some());
         assert_eq!(r.sessions_replayed, 0);
         assert!(r.ops.is_empty());
@@ -589,21 +715,19 @@ mod tests {
         let path = dir.join("j.gom");
         let tmp = dir.join("j.gom.tmp");
 
-        let backend = FileBackend::open(&path).unwrap();
-        let (mut j, _) = Journal::open(Box::new(backend), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1])], true);
-        j.rotate(&Record::Snapshot(vec![])).unwrap();
+        let (mut j, _) = Journal::open_path(&path, SyncPolicy::OnCommit).unwrap();
+        j.commit(&[op(true, "P", &[1])]).unwrap();
+        j.rotate(&[]).unwrap();
         assert!(!tmp.exists(), "rotation must not leave its tmp file");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), j.position());
-        // The rotated file keeps accepting appends.
-        write_session(&mut j, &[op(true, "P", &[2])], true);
+        // The rotated file keeps accepting commits.
+        j.commit(&[op(true, "P", &[2])]).unwrap();
         drop(j);
 
         // A stale tmp (crash before rename) is swept; the journal scans.
         std::fs::write(&tmp, b"garbage").unwrap();
-        let backend = FileBackend::open(&path).unwrap();
+        let (_, r) = Journal::open_path(&path, SyncPolicy::OnCommit).unwrap();
         assert!(!tmp.exists());
-        let (_, r) = Journal::open(Box::new(backend), SyncPolicy::OnCommit).unwrap();
         assert!(r.snapshot.is_some());
         assert_eq!(r.sessions_replayed, 1);
 
@@ -613,16 +737,15 @@ mod tests {
     #[test]
     fn corrupted_crc_tail_truncates_to_boundary() {
         let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(&mut j, &[op(true, "P", &[1])], true);
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
         let boundary = j.position();
-        write_session(&mut j, &[op(true, "P", &[2])], true);
+        j.commit(&[op(true, "P", &[2])]).unwrap();
         // Corrupt one byte inside the second session's op payload.
         let mut bytes = mem.bytes();
-        let target = boundary as usize + 8 + 1 + 8 + 2; // inside the Op record
-        bytes[target] ^= 0xFF;
+        bytes[boundary as usize + 8 + 3] ^= 0xFF;
         mem.set_bytes(bytes);
-        let (_, r) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+        let (_, r) = open_mem(&mem);
         assert!(
             r.torn.as_deref().is_some_and(|t| t.contains("CRC")),
             "{r:?}"
@@ -651,13 +774,10 @@ mod tests {
     #[test]
     fn every_prefix_of_a_valid_journal_scans_cleanly() {
         let mem = MemBackend::new();
-        let (mut j, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
-        write_session(
-            &mut j,
-            &[op(true, "P", &[1]), op(false, "Q", &[2, 3])],
-            true,
-        );
-        write_session(&mut j, &[op(true, "P", &[4])], false);
+        let (mut j, _) = open_mem(&mem);
+        j.commit(&[op(true, "P", &[1]), op(false, "Q", &[2, 3])])
+            .unwrap();
+        j.commit(&[op(true, "P", &[4])]).unwrap();
         let bytes = mem.bytes();
         for cut in 0..=bytes.len() {
             let prefix = &bytes[..cut];

@@ -14,15 +14,18 @@
 //! Record sequence grammar (enforced by the recovery scan):
 //!
 //! ```text
-//! journal  := MAGIC (snapshot | session)*
-//! session  := Bes Op* (EesCommit | EesRollback)
-//! snapshot := Snapshot            -- only outside a session
+//! journal  := MAGIC (Snapshot | session)*
+//! session  := Op* EesCommit      -- written by one append
 //! ```
+//!
+//! Ops with no `EesCommit` after them are a torn tail.
 
 use crate::error::{StoreError, StoreResult};
 
-/// File magic: identifies a gom evolution-session journal, version 1.
-pub const MAGIC: &[u8; 8] = b"GOMJRNL1";
+/// File magic: identifies a gom evolution-session journal, version 2
+/// (sessions framed as `Op* EesCommit`; version 1 had `Bes`/`EesRollback`
+/// records and is refused).
+pub const MAGIC: &[u8; 8] = b"GOMJRNL2";
 
 /// Upper bound on a single record payload (defensive: a corrupt length
 /// field must not trigger a huge allocation).
@@ -61,25 +64,19 @@ pub struct SnapshotPred {
     pub rows: Vec<Vec<JConst>>,
 }
 
-/// One journal record.
+/// One decoded journal record.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub enum Record {
-    /// Begin evolution session (the paper's BES).
-    Bes,
-    /// One primitive change of the session's delta.
+pub(crate) enum Record {
+    /// One primitive change of a committed session's delta.
     Op(JOp),
-    /// End evolution session, committed (successful EES).
+    /// End of a committed session (successful EES).
     EesCommit,
-    /// End evolution session, rolled back (undo repair chosen).
-    EesRollback,
     /// A full EDB snapshot; recovery replays from the latest one.
     Snapshot(Vec<SnapshotPred>),
 }
 
-const TAG_BES: u8 = 1;
 const TAG_OP: u8 = 2;
 const TAG_EES_COMMIT: u8 = 3;
-const TAG_EES_ROLLBACK: u8 = 4;
 const TAG_SNAPSHOT: u8 = 5;
 
 const CONST_INT: u8 = 0;
@@ -115,50 +112,51 @@ fn put_const(out: &mut Vec<u8>, c: &JConst) {
     }
 }
 
-impl Record {
-    /// Encode the payload (without framing).
-    pub fn encode_payload(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self {
-            Record::Bes => out.push(TAG_BES),
-            Record::EesCommit => out.push(TAG_EES_COMMIT),
-            Record::EesRollback => out.push(TAG_EES_ROLLBACK),
-            Record::Op(op) => {
-                out.push(TAG_OP);
-                out.push(u8::from(op.insert));
-                put_str(&mut out, &op.pred);
-                put_u16(&mut out, op.tuple.len() as u16);
-                for c in &op.tuple {
-                    put_const(&mut out, c);
-                }
-            }
-            Record::Snapshot(preds) => {
-                out.push(TAG_SNAPSHOT);
-                put_u32(&mut out, preds.len() as u32);
-                for sp in preds {
-                    put_str(&mut out, &sp.pred);
-                    put_u16(&mut out, sp.arity);
-                    put_u32(&mut out, sp.rows.len() as u32);
-                    for row in &sp.rows {
-                        for c in row {
-                            put_const(&mut out, c);
-                        }
-                    }
+/// Append one framed record to `out`; `payload` writes the payload bytes.
+fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    let body = &out[start + 8..];
+    let (len, crc) = (body.len() as u32, crate::crc32::crc32(body));
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Append a framed `Op` record.
+pub(crate) fn frame_op(out: &mut Vec<u8>, op: &JOp) {
+    frame(out, |out| {
+        out.push(TAG_OP);
+        out.push(u8::from(op.insert));
+        put_str(out, &op.pred);
+        put_u16(out, op.tuple.len() as u16);
+        for c in &op.tuple {
+            put_const(out, c);
+        }
+    });
+}
+
+/// Append a framed `EesCommit` record.
+pub(crate) fn frame_commit(out: &mut Vec<u8>) {
+    frame(out, |out| out.push(TAG_EES_COMMIT));
+}
+
+/// Append a framed `Snapshot` record.
+pub(crate) fn frame_snapshot(out: &mut Vec<u8>, preds: &[SnapshotPred]) {
+    frame(out, |out| {
+        out.push(TAG_SNAPSHOT);
+        put_u32(out, preds.len() as u32);
+        for sp in preds {
+            put_str(out, &sp.pred);
+            put_u16(out, sp.arity);
+            put_u32(out, sp.rows.len() as u32);
+            for row in &sp.rows {
+                for c in row {
+                    put_const(out, c);
                 }
             }
         }
-        out
-    }
-
-    /// Encode the record with its `[len][crc]` frame.
-    pub fn encode_framed(&self) -> Vec<u8> {
-        let payload = self.encode_payload();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        put_u32(&mut out, payload.len() as u32);
-        put_u32(&mut out, crate::crc32::crc32(&payload));
-        out.extend_from_slice(&payload);
-        out
-    }
+    });
 }
 
 // ---------------------------------------------------------------------------
@@ -237,12 +235,10 @@ impl<'a> Reader<'a> {
 
 impl Record {
     /// Decode a payload (framing already stripped and CRC verified).
-    pub fn decode_payload(payload: &[u8]) -> StoreResult<Record> {
+    pub(crate) fn decode_payload(payload: &[u8]) -> StoreResult<Record> {
         let mut r = Reader::new(payload);
         let rec = match r.u8()? {
-            TAG_BES => Record::Bes,
             TAG_EES_COMMIT => Record::EesCommit,
-            TAG_EES_ROLLBACK => Record::EesRollback,
             TAG_OP => {
                 let insert = match r.u8()? {
                     0 => false,
@@ -292,16 +288,30 @@ impl Record {
 mod tests {
     use super::*;
 
+    /// Frame `rec`, strip and check the frame, and decode it back.
     fn roundtrip(rec: Record) {
-        let payload = rec.encode_payload();
-        assert_eq!(Record::decode_payload(&payload).unwrap(), rec);
+        let mut framed = Vec::new();
+        match &rec {
+            Record::Op(op) => frame_op(&mut framed, op),
+            Record::EesCommit => frame_commit(&mut framed),
+            Record::Snapshot(preds) => frame_snapshot(&mut framed, preds),
+        }
+        let len = u32::from_le_bytes([framed[0], framed[1], framed[2], framed[3]]);
+        assert_eq!(len as usize, framed.len() - 8);
+        let crc = u32::from_le_bytes([framed[4], framed[5], framed[6], framed[7]]);
+        assert_eq!(crc, crate::crc32::crc32(&framed[8..]));
+        assert_eq!(Record::decode_payload(&framed[8..]).unwrap(), rec);
+    }
+
+    fn op_payload(op: &JOp) -> Vec<u8> {
+        let mut framed = Vec::new();
+        frame_op(&mut framed, op);
+        framed.split_off(8)
     }
 
     #[test]
     fn all_record_kinds_roundtrip() {
-        roundtrip(Record::Bes);
         roundtrip(Record::EesCommit);
-        roundtrip(Record::EesRollback);
         roundtrip(Record::Op(JOp {
             insert: true,
             pred: "Attr".into(),
@@ -347,12 +357,11 @@ mod tests {
 
     #[test]
     fn truncated_payload_is_an_error_not_a_panic() {
-        let full = Record::Op(JOp {
+        let full = op_payload(&JOp {
             insert: true,
             pred: "Attr".into(),
             tuple: vec![JConst::Int(1)],
-        })
-        .encode_payload();
+        });
         for cut in 0..full.len() {
             assert!(Record::decode_payload(&full[..cut]).is_err(), "cut={cut}");
         }
@@ -362,17 +371,10 @@ mod tests {
     fn garbage_tags_rejected() {
         assert!(Record::decode_payload(&[0xFF]).is_err());
         assert!(Record::decode_payload(&[]).is_err());
+        // The version-1 `Bes` and `EesRollback` tags are gone.
+        assert!(Record::decode_payload(&[1]).is_err());
+        assert!(Record::decode_payload(&[4]).is_err());
         // Op with bad direction byte.
         assert!(Record::decode_payload(&[TAG_OP, 9]).is_err());
-    }
-
-    #[test]
-    fn framed_record_has_len_and_crc() {
-        let framed = Record::Bes.encode_framed();
-        assert_eq!(framed.len(), 8 + 1);
-        let len = u32::from_le_bytes([framed[0], framed[1], framed[2], framed[3]]);
-        assert_eq!(len, 1);
-        let crc = u32::from_le_bytes([framed[4], framed[5], framed[6], framed[7]]);
-        assert_eq!(crc, crate::crc32::crc32(&framed[8..]));
     }
 }

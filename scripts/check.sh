@@ -74,6 +74,9 @@ trap 'rm -rf "$trace_tmp"' EXIT
   echo "add-attr Car obsCheckAttr string"
   echo "check"
   echo "end"
+  echo "begin"
+  echo "add-attr Car obsRollbackAttr string"
+  echo "rollback"
   echo "quit"
 } > "$trace_tmp/session.gsh"
 cargo run --release -q --bin gomsh -- \
@@ -95,6 +98,16 @@ if grep -q '"check.maintenance.fallbacks":[1-9]' "$trace_tmp/trace.jsonl"; then
 fi
 grep -q '"journal.appends"' "$trace_tmp/trace.jsonl" \
   || { echo "MISSING journal counters in trace"; exit 1; }
+# A committed session is one journal append; BES and rollback write
+# nothing. The session above commits twice (load, end) and rolls back once.
+last_counter() {
+  grep -o "\"$1\":[0-9]*" "$trace_tmp/trace.jsonl" | tail -1 | cut -d: -f2
+}
+appends=$(last_counter journal.appends)
+commits=$(last_counter session.commits)
+echo "journal.appends=${appends} session.commits=${commits}"
+[ -n "$commits" ] && [ "$commits" -gt 0 ] && [ "$appends" = "$commits" ] \
+  || { echo "journal appends must equal committed sessions"; exit 1; }
 no_fixpoint_under "$trace_tmp/trace.jsonl" check.full \
   || { echo "an in-session check re-derived the IDB instead of reading it"; exit 1; }
 

@@ -81,9 +81,8 @@ struct Shell {
 
 fn print_recovery(report: &RecoveryReport) {
     println!(
-        "store: {} session(s) replayed, {} rolled back, {} op(s){}",
+        "store: {} session(s) replayed, {} op(s){}",
         report.sessions_replayed,
-        report.sessions_rolled_back,
         report.ops_applied,
         if report.snapshot_loaded {
             " (from snapshot)"
@@ -93,7 +92,7 @@ fn print_recovery(report: &RecoveryReport) {
     );
     if report.recovered_from_crash() {
         println!(
-            "store: crash recovery — discarded {} byte(s) of torn/in-flight tail{}",
+            "store: crash recovery — discarded {} byte(s) of torn/uncommitted tail{}",
             report.truncated_bytes,
             report
                 .torn

@@ -16,11 +16,18 @@
 //!   [`FailpointWriter`] that kills the stream at the Nth byte, proving
 //!   the writer leaves exactly the reference prefix on "disk" and that
 //!   the manager surfaces journal failures as errors, never panics.
+//!
+//! A third group covers failures the process survives: a commit whose
+//! append fails must leave no bytes behind (so a retry commits cleanly),
+//! and one whose cleanup fails too must refuse further writes until a
+//! reopen.
 
 use gom_obs::SplitMix64;
+use gomflex::deductive::Error as DbError;
 use gomflex::prelude::*;
-use gomflex::store::{FailpointWriter, MemBackend, MAGIC};
+use gomflex::store::{Backend, FailpointWriter, MemBackend, StoreError, MAGIC};
 use std::collections::HashSet;
+use std::sync::{Arc, Mutex};
 
 /// Expected durable state at one session boundary of the reference run.
 struct Boundary {
@@ -413,7 +420,7 @@ fn checkpoint_rotation_kill_sweep() {
             final_dump,
             "extra={extra}: the logical state survives either outcome"
         );
-        assert!(!report.discarded_in_flight);
+        assert!(!report.recovered_from_crash(), "extra={extra}: {report:?}");
     }
 
     // Prefix sweep over the rotated image itself: a cut anywhere inside
@@ -469,4 +476,157 @@ fn stale_rotation_tmp_is_swept_on_open() {
     assert_eq!(mgr3.meta.db.dump_facts(), dump);
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A [`MemBackend`] that, once armed, writes half of the next append and
+/// fails it — what a full disk looks like — and optionally fails every
+/// truncate too.
+#[derive(Clone, Default)]
+struct Flaky {
+    mem: MemBackend,
+    /// `(half-write the next append, fail truncates)`.
+    armed: Arc<Mutex<(bool, bool)>>,
+}
+
+impl Flaky {
+    fn arm(&self, fail_truncate: bool) {
+        *self.armed.lock().expect("lock") = (true, fail_truncate);
+    }
+}
+
+impl Backend for Flaky {
+    fn append(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        let half_write = std::mem::take(&mut self.armed.lock().expect("lock").0);
+        if half_write {
+            self.mem.append(&bytes[..bytes.len() / 2])?;
+            return Err(std::io::Error::other("injected: no space left on device"));
+        }
+        self.mem.append(bytes)
+    }
+    fn sync(&mut self) -> std::io::Result<()> {
+        self.mem.sync()
+    }
+    fn truncate(&mut self, len: u64) -> std::io::Result<()> {
+        if self.armed.lock().expect("lock").1 {
+            return Err(std::io::Error::other("injected: truncate failed"));
+        }
+        self.mem.truncate(len)
+    }
+    fn read_all(&mut self) -> std::io::Result<Vec<u8>> {
+        self.mem.read_all()
+    }
+}
+
+/// A manager over `flaky` holding the car schema, with a `fuelType`
+/// session open on `Car`; also returns the committed dump and bytes.
+fn open_fueltype_session(flaky: &Flaky) -> (SchemaManager, String, Vec<u8>) {
+    let (mut mgr, _) =
+        SchemaManager::open_backend(Box::new(flaky.clone()), SyncPolicy::OnCommit).expect("open");
+    mgr.define_schema(CAR_SCHEMA_SRC).expect("define");
+    let dump = mgr.meta.db.dump_facts();
+    let bytes = flaky.mem.bytes();
+    let sid = mgr.meta.schema_by_name("CarSchema").expect("schema");
+    let car = mgr.meta.type_by_name(sid, "Car").expect("Car");
+    let string = mgr.meta.builtins.string;
+    mgr.begin_evolution().expect("bes");
+    mgr.meta
+        .add_attr(car, "fuelType", string)
+        .expect("add fuelType");
+    (mgr, dump, bytes)
+}
+
+/// A commit whose append half-lands and fails (as ENOSPC would) leaves no
+/// bytes behind and keeps the session open; the retried EES commits, and
+/// the commit survives a reopen.
+#[test]
+fn transient_append_failure_leaves_no_bytes_and_a_retry_commits() {
+    let flaky = Flaky::default();
+    let (mut mgr, _, committed) = open_fueltype_session(&flaky);
+    flaky.arm(false);
+    let err = mgr
+        .end_evolution()
+        .expect_err("the injected failure surfaces");
+    assert!(err.to_string().contains("journal I/O error"), "{err}");
+    assert!(
+        mgr.in_evolution(),
+        "a failed commit leaves the session open"
+    );
+    let left = flaky.mem.bytes().len() - committed.len();
+    assert!(
+        left == 0 && flaky.mem.bytes() == committed,
+        "nothing of the failed commit may stay in the journal ({left} byte(s) did)"
+    );
+
+    let out = mgr.end_evolution().expect("the retried EES commits");
+    assert!(out.is_consistent(), "{:?}", out.violations());
+    let dump = mgr.meta.db.dump_facts();
+    assert!(dump.contains("fuelType"));
+    drop(mgr);
+
+    let (mgr2, report) = open_mem(&flaky.mem);
+    assert!(!report.recovered_from_crash(), "{report:?}");
+    assert_eq!(
+        mgr2.meta.db.dump_facts(),
+        dump,
+        "the acknowledged commit survives"
+    );
+}
+
+/// When the cleanup truncate fails too, the journal's tail is unknown:
+/// every later commit (and checkpoint) gets a typed refusal, and a reopen
+/// truncates the torn bytes and lands on the last boundary.
+#[test]
+fn failed_cleanup_refuses_writes_until_reopen() {
+    let flaky = Flaky::default();
+    let (mut mgr, committed_dump, committed) = open_fueltype_session(&flaky);
+    flaky.arm(true);
+    let err = mgr
+        .end_evolution()
+        .expect_err("the injected failure surfaces");
+    assert!(err.to_string().contains("journal I/O error"), "{err}");
+    let torn = flaky.mem.bytes().len() - committed.len();
+    assert!(torn > 0, "the half-written commit could not be removed");
+
+    let refusal = |res: Result<(), DbError>| match res {
+        Err(DbError::SessionProtocol(msg)) => {
+            assert!(msg.contains("journal refuses writes"), "{msg}")
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    };
+    refusal(mgr.end_evolution().map(|_| ()));
+    assert!(mgr.in_evolution());
+    mgr.rollback_evolution().expect("rollback needs no journal");
+    refusal(mgr.checkpoint().map(|_| ()));
+    drop(mgr);
+
+    let (mgr2, report) = open_mem(&flaky.mem);
+    assert!(report.recovered_from_crash());
+    assert_eq!(report.truncated_bytes, torn as u64);
+    assert!(
+        flaky.mem.bytes() == committed,
+        "reopen truncates to the boundary"
+    );
+    assert_eq!(mgr2.meta.db.dump_facts(), committed_dump);
+}
+
+/// A journal written in the version-1 format (`Bes`/`EesRollback`
+/// records) is refused with `BadMagic` and left untouched, never
+/// truncated as a torn tail.
+#[test]
+fn version_1_journal_is_refused() {
+    let mut v1 = b"GOMJRNL1".to_vec();
+    let bes_payload = [1u8];
+    v1.extend_from_slice(&1u32.to_le_bytes());
+    v1.extend_from_slice(&gomflex::store::crc32(&bes_payload).to_le_bytes());
+    v1.extend_from_slice(&bes_payload);
+    let mem = MemBackend::new();
+    mem.set_bytes(v1.clone());
+    let err = SchemaManager::open_backend(Box::new(mem.clone()), SyncPolicy::OnCommit)
+        .err()
+        .expect("a version-1 journal must be refused");
+    assert!(
+        matches!(err, OpenError::Store(StoreError::BadMagic)),
+        "{err}"
+    );
+    assert!(mem.bytes() == v1, "a refused journal is left untouched");
 }

@@ -227,3 +227,32 @@ fn rolled_back_define_leaves_no_trace_in_the_analyzer() {
     assert!(!h.defs.contains_key("P1"));
     assert_eq!(h.parent.get("Child").map(String::as_str), Some("P2"));
 }
+
+#[test]
+fn failed_define_inside_a_session_leaves_no_facts() {
+    let mut mgr = SchemaManager::new().unwrap();
+    mgr.define_schema("schema A is end schema A;").unwrap();
+    mgr.begin_evolution().unwrap();
+    // Pass 1 creates `S`, then fails on the duplicate `A`.
+    let err = mgr
+        .analyzer
+        .lower_source(
+            &mut mgr.meta,
+            "schema S is end schema S; schema A is end schema A;",
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("already exists"), "{err}");
+    assert!(
+        mgr.meta.schema_by_name("S").is_none(),
+        "the failed source's earlier passes must be undone"
+    );
+    assert!(mgr.in_evolution(), "the session stays open");
+    assert!(mgr.end_evolution().unwrap().is_consistent());
+    assert!(mgr.meta.schema_by_name("S").is_none());
+    // Base and Analyzer agree: `S` exists in neither, so it can be
+    // defined, and then claimed as a subschema.
+    mgr.define_schema("schema S is end schema S;").unwrap();
+    mgr.define_schema("schema P is subschema S; end schema P;")
+        .unwrap();
+    assert!(mgr.check().unwrap().is_empty());
+}
