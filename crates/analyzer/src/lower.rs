@@ -175,7 +175,9 @@ impl Analyzer {
     /// Lower already-parsed items. The hierarchy is extended first and
     /// restored if any later pass fails; inside an evolution session the
     /// facts the failed lowering wrote are undone too, so a failed source
-    /// leaves nothing behind for the session to commit.
+    /// leaves nothing behind for the session to commit. The undo goes
+    /// through the database's normal mutation path, so a maintained IDB
+    /// stays armed and the session's EES still reads it.
     pub fn lower_items(
         &mut self,
         m: &mut MetaModel,

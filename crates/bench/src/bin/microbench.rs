@@ -14,6 +14,8 @@
 //! * `fixpoint_*`   — bottom-up semi-naive fixpoint (transitive closure),
 //!   and the naive tuple-at-a-time reference interpreter beside it (B7),
 //! * `ees_check_*`  — full EES consistency check over the GOM catalog,
+//! * `rollback_then_commit_*` — a rolled-back session, then the
+//!   `ees_check_*` commit (should stay near `ees_check_*`),
 //! * `check_in_session_*`, `repairs_after_violation_*` — a full check and
 //!   repair generation inside an open session (reads of the maintained IDB),
 //! * `dred_*`       — DRed incremental maintenance of the armed IDB,
@@ -29,7 +31,7 @@
 //! * `analyzer_lower_synth200` — GOM parse + lower (B6),
 //! * `analyzer_define_after_*` — lowering one trace-shaped frame into an
 //!   open session after 0 or 2000 committed frames (should not grow with
-//!   the history),
+//!   the history), and with each session rolled back instead,
 //! * `journal_commit_*` — committing a six-op session to the journal under
 //!   `SyncPolicy::OnCommit`, in memory and to a temporary file (one append
 //!   and one fsync).
@@ -255,6 +257,23 @@ fn maintained_commit_iter(mgr: &mut SchemaManager, t0: TypeId) -> u64 {
     }
 }
 
+/// A rolled-back session followed by the usual six-op commit on a
+/// [`maintained_commit_setup`] base: BES, one `add_attr`, rollback, then
+/// [`maintained_commit_iter`]. The rollback applies its inverse through
+/// DRed, so the commit's BES finds the IDB still armed.
+fn rollback_then_commit(n: usize) -> Bench<'static> {
+    let (mut mgr, t0) = maintained_commit_setup(n);
+    bench(move || {
+        mgr.begin_evolution().expect("begin session");
+        let int_ty = mgr.meta.builtins.int;
+        mgr.meta
+            .add_attr(t0, "rolled_back", int_ty)
+            .expect("add attr");
+        mgr.rollback_evolution().expect("rollback");
+        maintained_commit_iter(&mut mgr, t0)
+    })
+}
+
 /// An open session on a [`maintained_commit_setup`] base: BES arms IDB
 /// maintenance, as every session does.
 fn open_session(n: usize) -> (SchemaManager, TypeId) {
@@ -282,13 +301,12 @@ fn define_source(prefix: &str, i: usize, domains: &[&str]) -> String {
 /// A row lowering one trace-shaped frame (one type, two builtin
 /// attributes) into an open session on a manager that has committed
 /// `history` earlier one-type frames (units = source bytes). Only the
-/// lowering is timed: the untimed prep commits the previous run's session
-/// and opens the next, so each run defines a fresh schema and the history
-/// grows by one frame per run. The session commits rather than rolls back
-/// because a rollback drops the maintained IDB and the next BES re-derives
-/// all of it, which leaves the timed lowering on a cache the fixpoint has
-/// just flushed: at 2000 frames that alone costs more than the lowering.
-fn define_after(history: usize) -> Bench<'static> {
+/// lowering is timed: the untimed prep ends the previous run's session
+/// and opens the next, so each run defines a fresh schema. With
+/// `rollback` the prep rolls the session back and the history stays at
+/// `history` frames; otherwise it commits and the history grows by one
+/// frame per run.
+fn define_after(history: usize, rollback: bool) -> Bench<'static> {
     let mut mgr = SchemaManager::new().expect("manager");
     if history > 0 {
         let src: String = (0..history)
@@ -303,8 +321,12 @@ fn define_after(history: usize) -> Bench<'static> {
         prep: Some(Box::new(move || {
             let mgr = &mut *prep_world.borrow_mut();
             if mgr.in_evolution() {
-                let outcome = mgr.end_evolution().expect("ees");
-                assert!(outcome.is_consistent(), "a one-type frame must commit");
+                if rollback {
+                    mgr.rollback_evolution().expect("rollback");
+                } else {
+                    let outcome = mgr.end_evolution().expect("ees");
+                    assert!(outcome.is_consistent(), "a one-type frame must commit");
+                }
             }
             mgr.begin_evolution().expect("begin session");
         })),
@@ -573,6 +595,12 @@ fn rows() -> Vec<Row> {
             let (mut mgr, t0) = maintained_commit_setup(5000);
             bench(move || maintained_commit_iter(&mut mgr, t0))
         }),
+        row("rollback_then_commit_synth500", || {
+            rollback_then_commit(500)
+        }),
+        row("rollback_then_commit_synth5000", || {
+            rollback_then_commit(5000)
+        }),
         row("check_in_session_synth500", || check_in_session(500)),
         row("check_in_session_synth5000", || check_in_session(5000)),
         row("repairs_after_violation_synth5000", || {
@@ -690,8 +718,11 @@ fn rows() -> Vec<Row> {
                 },
             )
         }),
-        row("analyzer_define_after_0", || define_after(0)),
-        row("analyzer_define_after_2000", || define_after(2000)),
+        row("analyzer_define_after_0", || define_after(0, false)),
+        row("analyzer_define_after_2000", || define_after(2000, false)),
+        row("analyzer_define_after_2000_rollback", || {
+            define_after(2000, true)
+        }),
         row("journal_commit_mem", || {
             let (mut journal, _) =
                 Journal::open(Box::new(MemBackend::new()), SyncPolicy::OnCommit).expect("open");

@@ -198,9 +198,10 @@ impl SchemaManager {
         // Arm IDB maintenance: every primitive inside the session feeds its
         // delta through DRed, so EES, check, query, why and repairs read
         // the maintained IDB (O(Δ) per op, flat in schema size). A no-op
-        // when already armed from a previous committed session. Failure to
-        // arm never blocks a session: it leaves no IDB, and EES falls back
-        // to the delta check.
+        // when already armed by an earlier session, committed or rolled
+        // back: rollback applies its inverse ops through the same
+        // maintenance. Failure to arm never blocks a session: it leaves no
+        // IDB, and EES falls back to the delta check.
         let _ = self.meta.db.ensure_maintained();
         Ok(())
     }
@@ -423,7 +424,8 @@ impl SchemaManager {
 
     /// Roll the whole session back (always-available repair), including
     /// the frames the Analyzer lowered in it. No journal I/O: the session
-    /// never reached the journal.
+    /// never reached the journal. The undo is maintained into the IDB like
+    /// any other change, so the next BES re-derives nothing.
     pub fn rollback_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.rollback");
         gom_obs::counter_add("session.rollbacks", 1);

@@ -57,8 +57,9 @@ pub struct Database {
     /// armed ([`Database::ensure_maintained`]) every base insert/remove
     /// updates it in place by DRed, so `check`, `query`, `why` and repair
     /// generation read the current derivations without re-evaluating;
-    /// otherwise any base change drops it. Dropped on definition change,
-    /// session rollback, [`Database::invalidate_caches`] or any
+    /// otherwise any base change drops it. A session rollback is such a
+    /// change (the inverse ops), so it maintains an armed IDB too. Dropped
+    /// on definition change, [`Database::invalidate_caches`] or any
     /// maintenance irregularity. Snapshots receive only its violation
     /// relations (`carried_viols`), never the whole IDB.
     pub(crate) idb: Option<crate::eval::Idb>,
@@ -518,28 +519,21 @@ impl Database {
         self.journal.as_ref().map(Vec::len)
     }
 
-    /// Undo, in reverse order, every change the active session journalled
-    /// after `mark` (from [`Self::session_mark`]); the session stays open.
+    /// Undo every change the active session journalled after `mark` (from
+    /// [`Self::session_mark`]) by applying the inverse ops, newest first,
+    /// like any other update: an armed IDB is maintained through them, an
+    /// unarmed one is dropped. The session stays open.
     pub fn rollback_to(&mut self, mark: usize) -> Result<()> {
-        let Some(journal) = self.journal.as_mut() else {
+        let Some(mut kept) = self.journal.take() else {
             return Err(Error::SessionProtocol("no active session".into()));
         };
-        let undone = journal.split_off(mark.min(journal.len()));
-        // The inverse ops below go straight to the relations (no
-        // journalling, no re-maintenance); the IDB cannot follow and is
-        // dropped — the next session begin re-arms it.
-        self.retire_idb();
-        for op in undone.into_iter().rev() {
-            match op {
-                Op::Insert(p, t) => {
-                    self.rels[p.index()].remove(&t);
-                }
-                Op::Delete(p, t) => {
-                    self.rels[p.index()].insert(t);
-                }
-            }
-        }
-        Ok(())
+        let undone = kept.split_off(mark.min(kept.len()));
+        let inverse = ChangeSet {
+            ops: undone.iter().rev().map(Op::inverse).collect(),
+        };
+        let applied = self.apply(&inverse);
+        self.journal = Some(kept);
+        applied.map(drop)
     }
 
     /// Number of worker threads used within an evaluation stratum and for
@@ -853,6 +847,38 @@ mod tests {
         db.rollback_session().unwrap();
         assert!(db.contains(p, &tup(&[1])));
         assert!(!db.contains(p, &tup(&[2])));
+    }
+
+    #[test]
+    fn partial_rollback_keeps_the_armed_idb_current() {
+        let mut db = Database::new();
+        db.load(
+            "base Edge(a, b).
+             derived Path(a, b).
+             derived Isolated(a).
+             Path(X, Y) :- Edge(X, Y).
+             Path(X, Z) :- Edge(X, Y), Path(Y, Z).
+             Isolated(X) :- Edge(X, X), not Path(X, 1).",
+        )
+        .unwrap();
+        let e = db.pred_id("Edge").unwrap();
+        for (a, b) in [(1, 2), (2, 3), (3, 3)] {
+            db.insert(e, tup(&[a, b])).unwrap();
+        }
+        db.ensure_maintained().unwrap();
+        db.begin_session().unwrap();
+        db.insert(e, tup(&[3, 4])).unwrap();
+        let mark = db.session_mark().unwrap();
+        db.insert(e, tup(&[3, 1])).unwrap();
+        db.remove(e, &tup(&[1, 2])).unwrap();
+        db.rollback_to(mark).unwrap();
+        assert!(db.maintenance_active());
+        assert_eq!(db.session_delta().unwrap().len(), 1);
+        for name in ["Path", "Isolated"] {
+            let p = db.pred_id(name).unwrap();
+            assert_eq!(db.derived_facts(p).unwrap(), db.reference_facts(p).unwrap());
+        }
+        assert!(db.contains(e, &tup(&[1, 2])) && !db.contains(e, &tup(&[3, 1])));
     }
 
     #[test]

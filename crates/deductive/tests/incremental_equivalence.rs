@@ -6,9 +6,11 @@
 //! two-sided flip of DRed's phase 1 exists for) — each database arms IDB
 //! maintenance and
 //! then takes random batches of single-fact inserts and deletes, including
-//! insert-then-delete of the same fact. After every batch, every derived
-//! predicate read from the maintained IDB must equal the naive reference
-//! interpreter. Runs at 1 and 4 eval threads.
+//! insert-then-delete of the same fact, first outside any session, then
+//! inside sessions that undo part or all of their work by rollback. After
+//! every batch and every rollback, maintenance must still be armed and
+//! every derived predicate read from the maintained IDB must equal the
+//! naive reference interpreter. Runs at 1 and 4 eval threads.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod common;
@@ -80,47 +82,85 @@ fn run(seed: u64, threads: usize) {
     };
     db.set_eval_threads(threads);
     db.ensure_maintained().unwrap();
+    let ctx = format!("seed {seed} threads {threads}");
 
     for batch in 0..BATCHES {
-        let mut ops: Vec<String> = Vec::new();
-        for _ in 0..1 + rng.below(5) {
-            let p = bases[rng.below(bases.len())];
-            let t = random_tuple(&mut rng, db.pred_decl(p).arity, domain);
-            match rng.below(5) {
-                0 => {
-                    db.insert(p, t.clone()).unwrap();
-                    db.remove(p, &t).unwrap();
-                    ops.push(format!("+-{}{t:?}", db.pred_name(p)));
-                }
-                1 | 2 => {
-                    db.insert(p, t.clone()).unwrap();
-                    ops.push(format!("+{}{t:?}", db.pred_name(p)));
-                }
-                _ => {
-                    // Delete a stored fact when there is one, so that
-                    // deletions take effect.
-                    let stored = db.facts_sorted(p);
-                    let t = match stored.len() {
-                        0 => t,
-                        n => stored[rng.below(n)].clone(),
-                    };
-                    db.remove(p, &t).unwrap();
-                    ops.push(format!("-{}{t:?}", db.pred_name(p)));
-                }
+        let ops = random_batch(&mut db, &mut rng, &bases, domain);
+        assert_maintained(&mut db, &derived, &format!("{ctx}: batch {batch} {ops:?}"));
+    }
+
+    // Sessions: a kept batch, then a batch undone by `rollback_to` (the
+    // session stays open), then a rollback of the whole session or a
+    // commit. Rollback applies the inverse ops through the same DRed path,
+    // so the IDB stays armed and equal to the reference throughout.
+    for batch in 0..BATCHES {
+        let before = db.debug_state_digest();
+        db.begin_session().unwrap();
+        let kept = random_batch(&mut db, &mut rng, &bases, domain);
+        let mark = db.session_mark().unwrap();
+        let undone = random_batch(&mut db, &mut rng, &bases, domain);
+        db.rollback_to(mark).unwrap();
+        let what = format!("session {batch} kept {kept:?} undone {undone:?}");
+        assert_maintained(&mut db, &derived, &format!("{ctx}: {what}, rollback_to"));
+        if rng.below(2) == 0 {
+            db.rollback_session().unwrap();
+            assert_eq!(db.debug_state_digest(), before, "{ctx}: {what}");
+            assert_maintained(&mut db, &derived, &format!("{ctx}: {what}, rollback"));
+        } else {
+            db.commit_session().unwrap();
+        }
+    }
+}
+
+/// One random batch of single-fact inserts and deletes on `bases`;
+/// returns the ops for failure messages.
+fn random_batch(
+    db: &mut Database,
+    rng: &mut SplitMix64,
+    bases: &[PredId],
+    domain: usize,
+) -> Vec<String> {
+    let mut ops: Vec<String> = Vec::new();
+    for _ in 0..1 + rng.below(5) {
+        let p = bases[rng.below(bases.len())];
+        let t = random_tuple(rng, db.pred_decl(p).arity, domain);
+        match rng.below(5) {
+            0 => {
+                db.insert(p, t.clone()).unwrap();
+                db.remove(p, &t).unwrap();
+                ops.push(format!("+-{}{t:?}", db.pred_name(p)));
+            }
+            1 | 2 => {
+                db.insert(p, t.clone()).unwrap();
+                ops.push(format!("+{}{t:?}", db.pred_name(p)));
+            }
+            _ => {
+                // Delete a stored fact when there is one, so that
+                // deletions take effect.
+                let stored = db.facts_sorted(p);
+                let t = match stored.len() {
+                    0 => t,
+                    n => stored[rng.below(n)].clone(),
+                };
+                db.remove(p, &t).unwrap();
+                ops.push(format!("-{}{t:?}", db.pred_name(p)));
             }
         }
-        assert!(
-            db.maintenance_active(),
-            "seed {seed} threads {threads}: maintenance lost"
+    }
+    ops
+}
+
+/// Maintenance is still armed, and every derived predicate read from the
+/// maintained IDB equals the naive reference interpreter.
+fn assert_maintained(db: &mut Database, derived: &[PredId], ctx: &str) {
+    assert!(db.maintenance_active(), "{ctx}: maintenance lost");
+    for &p in derived {
+        assert_eq!(
+            db.derived_facts(p).unwrap(),
+            db.reference_facts(p).unwrap(),
+            "{ctx}: {} diverged",
+            db.pred_name(p)
         );
-        for &p in &derived {
-            assert_eq!(
-                db.derived_facts(p).unwrap(),
-                db.reference_facts(p).unwrap(),
-                "seed {seed} threads {threads}: {} diverged after batch {batch} {ops:?}",
-                db.pred_name(p)
-            );
-        }
     }
 }
 

@@ -366,8 +366,9 @@ pub fn serve(config: Config) -> io::Result<ServerHandle> {
     }
     register_counters();
     // Keep violations maintained from the start, so every published epoch
-    // (the initial one included) carries them to readers. Failure only
-    // costs readers a fixpoint; sessions re-arm at BES.
+    // (the initial one included) carries them to readers. Commits and
+    // rollbacks (lease reaps and hang-ups included) keep it armed. Failure
+    // only costs readers a fixpoint; sessions re-arm at BES.
     let _ = mgr.meta.db.ensure_maintained();
 
     let initial = Snapshot::capture(0, &mgr.meta);
@@ -419,7 +420,8 @@ pub fn serve(config: Config) -> io::Result<ServerHandle> {
 /// FIFO queue advances. The manager mutex is held across the reap *and*
 /// the rollback, so the next writer — granted the lock the instant the
 /// reap lands — blocks on the manager until the abandoned session is
-/// fully rolled back.
+/// fully rolled back. The rollback maintains the IDB through the undone
+/// ops, so that writer's BES finds it armed.
 fn reaper_loop(shared: Arc<Shared>) {
     let tick = (shared.lease / 4)
         .max(Duration::from_millis(5))

@@ -16,6 +16,10 @@ pub enum StoreError {
     /// is unknown: every later commit and rotation is refused until the
     /// journal is reopened (recovery then truncates the torn tail).
     Poisoned(&'static str),
+    /// A record to be written does not fit the record format (the payload
+    /// exceeds `MAX_RECORD`, or a length exceeds its field). Nothing was
+    /// written.
+    TooLarge(&'static str),
 }
 
 impl fmt::Display for StoreError {
@@ -25,6 +29,7 @@ impl fmt::Display for StoreError {
             StoreError::Corrupt(msg) => write!(f, "journal corrupt: {msg}"),
             StoreError::BadMagic => write!(f, "not a gom journal (bad magic)"),
             StoreError::Poisoned(msg) => write!(f, "journal refuses writes: {msg}"),
+            StoreError::TooLarge(msg) => write!(f, "journal record too large: {msg}"),
         }
     }
 }

@@ -400,7 +400,9 @@ impl Journal {
     /// sync once unless the policy is [`SyncPolicy::Never`]. Returns the
     /// new end offset.
     ///
-    /// If the append or the sync fails, the backend is truncated back to
+    /// A session holding a record the format cannot frame is refused with
+    /// [`StoreError::TooLarge`] before any byte is written. If the append
+    /// or the sync fails, the backend is truncated back to
     /// [`Self::position`] and the error returned: nothing of the failed
     /// commit stays behind, so the caller's session can stay open and a
     /// retry starts from a clean tail. If that truncate fails too, the
@@ -410,9 +412,9 @@ impl Journal {
         self.refuse_if_poisoned()?;
         let mut buf = Vec::new();
         for op in ops {
-            frame_op(&mut buf, op);
+            frame_op(&mut buf, op)?;
         }
-        frame_commit(&mut buf);
+        frame_commit(&mut buf)?;
         let written = self.backend.append(&buf).and_then(|()| {
             gom_obs::counter_add("journal.appends", 1);
             gom_obs::counter_add("journal.bytes", buf.len() as u64);
@@ -438,11 +440,13 @@ impl Journal {
     /// growing with history the snapshot already subsumes. The replacement
     /// is crash-safe and always durable on return, whatever the sync
     /// policy: a rotation that could be half-lost would corrupt the
-    /// *whole* journal, not just a tail. Returns the new end offset.
+    /// *whole* journal, not just a tail. Returns the new end offset. A
+    /// snapshot record longer than [`MAX_RECORD`] is refused with
+    /// [`StoreError::TooLarge`] and the journal is left untouched.
     pub fn rotate(&mut self, preds: &[SnapshotPred]) -> StoreResult<u64> {
         self.refuse_if_poisoned()?;
         let mut image = MAGIC.to_vec();
-        frame_snapshot(&mut image, preds);
+        frame_snapshot(&mut image, preds)?;
         self.backend.rotate(&image)?;
         self.pos = image.len() as u64;
         gom_obs::counter_add("journal.rotations", 1);
@@ -591,6 +595,27 @@ mod tests {
     }
 
     #[test]
+    fn unframeable_commit_is_refused_before_any_byte() {
+        let (flaky, mut j) = open_flaky(SyncPolicy::OnCommit);
+        j.commit(&[op(true, "P", &[1])]).unwrap();
+        let pos = j.position();
+        let long = JOp {
+            insert: true,
+            pred: "P".into(),
+            tuple: vec![JConst::Sym("x".repeat((1 << 20) + 1))],
+        };
+        let wide = op(true, "P", &vec![0; usize::from(u16::MAX) + 1]);
+        for bad in [long, wide] {
+            let err = j.commit(&[op(true, "P", &[2]), bad]).unwrap_err();
+            assert!(matches!(err, StoreError::TooLarge(_)), "{err}");
+        }
+        assert_eq!(flaky.state().appends, 1);
+        assert_eq!(j.position(), pos);
+        assert_eq!(flaky.mem.bytes().len() as u64, pos);
+        j.commit(&[op(true, "P", &[3])]).unwrap();
+    }
+
+    #[test]
     fn failed_sync_truncates_the_commit() {
         let (flaky, mut j) = open_flaky(SyncPolicy::OnCommit);
         flaky.state().fail_sync = true;
@@ -633,8 +658,8 @@ mod tests {
         let committed_len = j.position();
         // Ops of a session whose `EesCommit` never landed.
         let mut tail = mem.bytes();
-        frame_op(&mut tail, &op(true, "P", &[2]));
-        frame_op(&mut tail, &op(true, "P", &[3]));
+        frame_op(&mut tail, &op(true, "P", &[2])).unwrap();
+        frame_op(&mut tail, &op(true, "P", &[3])).unwrap();
         mem.set_bytes(tail);
         let (j2, r) = open_mem(&mem);
         assert!(r.truncated_bytes > 0);
@@ -672,7 +697,8 @@ mod tests {
                 arity: 1,
                 rows: vec![vec![JConst::Int(1)]],
             }],
-        );
+        )
+        .unwrap();
         mem.set_bytes(bytes);
         let (mut j, _) = open_mem(&mem);
         j.commit(&[op(true, "P", &[2])]).unwrap();
@@ -699,7 +725,7 @@ mod tests {
         assert!(pos < history_len, "rotation must shrink the journal");
         assert_eq!(mem.bytes().len() as u64, pos);
         let mut image = MAGIC.to_vec();
-        frame_snapshot(&mut image, &snap);
+        frame_snapshot(&mut image, &snap).unwrap();
         assert_eq!(mem.bytes(), image);
         let (_, r) = open_mem(&mem);
         assert!(r.snapshot.is_some());

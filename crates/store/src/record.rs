@@ -94,12 +94,22 @@ fn put_u32(out: &mut Vec<u8>, n: u32) {
     out.extend_from_slice(&n.to_le_bytes());
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    put_u32(out, s.len() as u32);
-    out.extend_from_slice(s.as_bytes());
+/// `n` as the integer type of its length field, or
+/// [`StoreError::TooLarge`] naming the field.
+fn fit<T: TryFrom<usize>>(n: usize, field: &'static str) -> StoreResult<T> {
+    T::try_from(n).map_err(|_| StoreError::TooLarge(field))
 }
 
-fn put_const(out: &mut Vec<u8>, c: &JConst) {
+fn put_str(out: &mut Vec<u8>, s: &str) -> StoreResult<()> {
+    if s.len() > MAX_STR as usize {
+        return Err(StoreError::TooLarge("string longer than 1 MiB"));
+    }
+    put_u32(out, s.len() as u32); // at most MAX_STR
+    out.extend_from_slice(s.as_bytes());
+    Ok(())
+}
+
+fn put_const(out: &mut Vec<u8>, c: &JConst) -> StoreResult<()> {
     match c {
         JConst::Int(n) => {
             out.push(CONST_INT);
@@ -107,56 +117,72 @@ fn put_const(out: &mut Vec<u8>, c: &JConst) {
         }
         JConst::Sym(s) => {
             out.push(CONST_SYM);
-            put_str(out, s);
+            put_str(out, s)?;
         }
     }
+    Ok(())
 }
 
 /// Append one framed record to `out`; `payload` writes the payload bytes.
-fn frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+/// A payload the recovery scan would reject — longer than [`MAX_RECORD`],
+/// or with a length that does not fit its field — is refused with
+/// [`StoreError::TooLarge`], and `out` must then be discarded.
+fn frame(
+    out: &mut Vec<u8>,
+    payload: impl FnOnce(&mut Vec<u8>) -> StoreResult<()>,
+) -> StoreResult<()> {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    payload(out);
+    payload(out)?;
     let body = &out[start + 8..];
+    if body.len() > MAX_RECORD as usize {
+        return Err(StoreError::TooLarge("record longer than 64 MiB"));
+    }
     let (len, crc) = (body.len() as u32, crate::crc32::crc32(body));
     out[start..start + 4].copy_from_slice(&len.to_le_bytes());
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+    Ok(())
 }
 
 /// Append a framed `Op` record.
-pub(crate) fn frame_op(out: &mut Vec<u8>, op: &JOp) {
+pub(crate) fn frame_op(out: &mut Vec<u8>, op: &JOp) -> StoreResult<()> {
     frame(out, |out| {
         out.push(TAG_OP);
         out.push(u8::from(op.insert));
-        put_str(out, &op.pred);
-        put_u16(out, op.tuple.len() as u16);
+        put_str(out, &op.pred)?;
+        put_u16(out, fit(op.tuple.len(), "tuple arity")?);
         for c in &op.tuple {
-            put_const(out, c);
+            put_const(out, c)?;
         }
-    });
+        Ok(())
+    })
 }
 
 /// Append a framed `EesCommit` record.
-pub(crate) fn frame_commit(out: &mut Vec<u8>) {
-    frame(out, |out| out.push(TAG_EES_COMMIT));
+pub(crate) fn frame_commit(out: &mut Vec<u8>) -> StoreResult<()> {
+    frame(out, |out| {
+        out.push(TAG_EES_COMMIT);
+        Ok(())
+    })
 }
 
 /// Append a framed `Snapshot` record.
-pub(crate) fn frame_snapshot(out: &mut Vec<u8>, preds: &[SnapshotPred]) {
+pub(crate) fn frame_snapshot(out: &mut Vec<u8>, preds: &[SnapshotPred]) -> StoreResult<()> {
     frame(out, |out| {
         out.push(TAG_SNAPSHOT);
-        put_u32(out, preds.len() as u32);
+        put_u32(out, fit(preds.len(), "snapshot predicate count")?);
         for sp in preds {
-            put_str(out, &sp.pred);
+            put_str(out, &sp.pred)?;
             put_u16(out, sp.arity);
-            put_u32(out, sp.rows.len() as u32);
+            put_u32(out, fit(sp.rows.len(), "snapshot row count")?);
             for row in &sp.rows {
                 for c in row {
-                    put_const(out, c);
+                    put_const(out, c)?;
                 }
             }
         }
-    });
+        Ok(())
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -296,6 +322,7 @@ mod tests {
             Record::EesCommit => frame_commit(&mut framed),
             Record::Snapshot(preds) => frame_snapshot(&mut framed, preds),
         }
+        .unwrap();
         let len = u32::from_le_bytes([framed[0], framed[1], framed[2], framed[3]]);
         assert_eq!(len as usize, framed.len() - 8);
         let crc = u32::from_le_bytes([framed[4], framed[5], framed[6], framed[7]]);
@@ -305,7 +332,7 @@ mod tests {
 
     fn op_payload(op: &JOp) -> Vec<u8> {
         let mut framed = Vec::new();
-        frame_op(&mut framed, op);
+        frame_op(&mut framed, op).unwrap();
         framed.split_off(8)
     }
 

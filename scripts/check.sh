@@ -68,6 +68,15 @@ cargo test -p gom-deductive --release --test obs_tracing
 step "trace contains the required span names"
 trace_tmp="$(mktemp -d)"
 trap 'rm -rf "$trace_tmp"' EXIT
+# A schema the Analyzer refuses (an attribute of an unknown type): loading
+# it inside a session rolls the session back to before the load.
+cat > "$trace_tmp/bad.gom" <<'EOF'
+schema BadSchema is
+  type Broken is
+    [ wheel : NoSuchType; ]
+  end type Broken;
+end schema BadSchema;
+EOF
 {
   echo "load scripts/car_schema.gom"
   echo "begin"
@@ -77,6 +86,10 @@ trap 'rm -rf "$trace_tmp"' EXIT
   echo "begin"
   echo "add-attr Car obsRollbackAttr string"
   echo "rollback"
+  echo "begin"
+  echo "load $trace_tmp/bad.gom"
+  echo "add-attr Car obsAfterFailedLoadAttr string"
+  echo "end"
   echo "quit"
 } > "$trace_tmp/session.gsh"
 cargo run --release -q --bin gomsh -- \
@@ -84,8 +97,9 @@ cargo run --release -q --bin gomsh -- \
   "$trace_tmp/session.gsh" > /dev/null
 # A clean interactive session commits through the maintained EES path:
 # per-op dred.maintain spans while the session is open, one ees.maintained
-# read at commit — and never a full check.delta re-evaluation. The check
-# inside the session reads the maintained IDB: no fixpoint under it.
+# read at commit — and never a full check.delta re-evaluation, not even
+# after the failed in-session load. The check inside the session reads the
+# maintained IDB: no fixpoint under it.
 for span in eval.fixpoint eval.stratum ees.maintained dred.maintain \
             session.bes session.ees \
             session.journal_commit analyzer.lower load.program; do
@@ -99,7 +113,7 @@ fi
 grep -q '"journal.appends"' "$trace_tmp/trace.jsonl" \
   || { echo "MISSING journal counters in trace"; exit 1; }
 # A committed session is one journal append; BES and rollback write
-# nothing. The session above commits twice (load, end) and rolls back once.
+# nothing. The sessions above commit three times and roll back once.
 last_counter() {
   grep -o "\"$1\":[0-9]*" "$trace_tmp/trace.jsonl" | tail -1 | cut -d: -f2
 }
@@ -110,6 +124,11 @@ echo "journal.appends=${appends} session.commits=${commits}"
   || { echo "journal appends must equal committed sessions"; exit 1; }
 no_fixpoint_under "$trace_tmp/trace.jsonl" check.full \
   || { echo "an in-session check re-derived the IDB instead of reading it"; exit 1; }
+# Rollback maintains the IDB through the inverse ops, so the BES after the
+# rollback finds it armed and runs no fixpoint (and the EES after the
+# failed load reads it: the fallback grep above).
+no_fixpoint_under "$trace_tmp/trace.jsonl" session.bes \
+  || { echo "a BES re-derived the IDB after a rollback"; exit 1; }
 
 # The maintained violation relations must agree bit-identically with full
 # checking across random sessions (incl. rollback/recommit and recovery

@@ -5,7 +5,7 @@
 //! IDB's full `check()` to a from-scratch check of a deep snapshot — same
 //! commit/rollback decision, same rendered violations —
 //! at 1 and 4 eval threads, including rollback-then-recommit sessions
-//! (which discard and re-arm the maintained state) and sessions replayed
+//! (which maintain the IDB through the inverse ops) and sessions replayed
 //! through durable-store recovery (which rebuild it from a journal).
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -185,11 +185,12 @@ fn run_sweep(threads: usize) {
             }
             mgr.rollback_evolution().unwrap();
             assert!(
-                !mgr.meta.db.maintenance_active(),
-                "{label} session={session}: rollback must discard maintained state"
+                mgr.meta.db.maintenance_active(),
+                "{label} session={session}: rollback must keep the IDB armed"
             );
-            // Rollback-then-recommit: the very next session re-arms from a
-            // fresh materialisation; an empty session must commit cleanly.
+            // Rollback-then-recommit: the very next session reuses the IDB
+            // the rollback maintained; an empty session must commit cleanly,
+            // and the next session's deep-clone full check referees it.
             mgr.begin_evolution().unwrap();
             assert!(mgr.meta.db.maintenance_active());
             match mgr.end_evolution().unwrap() {

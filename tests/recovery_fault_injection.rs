@@ -630,3 +630,41 @@ fn version_1_journal_is_refused() {
     );
     assert!(mem.bytes() == v1, "a refused journal is left untouched");
 }
+
+/// A checkpoint whose snapshot record would exceed `MAX_RECORD` is refused
+/// before the backend is touched: the journal keeps the session committed
+/// before it, instead of holding a record the recovery scan rejects (which
+/// would truncate the whole journal to the bare magic on reopen).
+#[test]
+fn oversized_checkpoint_is_refused_and_the_journal_survives() {
+    use gomflex::store::{JConst, JOp, Journal, SnapshotPred, MAX_RECORD};
+    let mem = MemBackend::new();
+    let (mut journal, _) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+    let op = JOp {
+        insert: true,
+        pred: "P".into(),
+        tuple: vec![JConst::Int(1)],
+    };
+    let pos = journal.commit(std::slice::from_ref(&op)).unwrap();
+    // 65 strings of 1 MiB (the longest a record may hold): a body just
+    // over 64 MiB.
+    let big = "x".repeat(1 << 20);
+    let rows: Vec<Vec<JConst>> = (0..=MAX_RECORD >> 20)
+        .map(|_| vec![JConst::Sym(big.clone())])
+        .collect();
+    let snap = [SnapshotPred {
+        pred: "P".into(),
+        arity: 1,
+        rows,
+    }];
+    let err = journal.rotate(&snap).unwrap_err();
+    assert!(matches!(err, StoreError::TooLarge(_)), "{err}");
+    drop(snap);
+    assert_eq!(journal.position(), pos);
+    assert_eq!(mem.bytes().len() as u64, pos, "the journal is untouched");
+
+    let (_, replay) = Journal::open(Box::new(mem.clone()), SyncPolicy::OnCommit).unwrap();
+    assert!(replay.torn.is_none());
+    assert_eq!(replay.sessions_replayed, 1);
+    assert_eq!(replay.ops, vec![op]);
+}
