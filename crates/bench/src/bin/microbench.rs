@@ -34,7 +34,11 @@
 //!   the history), and with each session rolled back instead,
 //! * `journal_commit_*` — committing a six-op session to the journal under
 //!   `SyncPolicy::OnCommit`, in memory and to a temporary file (one append
-//!   and one fsync).
+//!   and one fsync),
+//! * `crc32_64k`    — the frame and journal-record CRC-32 over 64 KiB,
+//! * `wire_*`       — gom-wire: a reader's `Attr(T, N, D)` reply at synth500
+//!   from rendering to the client's decoded frame, and the request codec of
+//!   a six-op session.
 //!
 //! Each row builds its world only when it is selected, and drops it before
 //! the next row runs.
@@ -44,7 +48,9 @@ use gom_deductive::{ChangeSet, Database, Tuple};
 use gom_evolution::{cure_add_attr, fixed_check, CurePolicy};
 use gom_model::{Oid, TypeId};
 use gom_runtime::Value;
-use gom_server::{ReaderCache, Snapshot, SnapshotCell};
+use gom_server::server::query_reply;
+use gom_server::wire::{read_frame, write_frame};
+use gom_server::{EvolutionOp, ReaderCache, Reply, Request, Snapshot, SnapshotCell};
 use gomflex::core::SchemaManager;
 use gomflex::impact::{ImpactIndex, PlanConfig};
 use gomflex::store::{JConst, JOp, Journal, MemBackend, SyncPolicy};
@@ -500,6 +506,29 @@ fn commit_six(journal: &mut Journal, ops: &[JOp]) -> u64 {
     journal.commit(ops).expect("commit") - before
 }
 
+/// The requests of one six-op session as a client sends them: BES, three
+/// attributes added and removed again, and a tokened EES.
+fn six_op_requests() -> Vec<Request> {
+    let mut reqs = vec![Request::Bes];
+    for i in 0..3 {
+        reqs.push(Request::Op(EvolutionOp::AddAttr {
+            ty: "T499@Synth500_42".into(),
+            name: format!("bm{i}"),
+            domain: "int".into(),
+        }));
+    }
+    for i in 0..3 {
+        reqs.push(Request::Op(EvolutionOp::DelAttr {
+            ty: "T499@Synth500_42".into(),
+            name: format!("bm{i}"),
+        }));
+    }
+    reqs.push(Request::Ees {
+        token: Some(0x5E55_1011),
+    });
+    reqs
+}
+
 /// A named row whose world is built only when the row is selected.
 type Row = (&'static str, Box<dyn FnOnce() -> Bench<'static>>);
 
@@ -728,6 +757,50 @@ fn rows() -> Vec<Row> {
                 Journal::open(Box::new(MemBackend::new()), SyncPolicy::OnCommit).expect("open");
             let ops = six_jops();
             bench(move || commit_six(&mut journal, &ops))
+        }),
+        row("crc32_64k", || {
+            let mut rng = gom_obs::SplitMix64::new(0xC3C3_6464);
+            let data: Vec<u8> = (0..64 * 1024).map(|_| rng.next() as u8).collect();
+            bench(move || {
+                black_box(gomflex::store::crc32(black_box(&data)));
+                data.len() as u64
+            })
+        }),
+        row("wire_rows_reply_synth500", || {
+            let mut reader = ReaderBench::new(500);
+            let mut frame = Vec::new();
+            bench(move || {
+                // A reader's query reply end to end, minus the socket:
+                // render the rows, encode, frame (CRC), read the frame back
+                // (CRC) and decode it (units = payload bytes).
+                let (_, meta) = reader.cache.view(&reader.cell);
+                let reply = query_reply(&mut meta.db, "Attr(T, N, D)");
+                let payload = reply.encode();
+                frame.clear();
+                write_frame(&mut frame, &payload).expect("frame");
+                let got = read_frame(&mut frame.as_slice())
+                    .expect("read")
+                    .expect("one frame");
+                match Reply::decode(&got).expect("decode") {
+                    Reply::Rows { rows, .. } => black_box(rows.len()),
+                    other => panic!("expected rows, got {other:?}"),
+                };
+                payload.len() as u64
+            })
+        }),
+        row("wire_session_codec", || {
+            let reqs = six_op_requests();
+            bench(move || {
+                // Client encode and server decode of every request of the
+                // session, with request-id envelopes (units = bytes).
+                let mut bytes = 0;
+                for (id, req) in (1u64..).zip(&reqs) {
+                    let payload = req.encode_with_id(id);
+                    black_box(Request::decode_with_id(&payload).expect("decode"));
+                    bytes += payload.len() as u64;
+                }
+                bytes
+            })
         }),
         row("journal_commit_file", || {
             let path = std::env::temp_dir().join(format!(

@@ -20,6 +20,11 @@ use crate::symbol::{FxHashMap, FxHashSet};
 use crate::tuple::Tuple;
 use crate::value::Const;
 
+/// Match count below which [`Database::query`] never compacts its match
+/// list before the final sort (large enough that a query without repeated
+/// rows sorts once).
+const QUERY_COMPACT_MIN: usize = 1 << 16;
+
 /// The database's materialised IDB: extensions of derived predicates
 /// (indexed by `PredId`), including compiled constraint violation
 /// relations.
@@ -905,7 +910,8 @@ impl Database {
     }
 
     /// Evaluate an ad-hoc conjunctive query: return every binding of `out`
-    /// that satisfies all `body` literals, deduplicated, sorted.
+    /// that satisfies all `body` literals, sorted and deduplicated (by the
+    /// sort, not through a hash set).
     ///
     /// The body must be range-restricted: every variable in `out`, in a
     /// negation, or in a comparison must occur in a positive literal. The
@@ -986,14 +992,24 @@ impl Database {
         let mut binding: Binding = vec![None; var_count];
         let idb_rels = idb.as_ref().map_or(&[][..], |idb| &idb.rels[..]);
         let store = Store::new(self, idb_rels, None);
-        let mut results: FxHashSet<Tuple> = FxHashSet::default();
+        // Matches go into a plain Vec and are deduplicated by sorting. A
+        // projection that repeats rows is compacted whenever the Vec has
+        // doubled since the last compaction, so it never holds more than
+        // about twice the distinct rows.
+        let mut results: Vec<Tuple> = Vec::new();
+        let mut compact_at = QUERY_COMPACT_MIN;
         let _sp = gom_obs::span("eval.query");
         exec_plan(&store, &plan, None, &mut binding, &mut |b| {
-            results.insert(Tuple::from(
+            results.push(Tuple::from(
                 out.iter()
                     .map(|v| b[v.index()].expect("out var bound"))
                     .collect::<Vec<_>>(),
             ));
+            if results.len() >= compact_at {
+                results.sort_unstable();
+                results.dedup();
+                compact_at = (2 * results.len()).max(QUERY_COMPACT_MIN);
+            }
             true
         });
         if gom_obs::enabled() {
@@ -1001,9 +1017,9 @@ impl Database {
         }
         drop(_sp);
         self.idb = idb;
-        let mut v: Vec<Tuple> = results.into_iter().collect();
-        v.sort();
-        Ok(v)
+        results.sort_unstable();
+        results.dedup();
+        Ok(results)
     }
 }
 
@@ -1135,6 +1151,37 @@ mod tests {
         ];
         let res = db.query(&body, &[Var(0), Var(1)]).unwrap();
         assert_eq!(res, vec![t2(2, 3), t2(2, 4), t2(3, 4)]);
+    }
+
+    #[test]
+    fn query_projection_dedups_to_the_btreeset_oracle() {
+        // Projecting Edge(X, Y) onto X repeats every key; so does the
+        // product Edge(X, Y), Edge(Z, W) projected onto (X, Z), whose
+        // matches outnumber the compaction threshold several times. The
+        // answer must be the distinct rows, sorted.
+        let (mut db, edge, _) = setup_path();
+        let (facts, keys) = (600, 23);
+        let mut firsts = std::collections::BTreeSet::new();
+        for i in 0..facts {
+            let key = (i * 31) % keys - keys / 2;
+            db.insert(edge, t2(key, i)).unwrap();
+            firsts.insert(key);
+        }
+        let v = |n: u32| Term::Var(Var(n));
+        let e = |a: u32, b: u32| Literal::Pos(Atom::new(edge, vec![v(a), v(b)]));
+        let res = db.query(&[e(0, 1)], &[Var(0)]).unwrap();
+        let oracle: Vec<Tuple> = firsts
+            .iter()
+            .map(|&k| Tuple::from(vec![Const::Int(k)]))
+            .collect();
+        assert_eq!(res, oracle);
+        assert!((facts * facts) as usize > 4 * QUERY_COMPACT_MIN);
+        let res = db.query(&[e(0, 1), e(2, 3)], &[Var(0), Var(2)]).unwrap();
+        let oracle: std::collections::BTreeSet<Tuple> = firsts
+            .iter()
+            .flat_map(|&a| firsts.iter().map(move |&b| t2(a, b)))
+            .collect();
+        assert_eq!(res, oracle.into_iter().collect::<Vec<_>>());
     }
 
     #[test]

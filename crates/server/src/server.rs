@@ -39,6 +39,7 @@ use crate::session::{Acquire, SessionLock};
 use crate::snapshot::{ReaderCache, Snapshot, SnapshotCell};
 use crate::wire::{self, ErrorKind, EvolutionOp, ReadEvent, Reply, Request};
 use gom_core::{EvolutionOutcome, SchemaManager};
+use gom_deductive::{Const, Database};
 use gom_evolution::{delete_type, DeleteTypeSemantics};
 use gom_store::SyncPolicy;
 use std::collections::{HashMap, VecDeque};
@@ -572,14 +573,14 @@ impl Connection {
                             self.shared.io_deadline.as_millis()
                         ),
                     );
-                    let _ = wire::write_frame(&mut stream, &reply.encode());
+                    let _ = write_reply(&mut stream, &reply);
                     break;
                 }
                 Err(e) => {
                     // Corruption (CRC, oversized length, torn header) or a
                     // real I/O error: best-effort typed reply, then close.
                     let reply = Reply::err(ErrorKind::Protocol, e.to_string());
-                    let _ = wire::write_frame(&mut stream, &reply.encode());
+                    let _ = write_reply(&mut stream, &reply);
                     break;
                 }
             };
@@ -624,7 +625,7 @@ impl Connection {
                 Err(e) => Reply::err(ErrorKind::Protocol, e.to_string()),
             };
             let shutdown_after = matches!(reply, Reply::Ok(ref s) if s == "shutting down");
-            if let Err(e) = wire::write_frame(&mut stream, &reply.encode()) {
+            if let Err(e) = write_reply(&mut stream, &reply) {
                 if matches!(
                     e.kind(),
                     io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
@@ -1008,24 +1009,7 @@ impl Connection {
 
     fn query(&mut self, body: &str) -> Reply {
         let (_, meta) = self.cache.view(&self.shared.cell);
-        match meta.db.query_text(body) {
-            Ok((names, rows)) => {
-                let interner = meta.db.interner();
-                let rendered: Vec<Vec<String>> = rows
-                    .iter()
-                    .map(|row| {
-                        row.iter()
-                            .map(|c| c.display(interner).to_string())
-                            .collect()
-                    })
-                    .collect();
-                Reply::Rows {
-                    names,
-                    rows: rendered,
-                }
-            }
-            Err(e) => Reply::err(ErrorKind::BadRequest, e.to_string()),
-        }
+        query_reply(&mut meta.db, body)
     }
 
     fn check(&mut self) -> Reply {
@@ -1052,6 +1036,46 @@ impl Connection {
         // (or refreshed) for digest-only connections.
         let snap = self.cache.snapshot(&self.shared.cell);
         Reply::Ok(format!("epoch {}\n{}", snap.epoch, snap.digest()))
+    }
+}
+
+/// Write `reply` as one frame. A reply too large for one frame, which
+/// `write_frame` refuses before writing a byte, is answered with a typed
+/// `Internal` error naming its size and the bound, so the connection stays
+/// usable instead of the peer rejecting the frame's length as corrupt.
+fn write_reply(w: &mut impl io::Write, reply: &Reply) -> io::Result<()> {
+    match wire::write_frame(w, &reply.encode()) {
+        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
+            wire::write_frame(w, &Reply::err(ErrorKind::Internal, e.to_string()).encode())
+        }
+        written => written,
+    }
+}
+
+/// Answer a `Query` against `db` (a reader's view of the published
+/// snapshot): the rows rendered as text, a symbol as its interned string
+/// and an integer in decimal, the same text `Const::display` gives.
+pub fn query_reply(db: &mut Database, body: &str) -> Reply {
+    match db.query_text(body) {
+        Ok((names, rows)) => {
+            let interner = db.interner();
+            let rendered: Vec<Vec<String>> = rows
+                .iter()
+                .map(|row| {
+                    row.iter()
+                        .map(|c| match c {
+                            Const::Sym(s) => interner.resolve(s).to_owned(),
+                            Const::Int(n) => n.to_string(),
+                        })
+                        .collect()
+                })
+                .collect();
+            Reply::Rows {
+                names,
+                rows: rendered,
+            }
+        }
+        Err(e) => Reply::err(ErrorKind::BadRequest, e.to_string()),
     }
 }
 
@@ -1107,5 +1131,61 @@ fn parse_semantics(s: &str) -> Result<DeleteTypeSemantics, String> {
             "unknown delete semantics `{other}` \
              (restrict|reconnect|cascade|cascade-objects|orphan)"
         )),
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn oversized_reply_is_answered_with_a_typed_error() {
+        let reply = Reply::Ok("x".repeat(wire::MAX_FRAME as usize + 1));
+        let mut out = Vec::new();
+        write_reply(&mut out, &reply).unwrap();
+        let payload = wire::read_frame(&mut io::Cursor::new(out))
+            .unwrap()
+            .expect("one frame");
+        match Reply::decode(&payload).unwrap() {
+            Reply::Error {
+                kind: ErrorKind::Internal,
+                message,
+            } => {
+                assert!(message.contains(&(wire::MAX_FRAME as usize + 6).to_string()));
+                assert!(message.contains(&wire::MAX_FRAME.to_string()));
+            }
+            other => panic!("expected a typed internal error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rows_render_like_const_display() {
+        let mut db = Database::new();
+        db.load(
+            "base R(a, b).\n\
+             R('Straße', -42).\n\
+             R('λ-attr', 7).\n\
+             R('車', -9223372036854775807).\n",
+        )
+        .unwrap();
+        let (names, rows) = db.query_text("R(A, B)").unwrap();
+        assert_eq!(rows.len(), 3);
+        let expected: Vec<Vec<String>> = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .map(|c| c.display(db.interner()).to_string())
+                    .collect()
+            })
+            .collect();
+        assert!(expected.iter().flatten().any(|cell| cell.starts_with('-')));
+        assert_eq!(
+            query_reply(&mut db, "R(A, B)"),
+            Reply::Rows {
+                names,
+                rows: expected
+            }
+        );
     }
 }

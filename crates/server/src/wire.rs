@@ -268,10 +268,24 @@ fn corrupt(what: &str) -> WireError {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame.
+/// Write one frame. A payload over [`MAX_FRAME`] bytes, which the peer's
+/// [`read_frame`] would reject as corrupt, is refused with
+/// `InvalidInput` before any byte is written.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&n| n <= MAX_FRAME)
+        .ok_or_else(|| {
+            std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                format!(
+                    "frame payload of {} bytes exceeds the {MAX_FRAME}-byte bound",
+                    payload.len()
+                ),
+            )
+        })?;
     let mut head = [0u8; 8];
-    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[..4].copy_from_slice(&len.to_le_bytes());
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     w.write_all(&head)?;
     w.write_all(payload)?;
@@ -498,6 +512,11 @@ fn put_str_list(out: &mut Vec<u8>, items: &[String]) {
     }
 }
 
+/// Encoded size of a [`put_str_list`] list.
+fn str_list_len(items: &[String]) -> usize {
+    4 + items.iter().map(|s| 4 + s.len()).sum::<usize>()
+}
+
 /// Cursor over a payload with bounds-checked reads.
 struct Reader<'a> {
     bytes: &'a [u8],
@@ -702,9 +721,23 @@ impl Request {
 }
 
 impl Reply {
-    /// Encode the reply payload.
+    /// Exact size of the [`Reply::encode`] payload.
+    fn encoded_len(&self) -> usize {
+        1 + match self {
+            Reply::Ok(msg) => 4 + msg.len(),
+            Reply::Committed { .. } => 3 * 8,
+            Reply::Overloaded { .. } => 2 * 8,
+            Reply::Violations(v) => str_list_len(v),
+            Reply::Rows { names, rows } => {
+                str_list_len(names) + 4 + rows.iter().map(|r| str_list_len(r)).sum::<usize>()
+            }
+            Reply::Error { message, .. } => 1 + 4 + message.len(),
+        }
+    }
+
+    /// Encode the reply payload into a buffer sized once up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.encoded_len());
         match self {
             Reply::Ok(msg) => {
                 out.push(REP_OK);
@@ -809,7 +842,9 @@ mod tests {
     }
 
     fn roundtrip_rep(rep: Reply) {
-        assert_eq!(Reply::decode(&rep.encode()).unwrap(), rep);
+        let payload = rep.encode();
+        assert_eq!(payload.len(), rep.encoded_len(), "{rep:?}");
+        assert_eq!(Reply::decode(&payload).unwrap(), rep);
     }
 
     /// Every request variant, including the failure-model verbs — the
@@ -1011,6 +1046,18 @@ mod tests {
         huge.extend_from_slice(&0u32.to_le_bytes());
         let mut cursor = std::io::Cursor::new(huge);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn oversized_payload_is_refused_before_any_byte() {
+        let payload = vec![0u8; MAX_FRAME as usize + 1];
+        let mut out = Vec::new();
+        let err = write_frame(&mut out, &payload).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "{} bytes written", out.len());
+        // The bound itself is still a legal frame.
+        write_frame(&mut out, &payload[..MAX_FRAME as usize]).unwrap();
+        assert_eq!(out.len(), 8 + MAX_FRAME as usize);
     }
 
     /// A reader that yields its script of results one at a time, then

@@ -216,25 +216,39 @@ GOM_CHAOS_SEEDS=100 cargo test -p gom-server --release --test chaos
 # slide back toward O(#tuples) publication blows through this gate).
 step "snapshot CoW gate (zero tuple copies + publish cost at synth5000)"
 GOM_COW_TYPES=5000 cargo test --release --test snapshot_cow
-snap_tmp="$(mktemp -d)"
+bench_tmp="$(mktemp -d)"
 cargo build --release -p gom-bench --bin microbench
-./target/release/microbench --iters 9 --out "$snap_tmp/snap.json" \
-  snapshot_publish_synth5000 2> /dev/null
-baseline_file=$(grep -l '"name": "snapshot_publish_synth5000"' BENCH_*.json | sort | tail -1)
-row_median() {
-  grep -o "\"name\": \"snapshot_publish_synth5000\", \"median_ns\": [0-9]*" "$1" \
-    | grep -o '[0-9]*$'
-}
-recorded=$(row_median "$baseline_file")
-current=$(row_median "$snap_tmp/snap.json")
-echo "snapshot_publish_synth5000: ${current} ns (recorded ${recorded} ns in ${baseline_file})"
-awk -v cur="$current" -v rec="$recorded" 'BEGIN {
-  if (cur > rec * 1.5) {
-    printf "REGRESSION: snapshot publish %d ns exceeds 1.5x recorded %d ns\n", cur, rec
-    exit 1
+# microbench_gate ROW WHAT: run the microbench row ROW and fail when its
+# median exceeds 1.5x the row's median in the newest BENCH_*.json that
+# records it.
+microbench_gate() {
+  local row="$1" what="$2"
+  ./target/release/microbench --iters 9 --out "$bench_tmp/$row.json" "$row" 2> /dev/null
+  local baseline_file recorded current
+  baseline_file=$(grep -l "\"name\": \"$row\"" BENCH_*.json | sort | tail -1)
+  row_median() {
+    grep -o "\"name\": \"$row\", \"median_ns\": [0-9]*" "$1" | grep -o '[0-9]*$'
   }
-}'
-rm -rf "$snap_tmp"
+  recorded=$(row_median "$baseline_file")
+  current=$(row_median "$bench_tmp/$row.json")
+  echo "$row: ${current} ns (recorded ${recorded} ns in ${baseline_file})"
+  awk -v cur="$current" -v rec="$recorded" -v what="$what" 'BEGIN {
+    if (cur > rec * 1.5) {
+      printf "REGRESSION: %s %d ns exceeds 1.5x recorded %d ns\n", what, cur, rec
+      exit 1
+    }
+  }'
+}
+microbench_gate snapshot_publish_synth5000 "snapshot publish"
+
+# A reader's query reply must cost about its bytes: rendering the
+# Attr(T, N, D) rows of a synth500 reader view, encoding, framing (CRC),
+# reading the frame back and decoding it must stay within 1.5x of the
+# recorded microbench row (a slide back to a bytewise CRC, hash-set
+# deduplication or fmt-based rendering shows here).
+step "read reply gate (query reply cost at synth500)"
+microbench_gate wire_rows_reply_synth500 "read reply"
+rm -rf "$bench_tmp"
 
 # A hostile-client smoke over the real binaries: a writer that goes silent
 # past its lease is reaped (typed `lease-expired` on its next commit), a
