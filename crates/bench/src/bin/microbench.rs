@@ -37,7 +37,9 @@
 //!   and one fsync),
 //! * `crc32_64k`    — the frame and journal-record CRC-32 over 64 KiB,
 //! * `wire_*`       — gom-wire: a reader's `Attr(T, N, D)` reply at synth500
-//!   from rendering to the client's decoded frame, and the request codec of
+//!   from the query to the client's decoded frame, its client half alone
+//!   (frame read and decode), a warm `Digest` reply at synth500 (the
+//!   snapshot's frame written, read and decoded), and the request codec of
 //!   a six-op session.
 //!
 //! Each row builds its world only when it is selected, and drops it before
@@ -48,8 +50,8 @@ use gom_deductive::{ChangeSet, Database, Tuple};
 use gom_evolution::{cure_add_attr, fixed_check, CurePolicy};
 use gom_model::{Oid, TypeId};
 use gom_runtime::Value;
-use gom_server::server::query_reply;
-use gom_server::wire::{read_frame, write_frame};
+use gom_server::server::{query_frame, write_digest};
+use gom_server::wire::read_frame;
 use gom_server::{EvolutionOp, ReaderCache, Reply, Request, Snapshot, SnapshotCell};
 use gomflex::core::SchemaManager;
 use gomflex::impact::{ImpactIndex, PlanConfig};
@@ -468,6 +470,17 @@ impl ReaderBench {
     }
 }
 
+/// The client's side of a `Rows` reply frame: read it (CRC) and decode
+/// it; returns the row count.
+fn decode_rows(frame: &[u8]) -> usize {
+    let mut r = frame;
+    let got = read_frame(&mut r).expect("read").expect("one frame");
+    match Reply::decode(&got).expect("decode") {
+        Reply::Rows { rows, .. } => rows.len(),
+        other => panic!("expected rows, got {other:?}"),
+    }
+}
+
 fn json_escape(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"")
 }
@@ -768,24 +781,52 @@ fn rows() -> Vec<Row> {
         }),
         row("wire_rows_reply_synth500", || {
             let mut reader = ReaderBench::new(500);
-            let mut frame = Vec::new();
+            let mut sock = Vec::new();
             bench(move || {
-                // A reader's query reply end to end, minus the socket:
-                // render the rows, encode, frame (CRC), read the frame back
-                // (CRC) and decode it (units = payload bytes).
+                // A reader's query reply end to end, minus the socket: run
+                // the query, encode its tuples into the frame (CRC), write
+                // it, read the frame back (CRC) and decode it (units =
+                // payload bytes).
                 let (_, meta) = reader.cache.view(&reader.cell);
-                let reply = query_reply(&mut meta.db, "Attr(T, N, D)");
-                let payload = reply.encode();
-                frame.clear();
-                write_frame(&mut frame, &payload).expect("frame");
-                let got = read_frame(&mut frame.as_slice())
+                let (frame, status) = query_frame(&mut meta.db, "Attr(T, N, D)");
+                assert_eq!(status, "rows");
+                sock.clear();
+                sock.extend_from_slice(&frame);
+                black_box(decode_rows(&sock));
+                frame.len() as u64 - 8
+            })
+        }),
+        row("wire_rows_decode_synth500", || {
+            // The client half of `wire_rows_reply_synth500`: read the
+            // frame (CRC) and decode it into one `String` per cell.
+            let mut reader = ReaderBench::new(500);
+            let (_, meta) = reader.cache.view(&reader.cell);
+            let (frame, _) = query_frame(&mut meta.db, "Attr(T, N, D)");
+            bench(move || {
+                black_box(decode_rows(&frame));
+                frame.len() as u64 - 8
+            })
+        }),
+        row("wire_digest_reply_synth500", || {
+            let mut reader = ReaderBench::new(500);
+            let mut sock = Vec::new();
+            // Warm: the snapshot's digest frame is built before timing.
+            black_box(reader.cache.snapshot(&reader.cell).digest().len());
+            bench(move || {
+                // A warm `Digest` reply: the snapshot's frame written, then
+                // read back (CRC) and decoded by the client (units =
+                // payload bytes).
+                let snap = reader.cache.snapshot(&reader.cell);
+                sock.clear();
+                write_digest(&mut sock, snap).expect("write");
+                let got = read_frame(&mut sock.as_slice())
                     .expect("read")
                     .expect("one frame");
                 match Reply::decode(&got).expect("decode") {
-                    Reply::Rows { rows, .. } => black_box(rows.len()),
-                    other => panic!("expected rows, got {other:?}"),
+                    Reply::Ok(text) => black_box(text.len()),
+                    other => panic!("expected the digest, got {other:?}"),
                 };
-                payload.len() as u64
+                got.len() as u64
             })
         }),
         row("wire_session_codec", || {

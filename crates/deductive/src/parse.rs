@@ -56,6 +56,7 @@ enum Tok {
 }
 
 struct Lexer<'a> {
+    text: &'a str,
     src: &'a [u8],
     pos: usize,
     line: usize,
@@ -72,6 +73,7 @@ struct Spanned {
 impl<'a> Lexer<'a> {
     fn new(src: &'a str) -> Self {
         Lexer {
+            text: src,
             src: src.as_bytes(),
             pos: 0,
             line: 1,
@@ -105,6 +107,17 @@ impl<'a> Lexer<'a> {
 
     fn peek2(&self) -> Option<u8> {
         self.src.get(self.pos + 1).copied()
+    }
+
+    /// An integer literal from `start` (its `-`, if any, already
+    /// consumed) through its digits; a literal outside `i64` is an error.
+    fn int(&mut self, start: usize) -> Result<i64> {
+        while self.peek().is_some_and(|c| c.is_ascii_digit()) {
+            self.bump();
+        }
+        self.text[start..self.pos]
+            .parse()
+            .map_err(|_| self.err("integer literal out of range"))
     }
 
     fn skip_trivia(&mut self) {
@@ -174,15 +187,7 @@ impl<'a> Lexer<'a> {
                         self.bump();
                         Tok::Arrow
                     } else if self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                        let mut n: i64 = 0;
-                        while let Some(c) = self.peek() {
-                            if !c.is_ascii_digit() {
-                                break;
-                            }
-                            n = n * 10 + i64::from(c - b'0');
-                            self.bump();
-                        }
-                        Tok::Int(-n)
+                        Tok::Int(self.int(self.pos - 1)?)
                     } else {
                         return Err(self.err("expected `->` or a number after `-`"));
                     }
@@ -229,31 +234,24 @@ impl<'a> Lexer<'a> {
                 b'\'' | b'"' => {
                     let quote = b;
                     self.bump();
-                    let mut s = String::new();
+                    let start = self.pos;
                     loop {
                         match self.bump() {
                             Some(c) if c == quote => break,
-                            Some(c) => s.push(c as char),
+                            Some(_) => {}
                             None => return Err(self.err("unterminated string")),
                         }
                     }
+                    // The quote is ASCII, so both ends fall on char
+                    // boundaries of the source text.
+                    let s = self.text[start..self.pos - 1].to_string();
                     if quote == b'\'' {
                         Tok::SQuoted(s)
                     } else {
                         Tok::DQuoted(s)
                     }
                 }
-                c if c.is_ascii_digit() => {
-                    let mut n: i64 = 0;
-                    while let Some(c) = self.peek() {
-                        if !c.is_ascii_digit() {
-                            break;
-                        }
-                        n = n * 10 + i64::from(c - b'0');
-                        self.bump();
-                    }
-                    Tok::Int(n)
-                }
+                c if c.is_ascii_digit() => Tok::Int(self.int(self.pos)?),
                 c if c.is_ascii_alphabetic() || c == b'_' => {
                     let mut s = String::new();
                     while let Some(c) = self.peek() {
@@ -266,7 +264,11 @@ impl<'a> Lexer<'a> {
                     }
                     Tok::Ident(s)
                 }
-                other => return Err(self.err(format!("unexpected character `{}`", other as char))),
+                other => {
+                    let c = self.text.get(self.pos..).and_then(|t| t.chars().next());
+                    let c = c.unwrap_or(other as char);
+                    return Err(self.err(format!("unexpected character `{c}`")));
+                }
             };
             out.push(Spanned { tok, line, col });
         }
@@ -1195,6 +1197,47 @@ mod tests {
         db.load("base P(x).").unwrap();
         assert!(db.query_text("P(X) P(Y)").is_err());
         assert!(db.query_text("Nope(X)").is_err());
+    }
+
+    #[test]
+    fn quoted_constants_keep_their_utf8_text() {
+        let mut db = Database::new();
+        db.load("base R(a, b).\nR('Straße', 2).\nR(\"車\", 3).")
+            .unwrap();
+        let r = db.pred_id("R").unwrap();
+        let grosse = db.constant("größe");
+        db.insert(r, vec![grosse, Const::Int(1)]).unwrap();
+        let (_, rows) = db.query_text("R('größe', B)").unwrap();
+        assert_eq!(rows, vec![Tuple::from([Const::Int(1)])]);
+        let (_, rows) = db.query_text("R(A, 2)").unwrap();
+        assert_eq!(db.resolve(rows[0].get(0).as_sym().unwrap()), "Straße");
+        assert!(db.sym("車").is_some());
+        match db.query_text("R(größe, B)") {
+            Err(Error::Parse { msg, .. }) => assert!(msg.contains("`ö`"), "{msg}"),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn integer_literals_cover_i64_and_refuse_overflow() {
+        let mut db = Database::new();
+        db.load("base R(a).\nR(-9223372036854775808).\nR(9223372036854775807).")
+            .unwrap();
+        let (_, rows) = db.query_text("R(-9223372036854775808)").unwrap();
+        assert_eq!(rows.len(), 1, "a ground query that holds has one row");
+        let (_, rows) = db.query_text("R(A)").unwrap();
+        let ints: Vec<i64> = rows.iter().filter_map(|t| t.get(0).as_int()).collect();
+        assert_eq!(ints, vec![i64::MIN, i64::MAX]);
+        for bad in [
+            "R(9223372036854775808)",
+            "R(-9223372036854775809)",
+            "R(99999999999999999999)",
+        ] {
+            match db.query_text(bad) {
+                Err(Error::Parse { msg, .. }) => assert!(msg.contains("out of range"), "{msg}"),
+                other => panic!("{bad}: expected a parse error, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -39,7 +39,7 @@ use crate::session::{Acquire, SessionLock};
 use crate::snapshot::{ReaderCache, Snapshot, SnapshotCell};
 use crate::wire::{self, ErrorKind, EvolutionOp, ReadEvent, Reply, Request};
 use gom_core::{EvolutionOutcome, SchemaManager};
-use gom_deductive::{Const, Database};
+use gom_deductive::Database;
 use gom_evolution::{delete_type, DeleteTypeSemantics};
 use gom_store::SyncPolicy;
 use std::collections::{HashMap, VecDeque};
@@ -175,6 +175,34 @@ fn verb_hist_name(verb: &str) -> &'static str {
         "renew" => "server.request.ns:renew",
         "metrics" => "server.request.ns:metrics",
         _ => "server.request.ns:other",
+    }
+}
+
+/// What a request is answered with, written after the request is timed.
+enum Answer {
+    /// A reply value, encoded into its own frame buffer when sent.
+    Reply(Reply),
+    /// A sealed frame (query rows encoded straight from the result
+    /// tuples), with its slow-log status.
+    Frame(Vec<u8>, &'static str),
+    /// The snapshot's own `Digest` reply frame, written as it is.
+    Digest(Arc<Snapshot>),
+}
+
+impl Answer {
+    /// Reply disposition for the slow log.
+    fn status(&self) -> &'static str {
+        match self {
+            // Too large for one frame: answered with a typed `Internal`.
+            Answer::Reply(reply) if !reply.fits_frame() => ErrorKind::Internal.name(),
+            Answer::Reply(reply) => reply_status(reply),
+            Answer::Frame(_, status) => status,
+            Answer::Digest(snap) => match snap.digest_frame() {
+                Some(_) => "ok",
+                // Answered on the ordinary path, which refuses it.
+                None => ErrorKind::Internal.name(),
+            },
+        }
     }
 }
 
@@ -531,7 +559,7 @@ fn shed(stream: UnixStream, active: u64, max: u64) {
     );
     let _ = stream.set_write_timeout(Some(Duration::from_secs(1)));
     let mut stream = stream;
-    let _ = wire::write_frame(&mut stream, &Reply::Overloaded { active, max }.encode());
+    let _ = write_reply(&mut stream, &Reply::Overloaded { active, max });
 }
 
 struct Connection {
@@ -573,14 +601,14 @@ impl Connection {
                             self.shared.io_deadline.as_millis()
                         ),
                     );
-                    let _ = write_reply(&mut stream, &reply);
+                    let _ = send(&mut stream, &Answer::Reply(reply));
                     break;
                 }
                 Err(e) => {
                     // Corruption (CRC, oversized length, torn header) or a
                     // real I/O error: best-effort typed reply, then close.
                     let reply = Reply::err(ErrorKind::Protocol, e.to_string());
-                    let _ = write_reply(&mut stream, &reply);
+                    let _ = send(&mut stream, &Answer::Reply(reply));
                     break;
                 }
             };
@@ -588,12 +616,14 @@ impl Connection {
             if self.shared.lock.touch(self.id) {
                 gom_obs::vital_add("server.lease.renews", 1);
             }
-            let reply = match Request::decode_with_id(&frame) {
+            let mut shutdown_after = false;
+            let answer = match Request::decode_with_id(&frame) {
                 Ok((req_id, req)) => {
                     let _sp = gom_obs::span_labeled("server.request", req.verb());
                     gom_obs::vital_add("server.requests", 1);
+                    shutdown_after = req == Request::Shutdown;
                     let start = std::time::Instant::now();
-                    let reply = self.dispatch(&req);
+                    let answer = self.dispatch(&req);
                     let ns = start.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64;
                     // Per-verb latency is a vital: always on, static name.
                     gom_obs::vital_record(verb_hist_name(req.verb()), ns);
@@ -603,7 +633,7 @@ impl Connection {
                             conn: self.id,
                             verb: req.verb(),
                             dur_us: ns / 1_000,
-                            status: reply_status(&reply),
+                            status: answer.status(),
                             t_ms: self.shared.started.elapsed().as_millis() as u64,
                         });
                     }
@@ -620,12 +650,11 @@ impl Connection {
                             ],
                         );
                     }
-                    reply
+                    answer
                 }
-                Err(e) => Reply::err(ErrorKind::Protocol, e.to_string()),
+                Err(e) => Answer::Reply(Reply::err(ErrorKind::Protocol, e.to_string())),
             };
-            let shutdown_after = matches!(reply, Reply::Ok(ref s) if s == "shutting down");
-            if let Err(e) = write_reply(&mut stream, &reply) {
+            if let Err(e) = send(&mut stream, &answer) {
                 if matches!(
                     e.kind(),
                     io::ErrorKind::TimedOut | io::ErrorKind::WouldBlock
@@ -680,22 +709,35 @@ impl Connection {
         }
     }
 
-    fn dispatch(&mut self, req: &Request) -> Reply {
-        match req {
+    fn dispatch(&mut self, req: &Request) -> Answer {
+        let reply = match req {
+            Request::Query(body) => {
+                let (_, meta) = self.cache.view(&self.shared.cell);
+                let (frame, status) = query_frame(&mut meta.db, body);
+                return Answer::Frame(frame, status);
+            }
+            Request::Digest => {
+                // Served straight from the shared Arc: no private clone is
+                // built (or refreshed) for digest-only connections. The
+                // epoch's first digest builds the snapshot's frame here,
+                // so the build is timed with its request.
+                let snap = Arc::clone(self.cache.shared(&self.shared.cell));
+                snap.digest_frame();
+                return Answer::Digest(snap);
+            }
             Request::Bes => self.bes(),
             Request::Op(op) => self.op(op),
             Request::Ees { token } => self.ees(*token),
             Request::Rollback => self.rollback(),
             Request::Renew => self.renew(),
-            Request::Query(body) => self.query(body),
             Request::Check => self.check(),
             Request::Lint => self.lint(),
             Request::Stats => self.stats(),
-            Request::Digest => self.digest(),
             Request::Shutdown => Reply::Ok("shutting down".into()),
             Request::Plan => self.plan(),
             Request::Metrics => self.metrics(),
-        }
+        };
+        Answer::Reply(reply)
     }
 
     /// Service statistics: a service header (epoch, connections, queue
@@ -1007,11 +1049,6 @@ impl Connection {
         }
     }
 
-    fn query(&mut self, body: &str) -> Reply {
-        let (_, meta) = self.cache.view(&self.shared.cell);
-        query_reply(&mut meta.db, body)
-    }
-
     fn check(&mut self) -> Reply {
         // One check per epoch: the first connection to ask computes it,
         // every later one is served the stored answer.
@@ -1030,53 +1067,81 @@ impl Connection {
         let report = gom_lint::lint_database(&mut meta.db, &self.shared.lint_cfg);
         Reply::Ok(gom_lint::render_report(&report, None, "<schema base>"))
     }
+}
 
-    fn digest(&mut self) -> Reply {
-        // Served straight from the shared Arc: no private clone is built
-        // (or refreshed) for digest-only connections.
-        let snap = self.cache.snapshot(&self.shared.cell);
-        Reply::Ok(format!("epoch {}\n{}", snap.epoch, snap.digest()))
+/// Seal the frame built in `buf` (see [`wire::begin_frame`]). A payload
+/// too large for one frame, which `seal_frame` refuses, is replaced by a
+/// typed `Internal` error naming its size and the bound, so the connection
+/// stays usable instead of the peer rejecting the frame's length as
+/// corrupt. Every frame gomd writes is sealed here. Returns whether the
+/// payload was replaced.
+fn seal_reply(buf: &mut Vec<u8>) -> bool {
+    let Err(e) = wire::seal_frame(buf) else {
+        return false;
+    };
+    wire::begin_frame(buf);
+    Reply::err(ErrorKind::Internal, e.to_string()).encode_into(buf);
+    // A one-line error always fits in a frame.
+    let _ = wire::seal_frame(buf);
+    true
+}
+
+/// Write `answer` as one frame with one `write_all`.
+fn send(w: &mut impl io::Write, answer: &Answer) -> io::Result<()> {
+    match answer {
+        Answer::Reply(reply) => write_reply(w, reply),
+        Answer::Frame(frame, _) => w.write_all(frame),
+        Answer::Digest(snap) => write_digest(w, snap),
     }
 }
 
-/// Write `reply` as one frame. A reply too large for one frame, which
-/// `write_frame` refuses before writing a byte, is answered with a typed
-/// `Internal` error naming its size and the bound, so the connection stays
-/// usable instead of the peer rejecting the frame's length as corrupt.
+/// Write `reply` as one frame, built in one buffer and written with one
+/// `write_all`.
 fn write_reply(w: &mut impl io::Write, reply: &Reply) -> io::Result<()> {
-    match wire::write_frame(w, &reply.encode()) {
-        Err(e) if e.kind() == io::ErrorKind::InvalidInput => {
-            wire::write_frame(w, &Reply::err(ErrorKind::Internal, e.to_string()).encode())
+    let mut frame = Vec::new();
+    wire::begin_frame(&mut frame);
+    reply.encode_into(&mut frame);
+    seal_reply(&mut frame);
+    w.write_all(&frame)
+}
+
+/// Write `snap`'s `Digest` reply: its frame, built once per snapshot, as
+/// it is. A digest too large for one frame takes the ordinary path, which
+/// answers it with the typed error.
+pub fn write_digest(w: &mut impl io::Write, snap: &Snapshot) -> io::Result<()> {
+    match snap.digest_frame() {
+        Some(frame) => w.write_all(frame),
+        None => {
+            let text = format!("epoch {}\n{}", snap.epoch, snap.digest());
+            write_reply(w, &Reply::Ok(text))
         }
-        written => written,
     }
 }
 
 /// Answer a `Query` against `db` (a reader's view of the published
-/// snapshot): the rows rendered as text, a symbol as its interned string
-/// and an integer in decimal, the same text `Const::display` gives.
-pub fn query_reply(db: &mut Database, body: &str) -> Reply {
-    match db.query_text(body) {
+/// snapshot) as one sealed frame, returned with its slow-log status.
+/// The rows are encoded straight from the result tuples
+/// ([`wire::encode_rows`]): the bytes of `Reply::Rows` with a symbol
+/// rendered as its interned string and an integer in decimal, the text
+/// `Const::display` gives, without a `String` per cell.
+pub fn query_frame(db: &mut Database, body: &str) -> (Vec<u8>, &'static str) {
+    let mut frame = Vec::new();
+    wire::begin_frame(&mut frame);
+    let status = match db.query_text(body) {
         Ok((names, rows)) => {
-            let interner = db.interner();
-            let rendered: Vec<Vec<String>> = rows
-                .iter()
-                .map(|row| {
-                    row.iter()
-                        .map(|c| match c {
-                            Const::Sym(s) => interner.resolve(s).to_owned(),
-                            Const::Int(n) => n.to_string(),
-                        })
-                        .collect()
-                })
-                .collect();
-            Reply::Rows {
-                names,
-                rows: rendered,
-            }
+            wire::encode_rows(&mut frame, &names, &rows, db.interner());
+            "rows"
         }
-        Err(e) => Reply::err(ErrorKind::BadRequest, e.to_string()),
+        Err(e) => {
+            let reply = Reply::err(ErrorKind::BadRequest, e.to_string());
+            reply.encode_into(&mut frame);
+            reply_status(&reply)
+        }
+    };
+    if seal_reply(&mut frame) {
+        return (frame, ErrorKind::Internal.name());
     }
+    (frame, status)
 }
 
 /// Apply one evolution op inside an already-open session. Returns a
@@ -1138,16 +1203,52 @@ fn parse_semantics(s: &str) -> Result<DeleteTypeSemantics, String> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use gom_model::MetaModel;
+
+    /// A sink that counts `write` calls, to tell one write per frame from
+    /// a header write followed by a payload write.
+    #[derive(Default)]
+    struct Sink {
+        bytes: Vec<u8>,
+        writes: usize,
+    }
+
+    impl io::Write for Sink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The one frame in `sink`, decoded.
+    fn only_reply(sink: Sink) -> Reply {
+        assert_eq!(sink.writes, 1, "one write per frame");
+        let mut r = io::Cursor::new(sink.bytes);
+        let payload = wire::read_frame(&mut r).unwrap().expect("one frame");
+        assert!(
+            wire::read_frame(&mut r).unwrap().is_none(),
+            "one frame only"
+        );
+        Reply::decode(&payload).unwrap()
+    }
 
     #[test]
     fn oversized_reply_is_answered_with_a_typed_error() {
         let reply = Reply::Ok("x".repeat(wire::MAX_FRAME as usize + 1));
-        let mut out = Vec::new();
-        write_reply(&mut out, &reply).unwrap();
-        let payload = wire::read_frame(&mut io::Cursor::new(out))
-            .unwrap()
-            .expect("one frame");
-        match Reply::decode(&payload).unwrap() {
+        let mut sink = Sink::default();
+        write_reply(&mut sink, &reply).unwrap();
+        // The slow log names what was sent, not what was asked for.
+        assert_eq!(Answer::Reply(reply).status(), "internal");
+        let mut frame = Vec::new();
+        wire::begin_frame(&mut frame);
+        frame.resize(8 + wire::MAX_FRAME as usize + 1, 0);
+        assert!(seal_reply(&mut frame), "an oversized payload is replaced");
+        match only_reply(sink) {
             Reply::Error {
                 kind: ErrorKind::Internal,
                 message,
@@ -1166,11 +1267,12 @@ mod tests {
             "base R(a, b).\n\
              R('Straße', -42).\n\
              R('λ-attr', 7).\n\
-             R('車', -9223372036854775807).\n",
+             R('', 9223372036854775807).\n\
+             R('車', -9223372036854775808).\n",
         )
         .unwrap();
         let (names, rows) = db.query_text("R(A, B)").unwrap();
-        assert_eq!(rows.len(), 3);
+        assert_eq!(rows.len(), 4);
         let expected: Vec<Vec<String>> = rows
             .iter()
             .map(|row| {
@@ -1179,13 +1281,58 @@ mod tests {
                     .collect()
             })
             .collect();
-        assert!(expected.iter().flatten().any(|cell| cell.starts_with('-')));
-        assert_eq!(
-            query_reply(&mut db, "R(A, B)"),
-            Reply::Rows {
-                names,
-                rows: expected
+        for cell in [
+            "Straße",
+            "-42",
+            "",
+            "9223372036854775807",
+            "-9223372036854775808",
+        ] {
+            assert!(expected.iter().flatten().any(|c| c == cell), "{cell}");
+        }
+        let (frame, status) = query_frame(&mut db, "R(A, B)");
+        assert_eq!(status, "rows");
+        let mut sink = Sink::default();
+        io::Write::write_all(&mut sink, &frame).unwrap();
+        let rows = Reply::Rows {
+            names,
+            rows: expected,
+        };
+        assert_eq!(&frame[8..], rows.encode(), "bytes of the rendered reply");
+        assert_eq!(only_reply(sink), rows);
+    }
+
+    #[test]
+    fn a_bad_query_is_a_typed_error_frame() {
+        let mut db = Database::new();
+        db.load("base R(a).").unwrap();
+        for bad in ["Nope(X)", "R(9223372036854775808)"] {
+            let (frame, status) = query_frame(&mut db, bad);
+            assert_eq!(status, "bad-request");
+            let payload = wire::read_frame(&mut frame.as_slice()).unwrap().unwrap();
+            match Reply::decode(&payload).unwrap() {
+                Reply::Error {
+                    kind: ErrorKind::BadRequest,
+                    ..
+                } => {}
+                other => panic!("{bad}: expected a typed bad-request, got {other:?}"),
             }
-        );
+        }
+    }
+
+    #[test]
+    fn the_digest_frame_is_built_once_and_written_as_is() {
+        let mut meta = MetaModel::new().expect("meta");
+        meta.new_schema("S").expect("schema");
+        let snap = Snapshot::capture(7, &meta);
+        let mut sink = Sink::default();
+        write_digest(&mut sink, &snap).unwrap();
+        let frame = snap.digest_frame().expect("fits one frame");
+        assert_eq!(sink.bytes, frame, "the stored frame, byte for byte");
+        let again = snap.digest_frame().expect("fits one frame");
+        assert_eq!(frame.as_ptr(), again.as_ptr(), "built once");
+        let expected = format!("epoch 7\n{}", meta.db.debug_state_digest());
+        assert_eq!(snap.digest(), &expected["epoch 7\n".len()..]);
+        assert_eq!(only_reply(sink), Reply::Ok(expected));
     }
 }

@@ -15,6 +15,13 @@
 //! on first request ([`Snapshot::digest`]) — a commit that no client ever
 //! digests never pays for the sorted dump.
 //!
+//! The digest is computed straight into the snapshot's `Digest` reply
+//! frame: one sealed gom-wire frame (header with CRC, `Reply::Ok` tag and
+//! length, `epoch N\n`, then the digest text), built at most once per
+//! snapshot. Every later `Digest` read on any connection writes those
+//! bytes as they are, and [`Snapshot::digest`] serves its text as a slice
+//! of the same buffer, so the text is stored once.
+//!
 //! What a snapshot carries beyond the base facts: while the writer keeps
 //! its constraint violations maintained (gomd arms this at start-up, and
 //! every session keeps it armed), the capture also shares the writer's
@@ -33,6 +40,7 @@
 //! by the first connection that asks, and stored in the shared snapshot
 //! for every other reader ([`ReaderCache::check`]).
 
+use crate::wire::{self, Reply};
 use gom_model::MetaModel;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
@@ -44,8 +52,9 @@ pub struct Snapshot {
     /// Index-free CoW share of the meta model (with the writer's compiled
     /// program and violation relations when those were maintained).
     pub meta: MetaModel,
-    /// Lazily computed state digest (see [`Snapshot::digest`]).
-    digest: OnceLock<String>,
+    /// The `Digest` reply frame holding the state digest, built on first
+    /// request (see [`Snapshot::digest`]).
+    digest: OnceLock<DigestFrame>,
     /// Rendered violations of this epoch, filled by the first reader that
     /// checks it (see [`ReaderCache::check`]).
     check: OnceLock<Vec<String>>,
@@ -69,9 +78,47 @@ impl Snapshot {
     /// — and lazy computation cannot change the bytes, because the
     /// snapshot is immutable from capture on.
     pub fn digest(&self) -> &str {
-        self.digest
-            .get_or_init(|| self.meta.db.debug_state_digest())
+        let frame = self.digest_built();
+        // SAFETY: `bytes[text..]` is a copy of the digest `String`'s bytes
+        // (checked in `digest_built`), and the frame is never mutated
+        // after it is built, so the slice is UTF-8 and this call stays
+        // constant-time instead of re-validating ~125 KB per read.
+        unsafe { std::str::from_utf8_unchecked(&frame.bytes[frame.text..]) }
     }
+
+    /// The `Digest` reply (`epoch N\n` and the digest text) as one sealed
+    /// frame, built on first request. `None` when its payload exceeds
+    /// [`wire::MAX_FRAME`]: such a reply cannot be framed, and the server
+    /// answers it on its ordinary path, which refuses it with a typed error.
+    pub(crate) fn digest_frame(&self) -> Option<&[u8]> {
+        let frame = self.digest_built();
+        frame.sealed.then_some(&*frame.bytes)
+    }
+
+    fn digest_built(&self) -> &DigestFrame {
+        self.digest.get_or_init(|| {
+            let digest = self.meta.db.debug_state_digest();
+            let reply = Reply::Ok(format!("epoch {}\n{digest}", self.epoch));
+            let mut bytes = Vec::new();
+            wire::begin_frame(&mut bytes);
+            reply.encode_into(&mut bytes);
+            let sealed = wire::seal_frame(&mut bytes).is_ok();
+            debug_assert_eq!(&bytes[bytes.len() - digest.len()..], digest.as_bytes());
+            DigestFrame {
+                text: bytes.len() - digest.len(),
+                bytes: bytes.into_boxed_slice(),
+                sealed,
+            }
+        })
+    }
+}
+
+/// A snapshot's `Digest` reply frame and where the digest text starts in it.
+struct DigestFrame {
+    bytes: Box<[u8]>,
+    text: usize,
+    /// Whether the header is filled in (the payload fits one frame).
+    sealed: bool,
 }
 
 /// The publication point: one atomic epoch plus the current snapshot.
@@ -138,6 +185,12 @@ impl ReaderCache {
     /// Serves digest/stats/metrics without ever building (or refreshing)
     /// the private clone.
     pub fn snapshot(&mut self, cell: &SnapshotCell) -> &Snapshot {
+        self.shared(cell)
+    }
+
+    /// [`ReaderCache::snapshot`]'s handle itself, which the server clones
+    /// to write the snapshot's digest frame after the request is timed.
+    pub(crate) fn shared(&mut self, cell: &SnapshotCell) -> &Arc<Snapshot> {
         let current = cell.epoch();
         if self.shared.as_ref().map(|s| s.epoch) != Some(current) {
             self.shared = Some(cell.load());
@@ -188,12 +241,7 @@ impl ReaderCache {
         let current = cell.epoch();
         let stale = !matches!(&self.private, Some((snap, _)) if snap.epoch == current);
         if stale {
-            self.snapshot(cell);
-            let snap = match &self.shared {
-                Some(s) => Arc::clone(s),
-                // Unreachable: `snapshot` above fills the handle.
-                None => unreachable!("shared handle refreshed above"),
-            };
+            let snap = Arc::clone(self.shared(cell));
             gom_obs::counter_add("server.reader.refreshes", 1);
             let mut meta = snap.meta.snapshot_clone();
             meta.db.prepare_reader();

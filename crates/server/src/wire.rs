@@ -31,6 +31,7 @@
 //! with a typed `Timeout` error; a session whose lease the reaper expired
 //! answers the zombie's next session frame with `LeaseExpired`.
 
+use gom_deductive::{Const, Interner, Tuple};
 use gom_store::crc32;
 use std::io::{Read, Write};
 use std::time::{Duration, Instant};
@@ -268,34 +269,55 @@ fn corrupt(what: &str) -> WireError {
 // Framing
 // ---------------------------------------------------------------------------
 
-/// Write one frame. A payload over [`MAX_FRAME`] bytes, which the peer's
-/// [`read_frame`] would reject as corrupt, is refused with
-/// `InvalidInput` before any byte is written.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+/// Length of a frame header: `len` then `crc`, four bytes each.
+const HEADER: usize = 8;
+
+/// Start a frame in `buf`: clear it and reserve the header. Append the
+/// payload after it, then [`seal_frame`] fills the header in, so the whole
+/// frame goes out in one write.
+pub(crate) fn begin_frame(buf: &mut Vec<u8>) {
+    buf.clear();
+    buf.extend_from_slice(&[0; HEADER]);
+}
+
+/// Fill in the header of the frame built in `buf` (see [`begin_frame`]).
+/// A payload over [`MAX_FRAME`] bytes, which the peer's [`read_frame`]
+/// would reject as corrupt, is refused with `InvalidInput` and the header
+/// left unset.
+pub(crate) fn seal_frame(buf: &mut [u8]) -> std::io::Result<()> {
+    let refuse = |what: String| std::io::Error::new(std::io::ErrorKind::InvalidInput, what);
+    let (head, payload) = buf
+        .split_at_mut_checked(HEADER)
+        .ok_or_else(|| refuse("frame buffer has no header".into()))?;
     let len = u32::try_from(payload.len())
         .ok()
         .filter(|&n| n <= MAX_FRAME)
         .ok_or_else(|| {
-            std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                format!(
-                    "frame payload of {} bytes exceeds the {MAX_FRAME}-byte bound",
-                    payload.len()
-                ),
-            )
+            refuse(format!(
+                "frame payload of {} bytes exceeds the {MAX_FRAME}-byte bound",
+                payload.len()
+            ))
         })?;
-    let mut head = [0u8; 8];
     head[..4].copy_from_slice(&len.to_le_bytes());
     head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-    w.write_all(&head)?;
-    w.write_all(payload)?;
+    Ok(())
+}
+
+/// Write one frame with one `write_all`. A payload over [`MAX_FRAME`]
+/// bytes is refused with `InvalidInput` before any byte is written.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
+    let mut frame = Vec::with_capacity(HEADER + payload.len());
+    begin_frame(&mut frame);
+    frame.extend_from_slice(payload);
+    seal_frame(&mut frame)?;
+    w.write_all(&frame)?;
     w.flush()
 }
 
 /// Read one frame's payload. `Ok(None)` means the peer closed the
 /// connection cleanly at a frame boundary.
 pub fn read_frame(r: &mut impl Read) -> std::io::Result<Option<Vec<u8>>> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; HEADER];
     let mut got = 0;
     while got < head.len() {
         match r.read(&mut head[got..]) {
@@ -357,7 +379,7 @@ pub fn read_frame_deadline(
     frame_deadline: Duration,
     mut keep_waiting: impl FnMut() -> bool,
 ) -> std::io::Result<ReadEvent> {
-    let mut head = [0u8; 8];
+    let mut head = [0u8; HEADER];
     let mut got = 0usize;
     let mut payload: Vec<u8> = Vec::new();
     let mut payload_len: Option<usize> = None;
@@ -510,6 +532,60 @@ fn put_str_list(out: &mut Vec<u8>, items: &[String]) {
     for s in items {
         put_str(out, s);
     }
+}
+
+/// An integer cell: its decimal digits (the text `i64`'s `Display`
+/// gives), formatted into a stack buffer rather than a `String`.
+fn put_int(out: &mut Vec<u8>, n: i64) {
+    // `i64::MIN` is the longest: a sign and 19 digits.
+    let mut text = [0u8; 20];
+    let mut rest = &mut text[..];
+    let _ = write!(rest, "{n}");
+    let len = 20 - rest.len();
+    put_u32(out, len as u32);
+    out.extend_from_slice(&text[..len]);
+}
+
+/// The `Rows` payload: tag, column names, row count, then each row as a
+/// cell count and its cells, each written by `cell` as a length-prefixed
+/// string. The one definition of the layout: [`Reply::encode`] writes
+/// rendered cells through it and [`encode_rows`] result tuples.
+fn put_rows<'a, C: 'a>(
+    out: &mut Vec<u8>,
+    names: &[String],
+    rows: impl ExactSizeIterator<Item = &'a [C]>,
+    mut cell: impl FnMut(&mut Vec<u8>, &C),
+) {
+    out.push(REP_ROWS);
+    put_str_list(out, names);
+    put_u32(out, rows.len() as u32);
+    for row in rows {
+        put_u32(out, row.len() as u32);
+        for c in row {
+            cell(out, c);
+        }
+    }
+}
+
+/// Append the `Rows` payload of a query answer straight from its result
+/// tuples: a symbol as its interned string, an integer in decimal. The
+/// bytes are those of [`Reply::Rows`] holding that rendering (the text
+/// `Const::display` gives), with no `String` built per cell.
+pub(crate) fn encode_rows(
+    out: &mut Vec<u8>,
+    names: &[String],
+    rows: &[Tuple],
+    interner: &Interner,
+) {
+    put_rows(
+        out,
+        names,
+        rows.iter().map(Tuple::as_slice),
+        |out, c| match *c {
+            Const::Sym(s) => put_str(out, interner.resolve(s)),
+            Const::Int(n) => put_int(out, n),
+        },
+    );
 }
 
 /// Encoded size of a [`put_str_list`] list.
@@ -735,13 +811,27 @@ impl Reply {
         }
     }
 
+    /// Whether the encoded payload fits one frame ([`MAX_FRAME`]).
+    pub(crate) fn fits_frame(&self) -> bool {
+        self.encoded_len() <= MAX_FRAME as usize
+    }
+
     /// Encode the reply payload into a buffer sized once up front.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.encoded_len());
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Append the reply payload to `out`, reserving its size once up
+    /// front (after a [`begin_frame`] header, this builds the frame in
+    /// place).
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) {
+        out.reserve(self.encoded_len());
         match self {
             Reply::Ok(msg) => {
                 out.push(REP_OK);
-                put_str(&mut out, msg);
+                put_str(out, msg);
             }
             Reply::Committed {
                 epoch,
@@ -749,26 +839,23 @@ impl Reply {
                 token,
             } => {
                 out.push(REP_COMMITTED);
-                put_u64(&mut out, *epoch);
-                put_u64(&mut out, *changes);
-                put_u64(&mut out, *token);
+                put_u64(out, *epoch);
+                put_u64(out, *changes);
+                put_u64(out, *token);
             }
             Reply::Overloaded { active, max } => {
                 out.push(REP_OVERLOADED);
-                put_u64(&mut out, *active);
-                put_u64(&mut out, *max);
+                put_u64(out, *active);
+                put_u64(out, *max);
             }
             Reply::Violations(v) => {
                 out.push(REP_VIOLATIONS);
-                put_str_list(&mut out, v);
+                put_str_list(out, v);
             }
             Reply::Rows { names, rows } => {
-                out.push(REP_ROWS);
-                put_str_list(&mut out, names);
-                put_u32(&mut out, rows.len() as u32);
-                for row in rows {
-                    put_str_list(&mut out, row);
-                }
+                put_rows(out, names, rows.iter().map(Vec::as_slice), |out, s| {
+                    put_str(out, s)
+                });
             }
             Reply::Error { kind, message } => {
                 out.push(REP_ERROR);
@@ -780,10 +867,9 @@ impl Reply {
                     ErrorKind::Timeout => ERR_TIMEOUT,
                     ErrorKind::LeaseExpired => ERR_LEASE_EXPIRED,
                 });
-                put_str(&mut out, message);
+                put_str(out, message);
             }
         }
-        out
     }
 
     /// Decode a reply payload.
@@ -1046,6 +1132,81 @@ mod tests {
         huge.extend_from_slice(&0u32.to_le_bytes());
         let mut cursor = std::io::Cursor::new(huge);
         assert!(read_frame(&mut cursor).is_err());
+    }
+
+    /// `encode_rows` of `rows` against the payload of the rendered reply.
+    fn assert_rows_encode_like_rendered(names: &[&str], rows: &[Tuple], interner: &Interner) {
+        let names: Vec<String> = names.iter().map(|n| n.to_string()).collect();
+        let rendered = Reply::Rows {
+            names: names.clone(),
+            rows: rows
+                .iter()
+                .map(|t| t.iter().map(|c| c.display(interner).to_string()).collect())
+                .collect(),
+        };
+        let mut direct = Vec::new();
+        encode_rows(&mut direct, &names, rows, interner);
+        assert_eq!(direct, rendered.encode(), "{rendered:?}");
+        assert_eq!(Reply::decode(&direct).unwrap(), rendered);
+    }
+
+    #[test]
+    fn rows_encode_from_tuples_like_the_rendered_reply() {
+        let mut interner = Interner::new();
+        let mut sym = |s: &str| Const::Sym(interner.intern(s));
+        let (grosse, empty, car) = (sym("größe"), sym(""), sym("車"));
+        let ints = [
+            i64::MIN,
+            i64::MIN + 1,
+            -1_000_000,
+            -10,
+            -9,
+            -1,
+            0,
+            1,
+            9,
+            10,
+            4_294_967_296,
+            i64::MAX,
+        ];
+        let mixed: Vec<Tuple> = ints
+            .iter()
+            .map(|&n| Tuple::from([grosse, Const::Int(n), empty]))
+            .chain([Tuple::from([car, empty, Const::Int(-42)])])
+            .collect();
+        assert_rows_encode_like_rendered(&["T", "N", "D"], &mixed, &interner);
+        // Zero rows; a ground query that holds (one row of zero columns);
+        // a ground query that fails (no columns, no rows).
+        assert_rows_encode_like_rendered(&["T", "N"], &[], &interner);
+        assert_rows_encode_like_rendered(&[], &[Tuple::from(Vec::new())], &interner);
+        assert_rows_encode_like_rendered(&[], &[], &interner);
+    }
+
+    #[test]
+    fn every_frame_is_one_write() {
+        struct Counting(usize, Vec<u8>);
+        impl Write for Counting {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0 += 1;
+                self.1.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = Request::Query("Attr(T, N, D)".into()).encode();
+        let mut w = Counting(0, Vec::new());
+        write_frame(&mut w, &payload).unwrap();
+        assert_eq!(w.0, 1);
+        // The same bytes as a frame built in place and sealed.
+        let mut built = Vec::new();
+        begin_frame(&mut built);
+        built.extend_from_slice(&payload);
+        seal_frame(&mut built).unwrap();
+        assert_eq!(w.1, built);
+        // A buffer without room for a header is refused, not a panic.
+        assert!(seal_frame(&mut [0u8; 7]).is_err());
     }
 
     #[test]
