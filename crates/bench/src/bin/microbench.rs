@@ -32,6 +32,10 @@
 //! * `analyzer_define_after_*` — lowering one trace-shaped frame into an
 //!   open session after 0 or 2000 committed frames (should not grow with
 //!   the history), and with each session rolled back instead,
+//! * `recover_synth500` — `SchemaManager::open` on a journal holding one
+//!   checkpoint of the gomd_bench preload (500 types, two objects on each
+//!   of the first 50): snapshot apply plus the recovery fixpoint, whose
+//!   `derived_per_iter` is the size of the IDB every session maintains,
 //! * `journal_commit_*` — committing a six-op session to the journal under
 //!   `SyncPolicy::OnCommit`, in memory and to a temporary file (one append
 //!   and one fsync),
@@ -45,7 +49,7 @@
 //! Each row builds its world only when it is selected, and drops it before
 //! the next row runs.
 
-use gom_bench::{populate_objects, synth_manager, SynthParams};
+use gom_bench::{build_synth_schema, populate_objects, synth_manager, SynthParams};
 use gom_deductive::{ChangeSet, Database, Tuple};
 use gom_evolution::{cure_add_attr, fixed_check, CurePolicy};
 use gom_model::{Oid, TypeId};
@@ -501,16 +505,43 @@ fn six_jops() -> Vec<JOp> {
         .collect()
 }
 
+/// A temporary file, removed when dropped.
+struct TempFile(std::path::PathBuf);
+
+impl TempFile {
+    fn new(stem: &str) -> TempFile {
+        let path =
+            std::env::temp_dir().join(format!("gom_microbench_{stem}_{}.gomj", std::process::id()));
+        let _ = std::fs::remove_file(&path);
+        TempFile(path)
+    }
+}
+
+impl Drop for TempFile {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.0);
+    }
+}
+
 /// A journal on a temporary file, removed when dropped.
 struct TempJournal {
     journal: Journal,
-    path: std::path::PathBuf,
+    _file: TempFile,
 }
 
-impl Drop for TempJournal {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_file(&self.path);
-    }
+/// Write the gomd_bench preload — 500 synthetic types, two objects on each
+/// of the first 50 — to the journal at `path` as one checkpoint.
+fn write_preload(path: &std::path::Path) {
+    let (mut mgr, _) = SchemaManager::open(path, SyncPolicy::Never).expect("open");
+    let types = build_synth_schema(
+        &mut mgr,
+        SynthParams {
+            types: 500,
+            ..Default::default()
+        },
+    );
+    populate_objects(&mut mgr, &types[..50], 2);
+    mgr.checkpoint().expect("checkpoint");
 }
 
 /// Commit the six-op session to `journal` (units = bytes appended).
@@ -724,6 +755,27 @@ fn rows() -> Vec<Row> {
                 units: 0,
             }
         }),
+        row("recover_synth500", || {
+            let file = TempFile::new("recover");
+            write_preload(&file.0);
+            let opened: Rc<RefCell<Option<SchemaManager>>> = Rc::default();
+            let prep_opened = Rc::clone(&opened);
+            Bench {
+                // The previous run's manager is dropped untimed.
+                prep: Some(Box::new(move || drop(prep_opened.borrow_mut().take()))),
+                run: Box::new(move || {
+                    // gomd start-up on the preload: read the checkpoint,
+                    // apply it to a fresh manager and run the recovery
+                    // fixpoint (units = facts recovered).
+                    let (mgr, _) =
+                        SchemaManager::open(&file.0, SyncPolicy::Never).expect("recover");
+                    let facts = mgr.meta.db.fact_count() as u64;
+                    *opened.borrow_mut() = Some(mgr);
+                    facts
+                }),
+                units: 0,
+            }
+        }),
         row("repairs_all_k16", || {
             let mut mgr = violated_manager(16);
             let violations = mgr.meta.db.check().expect("check");
@@ -844,13 +896,12 @@ fn rows() -> Vec<Row> {
             })
         }),
         row("journal_commit_file", || {
-            let path = std::env::temp_dir().join(format!(
-                "gom_microbench_journal_{}.gomj",
-                std::process::id()
-            ));
-            let _ = std::fs::remove_file(&path);
-            let (journal, _) = Journal::open_path(&path, SyncPolicy::OnCommit).expect("open");
-            let mut temp = TempJournal { journal, path };
+            let file = TempFile::new("journal");
+            let (journal, _) = Journal::open_path(&file.0, SyncPolicy::OnCommit).expect("open");
+            let mut temp = TempJournal {
+                journal,
+                _file: file,
+            };
             let ops = six_jops();
             bench(move || commit_six(&mut temp.journal, &ops))
         }),

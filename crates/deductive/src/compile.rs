@@ -14,6 +14,29 @@
 //! auxiliary predicates guarded by a *context predicate* carrying the
 //! bindings reaching that point — a guarded Lloyd–Topor transformation that
 //! keeps every generated rule range-restricted.
+//!
+//! In general the premise is materialised once, as the context
+//! `__ctx(X̄) :- premise`, and the violations are the context bindings the
+//! conclusion does not hold for:
+//!
+//! ```text
+//! __hold(X̄) :- __ctx(X̄), conclusion.      __viol(X̄) :- __ctx(X̄), not __hold(X̄).
+//! ```
+//!
+//! Two common shapes need no copy of the premise:
+//!
+//! * **comparison conclusion** — a key-style constraint whose conclusion is
+//!   one comparison over witness variables (or `false`) compiles to the one
+//!   rule `__viol(X̄) :- premise, ¬cmp`: no context, no hold;
+//! * **single-atom premise** — a premise that is one positive atom over
+//!   witness variables only (constants and repeated variables allowed) is
+//!   itself the guard of `__hold`, `__viol` and every nested auxiliary. An
+//!   atom with a premise-local existential variable still gets a context:
+//!   as a guard it would bind that variable inside the conclusion, which
+//!   may reuse it.
+//!
+//! Either way the violation predicate holds the same witnesses, and the
+//! maintained IDB holds no relation that only repeats the premise.
 
 use crate::ast::{Atom, CmpOp, Literal, Rule, Term, Var};
 use crate::constraint::{Constraint, Formula};
@@ -52,9 +75,6 @@ pub(crate) struct CompiledConstraint {
     pub source_idx: usize,
     /// The violation predicate; one fact per witness.
     pub viol: PredId,
-    /// The context predicate holding premise bindings.
-    #[allow(dead_code)]
-    pub ctx: PredId,
     /// Outer universally quantified variables, in declaration order.
     pub outer_vars: Vec<Var>,
     /// Lowered premise literals (over `outer_vars` plus locals).
@@ -466,45 +486,72 @@ fn compile_constraint(
         }
     }
 
-    let ctx_pred = compiler.declare_aux("ctx", outer_vars.len());
-    let ctx_atom = Atom::new(ctx_pred, Compiler::terms(&outer_vars));
-    compiler
-        .rules
-        .push(Rule::new(ctx_atom.clone(), premise.clone()));
-    let ctx = Ctx {
-        atom: ctx_atom.clone(),
-        vars: outer_vars.clone(),
-    };
-
     let conclusion = conclusion.push_exists();
     let viol_pred = compiler.declare_aux("viol", outer_vars.len());
     let viol_atom = Atom::new(viol_pred, Compiler::terms(&outer_vars));
-    if conclusion == Formula::False {
-        compiler
-            .rules
-            .push(Rule::new(viol_atom, vec![Literal::Pos(ctx_atom)]));
+    if let Some(refute) = refuting_literals(&conclusion, &outer_vars) {
+        // A comparison (or `false`) conclusion over witness variables:
+        // `viol(X̄) :- premise, ¬cmp` reads the premise directly.
+        let mut body = premise.clone();
+        body.extend(refute);
+        compiler.rules.push(Rule::new(viol_atom, body));
     } else {
+        // A single positive atom over witness variables only is its own
+        // context guard. An atom with a premise-local variable is not: as a
+        // guard it would bind that variable inside the conclusion.
+        let atom = match premise.as_slice() {
+            [Literal::Pos(a)] if a.vars().all(|v| outer_vars.contains(&v)) => a.clone(),
+            _ => {
+                let ctx_pred = compiler.declare_aux("ctx", outer_vars.len());
+                let atom = Atom::new(ctx_pred, Compiler::terms(&outer_vars));
+                compiler
+                    .rules
+                    .push(Rule::new(atom.clone(), premise.clone()));
+                atom
+            }
+        };
+        let ctx = Ctx {
+            atom,
+            vars: outer_vars.clone(),
+        };
         let c_lits = compiler.compile_holds(&conclusion, &ctx)?;
         let h_pred = compiler.declare_aux("hold", outer_vars.len());
         let h_atom = Atom::new(h_pred, Compiler::terms(&outer_vars));
-        let mut hbody = vec![Literal::Pos(ctx_atom.clone())];
+        let mut hbody = vec![Literal::Pos(ctx.atom.clone())];
         hbody.extend(c_lits);
         compiler.rules.push(Rule::new(h_atom.clone(), hbody));
         compiler.rules.push(Rule::new(
             viol_atom,
-            vec![Literal::Pos(ctx_atom), Literal::Neg(h_atom)],
+            vec![Literal::Pos(ctx.atom), Literal::Neg(h_atom)],
         ));
     }
 
     Ok(CompiledConstraint {
         source_idx,
         viol: viol_pred,
-        ctx: ctx_pred,
         outer_vars,
         premise,
         conclusion,
         deps: FxHashSet::default(), // filled in by `ensure_compiled`
     })
+}
+
+/// The literals refuting a conclusion that is `false` or one comparison
+/// over witness variables: nothing for `false`, the negated comparison
+/// otherwise. `None` for every other conclusion.
+fn refuting_literals(conclusion: &Formula, outer_vars: &[Var]) -> Option<Vec<Literal>> {
+    match conclusion {
+        Formula::False => Some(Vec::new()),
+        Formula::Cmp(op, l, r)
+            if [l, r]
+                .iter()
+                .filter_map(|t| t.as_var())
+                .all(|v| outer_vars.contains(&v)) =>
+        {
+            Some(vec![Literal::Cmp(op.negate(), *l, *r)])
+        }
+        _ => None,
+    }
 }
 
 /// Base predicates reachable from `start` through the rule graph.
@@ -676,6 +723,7 @@ impl Database {
 #[cfg(test)]
 mod tests {
 
+    use crate::ast::Literal;
     use crate::db::Database;
     use crate::error::Error;
     use crate::value::Const;
@@ -684,6 +732,89 @@ mod tests {
         let mut db = Database::new();
         db.load(text).expect("program parses");
         db
+    }
+
+    /// The constraint-generated rules, each as its head predicate's name
+    /// and its body predicates' names.
+    fn generated(db: &mut Database) -> Vec<(String, Vec<String>)> {
+        let view = db.program_view().expect("compiles");
+        let rules = view.rules[view.user_rule_count..].to_vec();
+        rules
+            .iter()
+            .map(|r| {
+                let body = r
+                    .body
+                    .iter()
+                    .filter_map(|l| match l {
+                        Literal::Pos(a) | Literal::Neg(a) => Some(db.pred_name(a.pred).to_string()),
+                        Literal::Cmp(..) => None,
+                    })
+                    .collect();
+                (db.pred_name(r.head.pred).to_string(), body)
+            })
+            .collect()
+    }
+
+    fn mentions(rules: &[(String, Vec<String>)], prefix: &str) -> bool {
+        rules
+            .iter()
+            .any(|(h, b)| h.starts_with(prefix) || b.iter().any(|p| p.starts_with(prefix)))
+    }
+
+    #[test]
+    fn referential_constraint_is_guarded_by_its_premise_atom() {
+        let mut db = db_with(
+            "base Attr(t, a, d). base Type(t, n, s).
+             constraint attr_type_ref: forall T, A, D: Attr(T, A, D) -> exists N, S: Type(T, N, S).",
+        );
+        let rules = generated(&mut db);
+        assert!(!mentions(&rules, "__ctx"), "{rules:?}");
+        let viol = &rules.last().expect("a violation rule").1;
+        assert_eq!(viol[0], "Attr", "{rules:?}");
+        let (attr, ty) = (db.pred_id("Attr").unwrap(), db.pred_id("Type").unwrap());
+        let (t, a, d) = (db.constant("t"), db.constant("a"), db.constant("d"));
+        db.insert(attr, vec![t, a, d]).unwrap();
+        assert_eq!(db.check().unwrap().len(), 1);
+        db.insert(ty, vec![t, a, d]).unwrap();
+        assert!(db.check().unwrap().is_empty());
+    }
+
+    #[test]
+    fn key_style_constraint_compiles_to_one_rule() {
+        let mut db = db_with(
+            "base PhRep(c, t).
+             constraint phrep_unique: forall C1, T, C2: PhRep(C1, T) & PhRep(C2, T) -> C1 = C2.",
+        );
+        let rules = generated(&mut db);
+        assert_eq!(rules.len(), 1, "{rules:?}");
+        assert!(rules[0].0.starts_with("__viol"), "{rules:?}");
+        assert_eq!(rules[0].1, ["PhRep", "PhRep"]);
+        assert!(!mentions(&rules, "__hold"), "{rules:?}");
+        let rep = db.pred_id("PhRep").unwrap();
+        let (c1, c2, t) = (db.constant("c1"), db.constant("c2"), db.constant("t"));
+        db.insert(rep, vec![c1, t]).unwrap();
+        assert!(db.check().unwrap().is_empty());
+        db.insert(rep, vec![c2, t]).unwrap();
+        // (c1, t, c2) and (c2, t, c1)
+        assert_eq!(db.check().unwrap().len(), 2);
+    }
+
+    #[test]
+    fn two_atom_premise_keeps_its_context() {
+        let mut db = db_with(
+            "base AttrB(t, a, ta). base Rep(c, t). base Sl(c, a, ca).
+             constraint star:
+               forall T, A, TA, C: AttrB(T, A, TA) & Rep(C, T)
+                 -> exists CA: Sl(C, A, CA) & Rep(CA, TA).",
+        );
+        let rules = generated(&mut db);
+        let ctx = rules
+            .iter()
+            .find(|(h, _)| h.starts_with("__ctx"))
+            .unwrap_or_else(|| panic!("no context rule in {rules:?}"));
+        assert_eq!(ctx.1, ["AttrB", "Rep"]);
+        let viol = &rules.last().expect("a violation rule").1;
+        assert_eq!(viol[0], ctx.0, "{rules:?}");
     }
 
     #[test]

@@ -2,17 +2,25 @@
 //! model checking.
 //!
 //! For random range-restricted constraints of the supported normal form
-//! `forall X̄: premise -> conclusion` and random extensional databases, a
-//! constraint must be *violated* under the compiled violation rules exactly
-//! when the formula evaluates to *false* under naive first-order semantics
-//! over the database's active domain. Cases are drawn from
-//! `gom_obs::SplitMix64`, one seed per case, and every failure prints its
-//! seed.
+//! `forall X̄: premise -> conclusion` and random extensional databases, the
+//! compiled violation rules must report exactly the witnesses `X̄` for
+//! which the premise holds and the conclusion is *false* under naive
+//! first-order semantics over the database's active domain — the same
+//! set, binding by binding, not only the same emptiness.
+//!
+//! Premises come in four kinds, one per shape the compiler treats
+//! differently: one atom over distinct witness variables, an atom with a
+//! constant or a repeated variable, a premise-local existential whose
+//! variable the conclusion's own existential reuses, and two atoms.
+//! Conclusions are random formulas or bare comparisons. Cases are drawn
+//! from `gom_obs::SplitMix64`, one seed per case, and every failure prints
+//! its seed.
 
 use gom_deductive::ast::{Atom, CmpOp, Term, Var};
 use gom_deductive::constraint::{Constraint, Formula};
 use gom_deductive::{Const, Database, PredId, Tuple};
 use gom_obs::SplitMix64;
+use std::collections::BTreeSet;
 
 const DOMAIN: i64 = 4; // constants 0..DOMAIN
 
@@ -48,6 +56,8 @@ enum GenF {
     AtomP(u32),
     AtomQ(u32, u32),
     Cmp(CmpOp, u32, u32),
+    /// A comparison of a variable with a constant.
+    CmpConst(CmpOp, u32, i64),
     And(Vec<GenF>),
     Or(Vec<GenF>),
     NotAtomP(u32),
@@ -88,6 +98,26 @@ fn gen_f(rng: &mut SplitMix64, avail: u32, depth: u32) -> GenF {
     }
 }
 
+/// A bare comparison over the outer variables `0..avail`, with any
+/// operator, against another variable or a constant.
+fn gen_cmp(rng: &mut SplitMix64, avail: u32) -> GenF {
+    const OPS: [CmpOp; 6] = [
+        CmpOp::Eq,
+        CmpOp::Ne,
+        CmpOp::Lt,
+        CmpOp::Le,
+        CmpOp::Gt,
+        CmpOp::Ge,
+    ];
+    let op = OPS[rng.below(OPS.len())];
+    let x = rng.below(avail as usize) as u32;
+    if rng.below(2) == 0 {
+        GenF::Cmp(op, x, rng.below(avail as usize) as u32)
+    } else {
+        GenF::CmpConst(op, x, constant(rng))
+    }
+}
+
 fn gen_fs(rng: &mut SplitMix64, avail: u32, depth: u32) -> Vec<GenF> {
     (0..1 + rng.below(2))
         .map(|_| gen_f(rng, avail, depth))
@@ -116,6 +146,9 @@ fn to_formula(g: &GenF, p: PredId, q: PredId, r: PredId, next: &mut u32) -> Form
             Formula::Atom(Atom::new(q, vec![Term::Var(Var(*x)), Term::Var(Var(*y))]))
         }
         GenF::Cmp(op, x, y) => Formula::Cmp(*op, Term::Var(Var(*x)), Term::Var(Var(*y))),
+        GenF::CmpConst(op, x, c) => {
+            Formula::Cmp(*op, Term::Var(Var(*x)), Term::Const(Const::Int(*c)))
+        }
         GenF::And(fs) => Formula::and(fs.iter().map(|f| to_formula(f, p, q, r, next)).collect()),
         GenF::Or(fs) => Formula::or(fs.iter().map(|f| to_formula(f, p, q, r, next)).collect()),
         GenF::NotAtomP(x) => Formula::Not(Box::new(Formula::Atom(Atom::new(
@@ -234,41 +267,154 @@ fn iterate(
     go(vs, 0, g, env, db, forall)
 }
 
+fn var(i: u32) -> Term {
+    Term::Var(Var(i))
+}
+
+fn atom(pred: PredId, args: Vec<Term>) -> Formula {
+    Formula::Atom(Atom::new(pred, args))
+}
+
+/// A random premise binding every outer variable positively. Returns the
+/// premise, the number of outer variables `n`, and the first variable the
+/// conclusion may allocate for its own quantifiers.
+fn gen_premise(rng: &mut SplitMix64, p: PredId, q: PredId, r: PredId) -> (Formula, u32, u32) {
+    let binary = |rng: &mut SplitMix64| if rng.below(2) == 0 { q } else { r };
+    let c = |rng: &mut SplitMix64| Term::Const(Const::Int(constant(rng)));
+    match rng.below(4) {
+        // One atom over distinct witness variables: P(X0) or B(X0, X1).
+        0 => {
+            if rng.below(2) == 0 {
+                (atom(p, vec![var(0)]), 1, 1)
+            } else {
+                (atom(binary(rng), vec![var(0), var(1)]), 2, 2)
+            }
+        }
+        // One atom with a constant or a repeated variable: B(X0, c),
+        // B(c, X0) or B(X0, X0).
+        1 => {
+            let pred = binary(rng);
+            let args = match rng.below(3) {
+                0 => vec![var(0), c(rng)],
+                1 => vec![c(rng), var(0)],
+                _ => vec![var(0), var(0)],
+            };
+            (atom(pred, args), 1, 1)
+        }
+        // A premise-local existential Y: exists Y: B(X0, Y), or
+        // exists Y: B(X0, Y) & B'(Y, X1). The conclusion's first own
+        // quantified variable is the same `Var` as Y.
+        2 => {
+            let n = 1 + rng.below(2) as u32;
+            let y = Var(n);
+            let first = atom(binary(rng), vec![var(0), Term::Var(y)]);
+            let body = if n == 1 {
+                first
+            } else {
+                Formula::and(vec![first, atom(binary(rng), vec![Term::Var(y), var(1)])])
+            };
+            (Formula::Exists(vec![y], Box::new(body)), n, n)
+        }
+        // Two atoms.
+        _ => {
+            let (left, right, n) = match rng.below(4) {
+                0 => {
+                    let args = if rng.below(2) == 0 {
+                        vec![var(0), var(0)]
+                    } else {
+                        vec![var(0), c(rng)]
+                    };
+                    (atom(p, vec![var(0)]), atom(binary(rng), args), 1)
+                }
+                1 => (
+                    atom(binary(rng), vec![var(0), var(1)]),
+                    atom(p, vec![var(1)]),
+                    2,
+                ),
+                2 => (atom(p, vec![var(0)]), atom(p, vec![var(1)]), 2),
+                _ => (
+                    atom(binary(rng), vec![var(0), var(1)]),
+                    atom(binary(rng), vec![var(1), var(0)]),
+                    2,
+                ),
+            };
+            (Formula::and(vec![left, right]), n, n)
+        }
+    }
+}
+
 /// One random case: a random EDB and one constraint over it.
 fn check_case(seed: u64) {
     let mut rng = SplitMix64::new(seed);
     let p_facts = gen_facts(&mut rng, 5, constant);
     let q_facts = gen_facts(&mut rng, 8, pair);
     let r_facts = gen_facts(&mut rng, 8, pair);
-    let n_outer = 1 + rng.below(2) as u32;
-    let conclusion = gen_f(&mut rng, n_outer, 1);
-
     let (mut db, p, q, r) = setup_db(&p_facts, &q_facts, &r_facts);
-    // Premise: bind each outer var positively — P(X0) when n_outer == 1,
-    // else Q(X0, X1).
-    let outer: Vec<Var> = (0..n_outer).map(Var).collect();
-    let premise = if n_outer == 1 {
-        Formula::Atom(Atom::new(p, vec![Term::Var(Var(0))]))
+
+    let (premise, n_outer, mut next) = gen_premise(&mut rng, p, q, r);
+    let conclusion = if rng.below(4) == 0 {
+        gen_cmp(&mut rng, n_outer)
     } else {
-        Formula::Atom(Atom::new(q, vec![Term::Var(Var(0)), Term::Var(Var(1))]))
+        gen_f(&mut rng, n_outer, 1)
     };
-    let mut next = n_outer;
     let conclusion_f = to_formula(&conclusion, p, q, r, &mut next);
+    let outer: Vec<Var> = (0..n_outer).map(Var).collect();
     let formula = Formula::Forall(
         outer,
-        Box::new(Formula::Implies(Box::new(premise), Box::new(conclusion_f))),
+        Box::new(Formula::Implies(
+            Box::new(premise.clone()),
+            Box::new(conclusion_f.clone()),
+        )),
     );
-    let var_names = (0..next).map(|i| format!("V{i}")).collect();
-    let constraint = Constraint::new("prop", var_names, formula.clone());
+    let n_vars = formula.var_count();
+    let var_names: Vec<String> = (0..n_vars).map(|i| format!("V{i}")).collect();
+    let constraint = Constraint::new("prop", var_names.clone(), formula.clone());
     db.add_constraint(constraint);
 
     let compiled_violations = db.check().unwrap_or_else(|e| panic!("seed {seed}: {e}"));
-    let mut env: Vec<Option<i64>> = vec![None; next as usize];
-    let naive_holds = naive_eval(&formula, &mut env, &db);
+    let mut got: BTreeSet<Vec<i64>> = BTreeSet::new();
+    for v in &compiled_violations {
+        let names: Vec<&str> = v.witness.iter().map(|(n, _)| n.as_str()).collect();
+        assert_eq!(
+            names,
+            var_names[..n_outer as usize],
+            "seed {seed}: witness names"
+        );
+        let row = v
+            .witness
+            .iter()
+            .map(|(_, c)| c.as_int().expect("int"))
+            .collect();
+        assert!(got.insert(row), "seed {seed}: duplicate violation");
+    }
+
+    // Naive falsity per premise binding: every assignment of the outer
+    // variables over the domain whose premise holds and whose conclusion
+    // does not is a witness.
+    let mut expected: BTreeSet<Vec<i64>> = BTreeSet::new();
+    let mut env: Vec<Option<i64>> = vec![None; n_vars];
+    for code in 0..DOMAIN.pow(n_outer) {
+        let row: Vec<i64> = (0..n_outer)
+            .map(|i| code / DOMAIN.pow(i) % DOMAIN)
+            .collect();
+        for (slot, &x) in env.iter_mut().zip(&row) {
+            *slot = Some(x);
+        }
+        if naive_eval(&premise, &mut env, &db) && !naive_eval(&conclusion_f, &mut env, &db) {
+            expected.insert(row);
+        }
+    }
+    // The decomposition agrees with evaluating the closed formula.
+    let mut env: Vec<Option<i64>> = vec![None; n_vars];
+    assert_eq!(
+        expected.is_empty(),
+        naive_eval(&formula, &mut env, &db),
+        "seed {seed}: per-binding oracle disagrees with the closed formula"
+    );
 
     assert_eq!(
-        compiled_violations.is_empty(),
-        naive_holds,
+        got,
+        expected,
         "seed {seed}: formula {:?}\nviolations: {:?}",
         formula,
         compiled_violations

@@ -251,6 +251,23 @@ microbench_gate snapshot_publish_synth5000 "snapshot publish"
 step "read reply gates (query and digest replies at synth500)"
 microbench_gate wire_rows_reply_synth500 "read reply"
 microbench_gate wire_digest_reply_synth500 "digest reply"
+
+# gomd start-up on the gomd_bench preload (500 types, 50 x 2 objects, one
+# checkpoint) must stay within 1.5x of its recorded row, and its recovery
+# fixpoint may derive no more rows than recorded: the maintained IDB holds
+# no copy of a constraint premise, and a slide back to copy relations
+# doubles the count deterministically.
+step "recovery gates (recovery fixpoint and IDB size at synth500)"
+microbench_gate recover_synth500 "recovery fixpoint"
+row_derived() {
+  grep -o '"name": "recover_synth500", [^}]*"derived_per_iter": [0-9]*' "$1" \
+    | grep -o '[0-9]*$'
+}
+derived_recorded=$(row_derived "$(grep -l '"name": "recover_synth500"' BENCH_*.json | sort | tail -1)")
+derived_current=$(row_derived "$bench_tmp/recover_synth500.json")
+echo "recover_synth500: ${derived_current} derived rows (recorded ${derived_recorded})"
+[ -n "$derived_current" ] && [ "$derived_current" -le "$derived_recorded" ] \
+  || { echo "REGRESSION: the recovery fixpoint derives more IDB rows than recorded"; exit 1; }
 rm -rf "$bench_tmp"
 
 # A hostile-client smoke over the real binaries: a writer that goes silent
