@@ -21,6 +21,8 @@
 //! * `dred_*`       — DRed incremental maintenance of the armed IDB,
 //! * `query_*`      — ad-hoc conjunctive query against a materialised IDB,
 //! * `snapshot_*`   — epoch snapshot publication (CoW page sharing),
+//! * `publish_then_commit_*` — a publication held in a `SnapshotCell`, then
+//!   the next six-op commit, which copies the tail pages it shares,
 //! * `reader_*`     — a gomd reader connection's per-epoch cost: refreshing
 //!   its private view, and the first `check` on that view,
 //! * `repairs_all_k16` — repair generation for 16 violations (B3),
@@ -242,20 +244,21 @@ fn maintained_commit_setup(n: usize) -> (SchemaManager, TypeId) {
     (mgr, leaf)
 }
 
-/// One maintained-commit session: 3× add_attr + 3× remove_attr (net zero),
-/// committed via `end_evolution` (the maintained EES read). Panics on an
-/// inconsistent outcome — a net-zero session must always commit.
-fn maintained_commit_iter(mgr: &mut SchemaManager, t0: TypeId) -> u64 {
+/// One maintained-commit session: 3× add_attr + 3× remove_attr (net zero)
+/// of the attributes `{prefix}0` to `{prefix}2`, committed via
+/// `end_evolution` (the maintained EES read). Panics on an inconsistent
+/// outcome — a net-zero session must always commit.
+fn maintained_commit_iter(mgr: &mut SchemaManager, t0: TypeId, prefix: &str) -> u64 {
     mgr.begin_evolution().expect("begin session");
     let int_ty = mgr.meta.builtins.int;
     for i in 0..3 {
         mgr.meta
-            .add_attr(t0, &format!("bm{i}"), int_ty)
+            .add_attr(t0, &format!("{prefix}{i}"), int_ty)
             .expect("add attr");
     }
     for i in 0..3 {
         mgr.meta
-            .remove_attr(t0, &format!("bm{i}"))
+            .remove_attr(t0, &format!("{prefix}{i}"))
             .expect("remove attr");
     }
     match mgr.end_evolution().expect("ees") {
@@ -282,7 +285,26 @@ fn rollback_then_commit(n: usize) -> Bench<'static> {
             .add_attr(t0, "rolled_back", int_ty)
             .expect("add attr");
         mgr.rollback_evolution().expect("rollback");
-        maintained_commit_iter(&mut mgr, t0)
+        maintained_commit_iter(&mut mgr, t0, "bm")
+    })
+}
+
+/// What a gomd commit costs the writer once readers may hold its last
+/// epoch: capture the writer state and publish it into a `SnapshotCell`
+/// (dropping the epoch before it), then run BES, six ops and EES on a
+/// [`maintained_commit_setup`] base. The snapshot held in the cell shares
+/// the writer's pages, so the session's first writes copy the tail pages
+/// they touch. Each run adds and removes three attributes with fresh
+/// names, as the trace's sessions do, so the interner's tail page is
+/// written too (units = ops committed).
+fn publish_then_commit(n: usize) -> Bench<'static> {
+    let (mut mgr, t0) = maintained_commit_setup(n);
+    let cell = SnapshotCell::new(Snapshot::capture(0, &mgr.meta));
+    let mut epoch = 0u64;
+    bench(move || {
+        epoch += 1;
+        cell.publish(Snapshot::capture(epoch, &mgr.meta));
+        maintained_commit_iter(&mut mgr, t0, &format!("pc{epoch}_"))
     })
 }
 
@@ -662,11 +684,11 @@ fn rows() -> Vec<Row> {
         }),
         row("ees_check_synth500", || {
             let (mut mgr, t0) = maintained_commit_setup(500);
-            bench(move || maintained_commit_iter(&mut mgr, t0))
+            bench(move || maintained_commit_iter(&mut mgr, t0, "bm"))
         }),
         row("ees_check_synth5000", || {
             let (mut mgr, t0) = maintained_commit_setup(5000);
-            bench(move || maintained_commit_iter(&mut mgr, t0))
+            bench(move || maintained_commit_iter(&mut mgr, t0, "bm"))
         }),
         row("rollback_then_commit_synth500", || {
             rollback_then_commit(500)
@@ -693,6 +715,10 @@ fn rows() -> Vec<Row> {
                 black_box(&snap);
                 mgr.meta.db.fact_count() as u64
             })
+        }),
+        row("publish_then_commit_synth500", || publish_then_commit(500)),
+        row("publish_then_commit_synth5000", || {
+            publish_then_commit(5000)
         }),
         row("snapshot_publish_deep_synth5000", || {
             let (mgr, _) = maintained_commit_setup(5000);

@@ -14,7 +14,7 @@ use crate::error::Result;
 use crate::pred::PredId;
 use crate::relation::Relation;
 use crate::symbol::FxHashSet;
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Const;
 
 /// Where a violation came from (used internally by repair generation).
@@ -65,7 +65,7 @@ impl Violation {
 }
 
 /// Hash of a fact's key columns (see `Idb::key_counts`).
-pub(crate) fn key_hash(key: &[usize], t: &Tuple) -> u64 {
+pub(crate) fn key_hash(key: &[usize], t: &Row) -> u64 {
     crate::relation::hash_vals(key.iter().map(|&c| t.get(c)))
 }
 
@@ -80,13 +80,13 @@ fn key_violations_for(
     let rel = db.relation(pred);
     let mut out = Vec::new();
     // Materialise a violation. This is the *only* place the key check
-    // clones tuples: a clean check borrows everything (asserted via the
+    // copies rows: a clean check borrows everything (asserted via the
     // `check.keys.clones` counter).
-    let mut report = |a: &Tuple, b: &Tuple| {
+    let mut report = |a: &Row, b: &Row| {
         let (a, b) = if a <= b {
-            (a.clone(), b.clone())
+            (a.to_tuple(), b.to_tuple())
         } else {
-            (b.clone(), a.clone())
+            (b.to_tuple(), a.to_tuple())
         };
         gom_obs::counter_add("check.keys.clones", 2);
         out.push(Violation {
@@ -107,7 +107,7 @@ fn key_violations_for(
                 }
                 let bound: Vec<(usize, Const)> = key.iter().map(|&c| (c, t.get(c))).collect();
                 for other in rel.select(&bound) {
-                    if other != t {
+                    if other != &**t {
                         report(t, other);
                     }
                 }
@@ -119,10 +119,10 @@ fn key_violations_for(
             // columns (full tuple order as tie-break), then report adjacent
             // pairs inside each equal-key run. Two flat allocations total,
             // zero per-tuple clones on the clean path.
-            fn key_of<'a>(key: &'a [usize], t: &'a Tuple) -> impl Iterator<Item = Const> + 'a {
+            fn key_of<'a>(key: &'a [usize], t: &'a Row) -> impl Iterator<Item = Const> + 'a {
                 key.iter().map(move |&c| t.get(c))
             }
-            let rows: Vec<&Tuple> = rel.iter().collect();
+            let rows: Vec<&Row> = rel.iter().collect();
             let mut idx: Vec<u32> = (0..rows.len() as u32).collect();
             idx.sort_unstable_by(|&i, &j| {
                 let (a, b) = (rows[i as usize], rows[j as usize]);
@@ -192,7 +192,7 @@ impl Database {
         let compiled = self.compiled.as_ref().expect("compiled");
         crate::eval::par_map(self.eval_threads(), indices, |&ci, out| {
             let cc = &compiled.constraints[ci];
-            let src = &self.constraints[cc.source_idx];
+            let src = &self.defs.constraints[cc.source_idx];
             let t0 = gom_obs::enabled().then(std::time::Instant::now);
             let before = out.len();
             for tuple in viol_rel(ci, cc).iter() {
@@ -208,7 +208,7 @@ impl Database {
                     witness,
                     source: ViolationSource::Constraint {
                         idx: ci,
-                        tuple: tuple.clone(),
+                        tuple: tuple.to_tuple(),
                     },
                 });
             }
@@ -226,12 +226,14 @@ impl Database {
     /// that carries the writer's violation relations (see
     /// [`Database::snapshot_clone`]) reads them while no IDB is
     /// materialised; otherwise the IDB is evaluated first — a no-op while
-    /// it is maintained, and then the key scan is also skipped for every
-    /// predicate whose maintained key counts show no shared key.
+    /// it is maintained. The key scan is skipped for every predicate known
+    /// to be clean: by the maintained key counts, or by the verdict a
+    /// snapshot carries from its writer.
     pub fn check(&mut self) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("check.full");
-        let mut out = match (&self.idb, &self.carried_viols) {
-            (None, Some(viols)) => {
+        let mut out = match (&self.idb, &self.carried) {
+            (None, Some(carried)) => {
+                let viols = &carried.viols;
                 let all: Vec<usize> = (0..viols.len()).collect();
                 self.collect_constraint_violations(|ci, _| &viols[ci], &all)?
             }
@@ -250,14 +252,7 @@ impl Database {
         {
             let _keys = gom_obs::span("check.keys");
             for p in keyed {
-                let clean = self.idb.as_ref().is_some_and(|idb| {
-                    idb.maintained
-                        && idb
-                            .key_counts
-                            .get(&p)
-                            .is_some_and(|n| n.len() == self.rels[p.index()].len())
-                });
-                if !clean {
+                if !self.key_clean(p) {
                     out.extend(key_violations_for(self, p, None));
                 }
             }
@@ -275,7 +270,7 @@ impl Database {
         let mut names = Vec::new();
         for cc in &compiled.constraints {
             if cc.deps.iter().any(|p| touched.contains(p)) {
-                names.push(self.constraints[cc.source_idx].name.clone());
+                names.push(self.defs.constraints[cc.source_idx].name.clone());
             }
         }
         Ok(names)

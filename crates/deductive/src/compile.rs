@@ -599,7 +599,7 @@ impl Database {
             return Err(Error::PredicateRedeclared(name.to_string()));
         }
         let id = PredId(self.preds.len() as u32);
-        self.preds.push(crate::pred::PredDecl {
+        std::sync::Arc::make_mut(&mut self.preds).push(crate::pred::PredDecl {
             name: sym,
             arity,
             kind,
@@ -607,7 +607,7 @@ impl Database {
             cols: None,
         });
         self.rels.push(crate::relation::Relation::new());
-        self.by_name.insert(sym, id);
+        std::sync::Arc::make_mut(&mut self.by_name).insert(sym, id);
         Ok(id)
     }
 
@@ -618,11 +618,11 @@ impl Database {
         }
         self.decompile();
         self.aux_start = Some(self.preds.len());
-        let mut rules = self.rules.clone();
-        let constraints = std::mem::take(&mut self.constraints);
+        let defs = std::sync::Arc::clone(&self.defs);
+        let mut rules = defs.rules.clone();
         let mut ccs = Vec::new();
         let mut err = None;
-        for (i, c) in constraints.iter().enumerate() {
+        for (i, c) in defs.constraints.iter().enumerate() {
             match compile_constraint(self, &mut rules, i, c) {
                 Ok(cc) => ccs.push(cc),
                 Err(e) => {
@@ -631,13 +631,12 @@ impl Database {
                 }
             }
         }
-        self.constraints = constraints;
         if let Some(e) = err {
             self.decompile();
             return Err(e);
         }
         // Safety-validate generated rules (user rules were checked on entry).
-        for r in &rules[self.rules.len()..] {
+        for r in &rules[defs.rules.len()..] {
             if let Err(e) = self.validate_rule(r) {
                 self.decompile();
                 return Err(e);
@@ -706,7 +705,7 @@ impl Database {
     /// unsafe generated rule, or unstratifiable negation).
     pub fn program_view(&mut self) -> Result<ProgramView<'_>> {
         self.ensure_compiled()?;
-        let user_rule_count = self.rules.len();
+        let user_rule_count = self.defs.rules.len();
         let c = self.compiled.as_ref().expect("just compiled");
         Ok(ProgramView {
             rules: &c.rules,

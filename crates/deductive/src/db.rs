@@ -8,7 +8,7 @@ use crate::error::{Error, Result};
 use crate::pred::{PredDecl, PredId, PredKind};
 use crate::relation::Relation;
 use crate::symbol::{FxHashMap, Interner, Symbol};
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Const;
 use std::sync::Arc;
 
@@ -25,6 +25,34 @@ pub struct SourceInfo {
     pub var_names: Vec<String>,
 }
 
+/// The definitional state: rules, constraints and their source metadata.
+/// It changes only on definition-level mutations (`load`, `add_rule`,
+/// `add_constraint`, `remove_constraint`), which copy it on write, so a
+/// snapshot shares it with one `Arc` bump.
+#[derive(Clone, Default)]
+pub(crate) struct Defs {
+    pub(crate) rules: Vec<Rule>,
+    pub(crate) constraints: Vec<Constraint>,
+    /// Parallel to `rules`.
+    pub(crate) rule_info: Vec<SourceInfo>,
+    /// Parallel to `constraints`.
+    pub(crate) constraint_info: Vec<SourceInfo>,
+}
+
+/// What a snapshot carries from the writer's IDB (see
+/// [`Database::snapshot_clone`]). Valid only while the snapshot's base
+/// facts are unchanged, so any base mutation drops it.
+pub(crate) struct Carried {
+    /// Violation relations, parallel to `compiled.constraints`. While no
+    /// IDB is materialised, [`Database::check`] reads these instead of
+    /// running the fixpoint.
+    pub(crate) viols: Vec<Relation>,
+    /// Keyed base predicates that held no two facts under one key at
+    /// capture (the writer's maintained key counts showed it), so
+    /// [`Database::check`] skips their key scans.
+    pub(crate) clean_keys: Vec<PredId>,
+}
+
 /// A deductive database.
 ///
 /// Holds the predicate registry, the extensions of all base predicates, the
@@ -35,15 +63,13 @@ pub struct SourceInfo {
 #[derive(Default)]
 pub struct Database {
     pub(crate) interner: Interner,
-    pub(crate) preds: Vec<PredDecl>,
-    pub(crate) by_name: FxHashMap<Symbol, PredId>,
+    /// The predicate registry, shared with snapshots like `defs`.
+    pub(crate) preds: Arc<Vec<PredDecl>>,
+    pub(crate) by_name: Arc<FxHashMap<Symbol, PredId>>,
     pub(crate) rels: Vec<Relation>,
-    pub(crate) rules: Vec<Rule>,
-    pub(crate) constraints: Vec<Constraint>,
-    /// Parallel to `rules`.
-    pub(crate) rule_info: Vec<SourceInfo>,
-    /// Parallel to `constraints`.
-    pub(crate) constraint_info: Vec<SourceInfo>,
+    /// Rules, constraints and their source metadata, shared with
+    /// snapshots.
+    pub(crate) defs: Arc<Defs>,
     /// Monotonic counter of `load()` calls, for attributing items to
     /// source documents.
     pub(crate) load_seq: u32,
@@ -61,15 +87,13 @@ pub struct Database {
     /// change (the inverse ops), so it maintains an armed IDB too. Dropped
     /// on definition change, [`Database::invalidate_caches`] or any
     /// maintenance irregularity. Snapshots receive only its violation
-    /// relations (`carried_viols`), never the whole IDB.
+    /// relations and key verdicts (`carried`), never the whole IDB.
     pub(crate) idb: Option<crate::eval::Idb>,
-    /// Violation relations carried into a snapshot from the writer's IDB,
-    /// parallel to `compiled.constraints`. While no IDB is materialised,
-    /// [`Database::check`] reads these instead of running the fixpoint.
-    /// Dropped on any base mutation.
-    pub(crate) carried_viols: Option<Vec<Relation>>,
+    /// Violation relations and key verdicts carried into a snapshot from
+    /// the writer's IDB. Dropped on any base mutation.
+    pub(crate) carried: Option<Carried>,
     /// The last dropped IDB, kept as spare capacity: the next evaluation
-    /// recycles its relations (slot arrays, index maps, tuple buffers)
+    /// recycles its relations (slot arrays, index maps, row pages)
     /// instead of allocating from scratch.
     pub(crate) spare_idb: Option<crate::eval::Idb>,
     /// Final relation sizes of the last materialised IDB, used to pre-size
@@ -145,7 +169,7 @@ impl Database {
             return Err(Error::PredicateRedeclared(name.to_string()));
         }
         let id = PredId(self.preds.len() as u32);
-        self.preds.push(PredDecl {
+        Arc::make_mut(&mut self.preds).push(PredDecl {
             name: sym,
             arity,
             kind,
@@ -153,7 +177,7 @@ impl Database {
             cols: None,
         });
         self.rels.push(Relation::new());
-        self.by_name.insert(sym, id);
+        Arc::make_mut(&mut self.by_name).insert(sym, id);
         Ok(id)
     }
 
@@ -171,7 +195,7 @@ impl Database {
         key: &[usize],
     ) -> Result<PredId> {
         let id = self.declare(name, arity, PredKind::Base, Some(key.into()))?;
-        self.preds[id.index()].key = Some(key.into());
+        Arc::make_mut(&mut self.preds)[id.index()].key = Some(key.into());
         Ok(id)
     }
 
@@ -182,7 +206,8 @@ impl Database {
 
     /// Set human-readable column names for a predicate.
     pub fn set_cols(&mut self, pred: PredId, cols: &[&str]) {
-        self.preds[pred.index()].cols = Some(cols.iter().map(|s| s.to_string()).collect());
+        Arc::make_mut(&mut self.preds)[pred.index()].cols =
+            Some(cols.iter().map(|s| s.to_string()).collect());
     }
 
     /// Look up a predicate by name.
@@ -231,7 +256,7 @@ impl Database {
 
     // ----- facts -----------------------------------------------------------
 
-    fn check_base_use(&self, pred: PredId, tuple: &Tuple) -> Result<()> {
+    fn check_base_use(&self, pred: PredId, tuple: &Row) -> Result<()> {
         let d = &self.preds[pred.index()];
         if d.kind != PredKind::Base {
             return Err(Error::MutatingDerived(self.pred_name(pred).to_string()));
@@ -250,7 +275,7 @@ impl Database {
     pub fn insert(&mut self, pred: PredId, tuple: impl Into<Tuple>) -> Result<bool> {
         let tuple = tuple.into();
         self.check_base_use(pred, &tuple)?;
-        let added = self.rels[pred.index()].insert(tuple.clone());
+        let added = self.rels[pred.index()].insert(&tuple);
         if added {
             self.base_changed(pred, &tuple, true);
             if let Some(j) = &mut self.journal {
@@ -261,13 +286,13 @@ impl Database {
     }
 
     /// Remove a fact from a base predicate. Returns `true` when present.
-    pub fn remove(&mut self, pred: PredId, tuple: &Tuple) -> Result<bool> {
+    pub fn remove(&mut self, pred: PredId, tuple: &Row) -> Result<bool> {
         self.check_base_use(pred, tuple)?;
         let removed = self.rels[pred.index()].remove(tuple);
         if removed {
             self.base_changed(pred, tuple, false);
             if let Some(j) = &mut self.journal {
-                j.push(Op::Delete(pred, tuple.clone()));
+                j.push(Op::Delete(pred, tuple.to_tuple()));
             }
         }
         Ok(removed)
@@ -277,7 +302,11 @@ impl Database {
     /// pairs in `bound`. Returns the number of facts removed. Each removal is
     /// journalled exactly like [`Database::remove`].
     pub fn remove_matching(&mut self, pred: PredId, bound: &[(usize, Const)]) -> Result<usize> {
-        let hits: Vec<Tuple> = self.relation(pred).select(bound).cloned().collect();
+        let hits: Vec<Tuple> = self
+            .relation(pred)
+            .select(bound)
+            .map(Row::to_tuple)
+            .collect();
         let mut n = 0;
         for t in hits {
             if self.remove(pred, &t)? {
@@ -288,7 +317,7 @@ impl Database {
     }
 
     /// Membership test on a base predicate's stored extension.
-    pub fn contains(&self, pred: PredId, tuple: &Tuple) -> bool {
+    pub fn contains(&self, pred: PredId, tuple: &Row) -> bool {
         self.rels[pred.index()].contains(tuple)
     }
 
@@ -330,9 +359,11 @@ impl Database {
     pub fn add_rule(&mut self, rule: Rule) -> Result<()> {
         self.decompile();
         self.validate_rule(&rule)?;
-        self.rules.push(rule);
-        self.rule_info.push(SourceInfo {
-            src: self.load_seq,
+        let src = self.load_seq;
+        let defs = Arc::make_mut(&mut self.defs);
+        defs.rules.push(rule);
+        defs.rule_info.push(SourceInfo {
+            src,
             ..SourceInfo::default()
         });
         Ok(())
@@ -376,9 +407,11 @@ impl Database {
     /// happens lazily at the next check.
     pub fn add_constraint(&mut self, c: Constraint) {
         self.decompile();
-        self.constraints.push(c);
-        self.constraint_info.push(SourceInfo {
-            src: self.load_seq,
+        let src = self.load_seq;
+        let defs = Arc::make_mut(&mut self.defs);
+        defs.constraints.push(c);
+        defs.constraint_info.push(SourceInfo {
+            src,
             ..SourceInfo::default()
         });
     }
@@ -389,47 +422,46 @@ impl Database {
     /// paper §2.1: project-specific policies (e.g. forbidding multiple
     /// inheritance) are added or dropped without touching any module code.
     pub fn remove_constraint(&mut self, name: &str) -> bool {
-        let before = self.constraints.len();
-        let keep: Vec<bool> = self.constraints.iter().map(|c| c.name != name).collect();
-        let mut it = keep.iter();
-        self.constraints.retain(|_| *it.next().unwrap());
-        let mut it = keep.iter();
-        self.constraint_info.retain(|_| *it.next().unwrap());
-        if self.constraints.len() != before {
-            self.decompile();
-            true
-        } else {
-            false
+        if !self.defs.constraints.iter().any(|c| c.name == name) {
+            return false;
         }
+        let defs = Arc::make_mut(&mut self.defs);
+        let keep: Vec<bool> = defs.constraints.iter().map(|c| c.name != name).collect();
+        let mut it = keep.iter();
+        defs.constraints.retain(|_| *it.next().unwrap());
+        let mut it = keep.iter();
+        defs.constraint_info.retain(|_| *it.next().unwrap());
+        self.decompile();
+        true
     }
 
     /// The rules currently defined (user rules only, not compiler
     /// auxiliaries).
     pub fn rules(&self) -> &[Rule] {
-        &self.rules
+        &self.defs.rules
     }
 
     /// The constraints currently defined.
     pub fn constraints(&self) -> &[Constraint] {
-        &self.constraints
+        &self.defs.constraints
     }
 
     /// Look up a constraint by name.
     pub fn constraint(&self, name: &str) -> Option<&Constraint> {
-        self.constraints.iter().find(|c| c.name == name)
+        self.defs.constraints.iter().find(|c| c.name == name)
     }
 
     // ----- source metadata ---------------------------------------------------
 
     /// Source metadata for rule `i` (parallel to [`Self::rules`]).
     pub fn rule_info(&self, i: usize) -> &SourceInfo {
-        &self.rule_info[i]
+        &self.defs.rule_info[i]
     }
 
     /// Source metadata for constraint `i` (parallel to
     /// [`Self::constraints`]).
     pub fn constraint_info(&self, i: usize) -> &SourceInfo {
-        &self.constraint_info[i]
+        &self.defs.constraint_info[i]
     }
 
     /// The sequence number of the most recent `load()` call (0 before any
@@ -444,14 +476,14 @@ impl Database {
     }
 
     pub(crate) fn set_last_rule_info(&mut self, pos: (usize, usize), var_names: Vec<String>) {
-        if let Some(info) = self.rule_info.last_mut() {
+        if let Some(info) = Arc::make_mut(&mut self.defs).rule_info.last_mut() {
             info.pos = Some(pos);
             info.var_names = var_names;
         }
     }
 
     pub(crate) fn set_last_constraint_info(&mut self, pos: (usize, usize)) {
-        if let Some(info) = self.constraint_info.last_mut() {
+        if let Some(info) = Arc::make_mut(&mut self.defs).constraint_info.last_mut() {
             info.pos = Some(pos);
         }
     }
@@ -464,8 +496,9 @@ impl Database {
         self.retire_idb();
         self.compiled = None;
         if let Some(n) = self.aux_start.take() {
-            for d in self.preds.drain(n..) {
-                self.by_name.remove(&d.name);
+            let by_name = Arc::make_mut(&mut self.by_name);
+            for d in Arc::make_mut(&mut self.preds).drain(n..) {
+                by_name.remove(&d.name);
             }
             self.rels.truncate(n);
         }
@@ -623,9 +656,9 @@ impl Database {
     }
 
     /// Drop the IDB (parking it as spare capacity for the next evaluation
-    /// to recycle) and any carried violation relations.
+    /// to recycle) and anything carried from a writer's IDB.
     pub(crate) fn retire_idb(&mut self) {
-        self.carried_viols = None;
+        self.carried = None;
         if let Some(idb) = self.idb.take() {
             self.spare_idb = Some(idb);
         }
@@ -642,28 +675,42 @@ impl Database {
     /// the compiled program (an `Arc` bump, auxiliary predicates included)
     /// and CoW shares of the violation relations, so its
     /// [`Database::check`] is a read instead of a compile plus fixpoint.
-    /// Only the violation relations are shared: they are normally empty,
-    /// whereas sharing the whole IDB would make the writer's next DRed
-    /// writes copy every touched page. Otherwise nothing derived is
-    /// carried and the clone re-derives lazily on first use.
+    /// It also carries which keyed predicates the source knows to be free
+    /// of key violations ([`Database::key_clean`]), so that read skips
+    /// their key scans. Only the violation relations are shared: they are
+    /// normally empty, whereas sharing the whole IDB would make the
+    /// writer's next DRed writes copy every touched page. Otherwise
+    /// nothing derived is carried and the clone re-derives lazily on first
+    /// use.
+    ///
+    /// The rules and constraints, and the predicate registry unless it
+    /// must be cut back to the user predicates, are shared with an `Arc`
+    /// bump each: a definition change on either side copies them first.
     ///
     /// Carrying changes no [`Database::debug_state_digest`] output: the
     /// digest covers base predicates only, and the clone's base relations
     /// are index-free either way.
     pub fn snapshot_clone(&self) -> Database {
         let carried = self.violations_to_carry();
-        let n = match carried {
+        let n = match &carried {
             Some(_) => self.preds.len(),
             None => self.aux_start.unwrap_or(self.preds.len()),
         };
-        let preds: Vec<PredDecl> = self.preds[..n].to_vec();
-        let by_name: FxHashMap<Symbol, PredId> = preds
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.name, PredId(i as u32)))
-            .collect();
+        // A snapshot without carried violations keeps only the user
+        // predicates; otherwise it shares the registry as it is.
+        let (preds, by_name) = if n == self.preds.len() {
+            (Arc::clone(&self.preds), Arc::clone(&self.by_name))
+        } else {
+            let preds: Vec<PredDecl> = self.preds[..n].to_vec();
+            let by_name = preds
+                .iter()
+                .enumerate()
+                .map(|(i, d)| (d.name, PredId(i as u32)))
+                .collect();
+            (Arc::new(preds), Arc::new(by_name))
+        };
         let rels: Vec<Relation> = self.rels[..n].iter().map(Relation::share).collect();
-        let (aux_start, compiled) = match carried {
+        let (aux_start, compiled) = match &carried {
             Some(_) => (self.aux_start, self.compiled.clone()),
             None => (None, None),
         };
@@ -672,15 +719,12 @@ impl Database {
             preds,
             by_name,
             rels,
-            rules: self.rules.clone(),
-            constraints: self.constraints.clone(),
-            rule_info: self.rule_info.clone(),
-            constraint_info: self.constraint_info.clone(),
+            defs: Arc::clone(&self.defs),
             load_seq: self.load_seq,
             aux_start,
             compiled,
             idb: None,
-            carried_viols: carried,
+            carried,
             spare_idb: None,
             idb_size_hints: Vec::new(),
             journal: None,
@@ -689,24 +733,46 @@ impl Database {
         }
     }
 
-    /// CoW shares of the violation relations a snapshot may carry, parallel
-    /// to `compiled.constraints`: from the IDB, else from violations this
-    /// database itself carries.
-    fn violations_to_carry(&self) -> Option<Vec<Relation>> {
+    /// What a snapshot may carry: CoW shares of the violation relations,
+    /// parallel to `compiled.constraints` — from the IDB, else from
+    /// violations this database itself carries — and the keyed base
+    /// predicates known to be clean.
+    fn violations_to_carry(&self) -> Option<Carried> {
         let compiled = self.compiled.as_ref()?;
-        match &self.idb {
-            Some(idb) => Some(
-                compiled
-                    .constraints
-                    .iter()
-                    .map(|cc| idb.rels[cc.viol.index()].share())
-                    .collect(),
-            ),
-            None => self
-                .carried_viols
+        let viols = match (&self.idb, &self.carried) {
+            (Some(idb), _) => compiled
+                .constraints
+                .iter()
+                .map(|cc| idb.rels[cc.viol.index()].share())
+                .collect(),
+            (None, Some(c)) => c.viols.iter().map(Relation::share).collect(),
+            (None, None) => return None,
+        };
+        let clean_keys = self
+            .base_preds()
+            .filter(|&p| self.pred_decl(p).key.is_some() && self.key_clean(p))
+            .collect();
+        Some(Carried { viols, clean_keys })
+    }
+
+    /// Is the keyed base predicate `p` known to hold no two facts under
+    /// one key, without scanning it? Yes when the maintained IDB's key
+    /// counts show as many key hashes as facts (a hash collision only
+    /// costs the scan), or when a snapshot carries that verdict from its
+    /// writer.
+    pub(crate) fn key_clean(&self, p: PredId) -> bool {
+        let counted = self.idb.as_ref().is_some_and(|idb| {
+            idb.maintained
+                && idb
+                    .key_counts
+                    .get(&p)
+                    .is_some_and(|n| n.len() == self.rels[p.index()].len())
+        });
+        counted
+            || self
+                .carried
                 .as_ref()
-                .map(|viols| viols.iter().map(Relation::share).collect()),
-        }
+                .is_some_and(|c| c.clean_keys.contains(&p))
     }
 
     /// Does this database carry violation relations from a snapshot share
@@ -714,7 +780,7 @@ impl Database {
     /// Test support.
     #[doc(hidden)]
     pub fn carries_violations(&self) -> bool {
-        self.carried_viols.is_some()
+        self.carried.is_some()
     }
 
     /// The pre-CoW reference implementation of
@@ -787,8 +853,8 @@ impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
             .field("preds", &self.preds.len())
-            .field("rules", &self.rules.len())
-            .field("constraints", &self.constraints.len())
+            .field("rules", &self.defs.rules.len())
+            .field("constraints", &self.defs.constraints.len())
             .field("facts", &self.fact_count())
             .finish()
     }
@@ -901,6 +967,29 @@ mod tests {
         db.commit_session().unwrap();
         assert!(db.commit_session().is_err());
         assert!(db.rollback_session().is_err());
+    }
+
+    #[test]
+    fn snapshots_share_the_definitions() {
+        let mut db = Database::new();
+        db.load(
+            "base P(x).
+             derived Q(x).
+             Q(X) :- P(X).
+             constraint no_q: forall X: !Q(X).",
+        )
+        .unwrap();
+        let snap = db.snapshot_clone();
+        assert!(
+            Arc::ptr_eq(&db.defs, &snap.defs),
+            "capture shares, not copies"
+        );
+        assert!(Arc::ptr_eq(&db.preds, &snap.preds));
+        assert!(Arc::ptr_eq(&db.by_name, &snap.by_name));
+        db.load("constraint no_p: forall X: !P(X).").unwrap();
+        assert!(!Arc::ptr_eq(&db.defs, &snap.defs), "a load copies first");
+        assert_eq!(snap.constraints().len(), 1);
+        assert_eq!(db.constraints().len(), 2);
     }
 
     #[test]

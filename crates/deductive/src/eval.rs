@@ -17,7 +17,7 @@ use crate::plan::{order_body, Plan, RulePlans, ScanStep, Src, Step};
 use crate::pred::PredId;
 use crate::relation::{IndexRef, Relation};
 use crate::symbol::{FxHashMap, FxHashSet};
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Const;
 
 /// Match count below which [`Database::query`] never compacts its match
@@ -320,7 +320,7 @@ fn scan_tuples<'a, 's>(
     binding: &mut Binding,
     sink: &mut dyn FnMut(&Binding) -> bool,
     sc: &ScanStep,
-    tuples: impl Iterator<Item = &'a Tuple>,
+    tuples: impl Iterator<Item = &'a Row>,
     verify_key: &[Const],
 ) -> bool {
     let mut scanned = 0u64;
@@ -371,9 +371,9 @@ pub(crate) fn instantiate_head(head: &[Src], binding: &Binding) -> Tuple {
 }
 
 /// A derived fact staged for the round flush. Heads of arity ≤ 2 (the
-/// overwhelmingly common case) stay inline, so a derivation allocates its
-/// stored tuple only once it is confirmed new — duplicate derivations,
-/// which dominate dense fixpoints, never touch the allocator.
+/// overwhelmingly common case) stay inline, so such a derivation never
+/// touches the allocator: a new fact is copied into its relation's tail
+/// page, and a duplicate one, which dominates dense fixpoints, is dropped.
 pub(crate) enum Staged {
     Inline(PredId, u8, [Const; 2]),
     Boxed(PredId, Tuple),
@@ -520,11 +520,10 @@ fn flush_round(facts: Vec<Staged>, idb: &mut [Relation], delta: &mut [Vec<u32>])
     let meta: Vec<(u32, u64)> = facts
         .iter()
         .map(|s| match s {
-            Staged::Inline(p, len, arr) => (
-                p.index() as u32,
-                Relation::fact_hash_vals(&arr[..*len as usize]),
-            ),
-            Staged::Boxed(p, t) => (p.index() as u32, Relation::fact_hash(t)),
+            Staged::Inline(p, len, arr) => {
+                (p.index() as u32, Relation::fact_hash(&arr[..*len as usize]))
+            }
+            Staged::Boxed(p, t) => (p.index() as u32, Relation::fact_hash(t.as_slice())),
         })
         .collect();
     let total = meta.len() as u64;
@@ -536,7 +535,7 @@ fn flush_round(facts: Vec<Staged>, idb: &mut [Relation], delta: &mut [Vec<u32>])
         let h = meta[i].1;
         let (p, fresh) = match s {
             Staged::Inline(p, len, arr) => (p, idb[p.index()].insert_vals(h, &arr[..len as usize])),
-            Staged::Boxed(p, t) => (p, idb[p.index()].insert_hashed(h, t)),
+            Staged::Boxed(p, t) => (p, idb[p.index()].insert_vals(h, t.as_slice())),
         };
         if let Some(id) = fresh {
             fresh_count += 1;
@@ -699,7 +698,7 @@ pub(crate) fn eval_program(
     spare: Option<Idb>,
 ) -> Result<Idb> {
     // Recycle the previously invalidated IDB when its shape still fits:
-    // slot arrays, index maps, and tuple buffers all carry over, so a
+    // slot arrays, index maps, and row pages all carry over, so a
     // re-evaluation allocates almost nothing.
     let mut rels: Vec<Relation> = match spare {
         Some(mut old) if old.rels.len() == db.pred_count() => {
@@ -845,7 +844,7 @@ fn eval_stratum_naive(db: &Database, idb: &mut [Relation], rules: &[Rule], rule_
         }
         let mut changed = false;
         for (p, t) in new_facts {
-            if idb[p.index()].insert(t) {
+            if idb[p.index()].insert(&t) {
                 changed = true;
             }
         }
@@ -901,7 +900,7 @@ impl Database {
     }
 
     /// Does the (possibly derived) predicate contain this fact?
-    pub fn holds(&mut self, pred: PredId, tuple: &Tuple) -> Result<bool> {
+    pub fn holds(&mut self, pred: PredId, tuple: &Row) -> Result<bool> {
         if self.pred_decl(pred).is_base() {
             return Ok(self.contains(pred, tuple));
         }

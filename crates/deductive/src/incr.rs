@@ -45,7 +45,7 @@ use crate::plan::RulePlans;
 use crate::pred::PredId;
 use crate::relation::Relation;
 use crate::symbol::{FxHashMap, FxHashSet};
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 
 /// Net per-predicate change relations. Only touched predicates carry an
 /// entry, so building one is O(Δ), not O(#preds).
@@ -87,9 +87,9 @@ impl Database {
     /// Bring the IDB up to date with one base-fact change already applied
     /// to the store: DRed in place when maintained, else drop it. Carried
     /// snapshot violations are dropped either way.
-    pub(crate) fn base_changed(&mut self, pred: PredId, tuple: &Tuple, inserted: bool) {
+    pub(crate) fn base_changed(&mut self, pred: PredId, tuple: &Row, inserted: bool) {
         if self.maintenance_active() {
-            self.carried_viols = None;
+            self.carried = None;
             self.maintain_change(pred, tuple, inserted);
         } else {
             self.retire_idb();
@@ -115,7 +115,7 @@ impl Database {
     /// irregularity the IDB is dropped — EES then falls back to
     /// [`Database::check_delta`]; fact mutation itself never fails because
     /// of maintenance.
-    fn maintain_change(&mut self, pred: PredId, tuple: &Tuple, inserted: bool) {
+    fn maintain_change(&mut self, pred: PredId, tuple: &Row, inserted: bool) {
         let _sp = gom_obs::span("dred.maintain");
         if !self.idb_matches_program() {
             return;
@@ -136,7 +136,7 @@ impl Database {
             }
         }
         let mut delta = DeltaMap::default();
-        delta.entry(pred).or_default().insert(tuple.clone());
+        delta.entry(pred).or_default().insert(tuple);
         let (del, add) = if inserted {
             (DeltaMap::default(), delta)
         } else {
@@ -162,7 +162,7 @@ impl Database {
                 &mut idb.rels[p.index()]
             };
             for t in r.iter() {
-                target.insert(t.clone());
+                target.insert(t);
             }
         }
         for (p, r) in rem {
@@ -235,7 +235,7 @@ impl Database {
             while let Some((dp, dt)) = frontier.pop() {
                 over.push((dp, dt.clone()));
                 let mut dr = Relation::new();
-                dr.insert(dt);
+                dr.insert(&dt);
                 for &ri in stratum {
                     let rule = &rules[ri];
                     for (li, lit) in rule.body.iter().enumerate() {
@@ -286,12 +286,12 @@ impl Database {
                 }
                 for &i in rederived.iter().rev() {
                     let (p, t) = still_deleted.remove(i);
-                    idb.rels[p.index()].insert(t);
+                    idb.rels[p.index()].insert(&t);
                 }
             }
             gom_obs::counter_add("dred.rederived", (over_count - still_deleted.len()) as u64);
             for (p, t) in still_deleted {
-                del.entry(p).or_default().insert(t);
+                del.entry(p).or_default().insert(&t);
             }
 
             // ----- phase 3: insert (new state) -----------------------------------------
@@ -333,10 +333,10 @@ impl Database {
                     continue;
                 }
                 gom_obs::counter_add("dred.inserted", 1);
-                idb.rels[ap.index()].insert(at.clone());
-                add.entry(ap).or_default().insert(at.clone());
+                idb.rels[ap.index()].insert(&at);
+                add.entry(ap).or_default().insert(&at);
                 let mut dr = Relation::new();
-                dr.insert(at);
+                dr.insert(&at);
                 for &ri in stratum {
                     let rule = &rules[ri];
                     for (li, lit) in rule.body.iter().enumerate() {
@@ -366,7 +366,11 @@ impl Database {
             // ----- net bookkeeping for upper strata -------------------------------------
             for &p in &stratum_preds {
                 let both: Vec<Tuple> = match (del.get(&p), add.get(&p)) {
-                    (Some(d), Some(a)) => d.iter().filter(|t| a.contains(t)).cloned().collect(),
+                    (Some(d), Some(a)) => d
+                        .iter()
+                        .filter(|t| a.contains(t))
+                        .map(Row::to_tuple)
+                        .collect(),
                     _ => continue,
                 };
                 if both.is_empty() {

@@ -77,5 +77,5 @@ pub use repair::{Repair, RepairKind};
 pub use storage::debug_tuple_copies;
 pub use stratify::{stratify, Stratification};
 pub use symbol::{FxHashMap, FxHashSet, Interner, Symbol};
-pub use tuple::Tuple;
+pub use tuple::{Row, Tuple};
 pub use value::Const;

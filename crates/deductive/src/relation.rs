@@ -1,17 +1,17 @@
 //! Fact storage for one predicate, with incrementally maintained hash
 //! indexes.
 //!
-//! Tuples are stored **once**, in insertion-ordered copy-on-write chunks
+//! Rows are stored **once**, flat in insertion-ordered copy-on-write pages
 //! ([`crate::storage::ChunkStore`]); the membership table and every index
 //! are postings lists mapping a 64-bit key hash to compact `u32` row ids.
 //! Indexes are created once (eagerly by the evaluator, which knows every
 //! bound-column mask from the compiled plans, see [`crate::compile`]) and
 //! afterwards **maintained in place** by `insert`/`remove`: an insert
-//! costs one hash-and-push per index, with no tuple clones and no per-key
+//! costs one hash-and-push per index, with no per-row or per-key
 //! allocations — the fixpoint loop mutates derived relations every round,
 //! so this is the engine's hottest write path. Lookups return *borrowed*
-//! tuples and verify the key columns per candidate (hash collisions are
-//! possible, exact matches are not assumed).
+//! rows ([`Row`]) and verify the key columns per candidate (hash
+//! collisions are possible, exact matches are not assumed).
 //!
 //! Iteration order is insertion order with removed rows skipped, so any
 //! deterministic insertion sequence yields deterministic scans — the
@@ -27,7 +27,7 @@
 
 use crate::storage::{note_tuple_copies, ChunkStore, LiveRows};
 use crate::symbol::FxHashMap;
-use crate::tuple::Tuple;
+use crate::tuple::{Row, Tuple};
 use crate::value::Const;
 use std::collections::hash_map::Entry;
 
@@ -288,9 +288,8 @@ pub(crate) fn hash_vals(vals: impl Iterator<Item = Const>) -> u64 {
 /// The set of facts currently stored (or derived) for one predicate.
 ///
 /// Cloning preserves the membership table and indexes while sharing the
-/// tuple pages copy-on-write, so snapshots taken by incremental
-/// maintenance (DRed) keep their lookup structures without copying a
-/// single tuple.
+/// row pages copy-on-write, so snapshots taken by incremental maintenance
+/// (DRed) keep their lookup structures without copying a single row.
 #[derive(Default, Debug)]
 pub struct Relation {
     /// Insertion-ordered rows in CoW chunks; removal tombstones instead of
@@ -304,10 +303,6 @@ pub struct Relation {
     table_stale: bool,
     /// Sorted column positions → index postings, maintained on mutation.
     indexes: FxHashMap<Box<[usize]>, Postings>,
-    /// Recycled tuple buffers from a [`Self::recycle`] reset, drawn on by
-    /// `insert_vals` instead of the allocator. A relation's tuples all
-    /// share one arity, so every parked buffer fits every future fact.
-    pool: Vec<Vec<Const>>,
 }
 
 impl Clone for Relation {
@@ -317,7 +312,6 @@ impl Clone for Relation {
             table: self.table.clone(),
             table_stale: self.table_stale,
             indexes: self.indexes.clone(),
-            pool: Vec::new(),
         }
     }
 }
@@ -338,7 +332,7 @@ impl Relation {
         self.len() == 0
     }
 
-    fn find_id(&self, t: &Tuple) -> Option<u32> {
+    fn find_id(&self, t: &Row) -> Option<u32> {
         if self.table_stale {
             return self
                 .store
@@ -351,12 +345,12 @@ impl Relation {
 
     /// Borrow a row by its id. Ids are only valid until the next removal
     /// (compaction renumbers); the evaluator uses them within one fixpoint.
-    pub(crate) fn row(&self, id: u32) -> &Tuple {
+    pub(crate) fn row(&self, id: u32) -> &Row {
         self.store.row(id)
     }
 
     /// Membership test.
-    pub fn contains(&self, t: &Tuple) -> bool {
+    pub fn contains(&self, t: &Row) -> bool {
         self.find_id(t).is_some()
     }
 
@@ -395,37 +389,28 @@ impl Relation {
 
     /// Insert a fact. Returns `true` when the fact was new. All existing
     /// indexes are updated in place.
-    pub fn insert(&mut self, t: Tuple) -> bool {
-        self.insert_get_id(t).is_some()
+    pub fn insert(&mut self, t: &Row) -> bool {
+        let vals = t.as_slice();
+        self.insert_vals(Self::fact_hash(vals), vals).is_some()
     }
 
-    /// Insert a fact, returning its row id when it was new (`None` for
-    /// duplicates). The evaluator stages row ids as its per-round deltas.
-    pub(crate) fn insert_get_id(&mut self, t: Tuple) -> Option<u32> {
-        let h = hash_vals(t.iter());
-        self.insert_hashed(h, t)
-    }
-
-    /// The membership hash of a tuple, reusable with
-    /// [`Self::insert_hashed`] so the evaluator's flush can batch-hash a
-    /// round of derivations and prefetch their probe slots ahead of the
-    /// inserts.
-    pub(crate) fn fact_hash(t: &Tuple) -> u64 {
-        hash_vals(t.iter())
+    /// The membership hash of a fact, reusable with [`Self::insert_vals`]
+    /// so the evaluator's flush can batch-hash a round of derivations and
+    /// prefetch their probe slots ahead of the inserts.
+    pub(crate) fn fact_hash(t: &[Const]) -> u64 {
+        hash_vals(t.iter().copied())
     }
 
     /// Reset to empty while keeping every allocation: the slot array, the
-    /// index postings maps, page shells, and the row tuples themselves,
-    /// which are parked in the buffer pool for the next inserts.
-    /// Re-evaluation after a cache invalidation then runs nearly
-    /// allocation-free.
+    /// index postings maps and the row pages. Re-evaluation after a cache
+    /// invalidation then runs nearly allocation-free.
     pub(crate) fn recycle(&mut self) {
         self.table.reset();
         self.table_stale = false;
         for map in self.indexes.values_mut() {
             map.clear();
         }
-        self.store.recycle_into(&mut self.pool);
+        self.store.clear();
     }
 
     /// Pre-size row storage and the membership table for about `n` facts.
@@ -437,16 +422,11 @@ impl Relation {
         self.table.reserve(n);
     }
 
-    /// As [`Self::fact_hash`], over a constant slice that has not been
-    /// materialised into a tuple yet.
-    pub(crate) fn fact_hash_vals(vals: &[Const]) -> u64 {
-        hash_vals(vals.iter().copied())
-    }
-
     /// Insert a fact given as a constant slice with its precomputed
-    /// [`Self::fact_hash_vals`]. The stored tuple is allocated only when
-    /// the fact is new — duplicate derivations cost one probe and nothing
-    /// else.
+    /// [`Self::fact_hash`], returning its row id when it was new (`None`
+    /// for duplicates; the evaluator stages row ids as its per-round
+    /// deltas). Duplicate derivations cost one probe and nothing else; a
+    /// new fact is appended to the tail page.
     pub(crate) fn insert_vals(&mut self, h: u64, vals: &[Const]) -> Option<u32> {
         self.ensure_table();
         let id = self.store.len_rows() as u32;
@@ -458,19 +438,11 @@ impl Relation {
         {
             return None;
         }
-        let t = match self.pool.pop() {
-            Some(mut buf) if buf.capacity() == vals.len() => {
-                buf.clear();
-                buf.extend_from_slice(vals);
-                Tuple::from(buf)
-            }
-            _ => Tuple::from(vals.to_vec()),
-        };
         for (cols, map) in self.indexes.iter_mut() {
-            let kh = hash_vals(cols.iter().map(|&c| t.get(c)));
+            let kh = hash_vals(cols.iter().map(|&c| vals[c]));
             push_posting(map, kh, id);
         }
-        self.store.push(t);
+        self.store.push(vals);
         Some(id)
     }
 
@@ -481,31 +453,11 @@ impl Relation {
         self.table.prefetch(h);
     }
 
-    /// As [`Self::insert_get_id`], with a precomputed [`Self::fact_hash`].
-    pub(crate) fn insert_hashed(&mut self, h: u64, t: Tuple) -> Option<u32> {
-        self.ensure_table();
-        let id = self.store.len_rows() as u32;
-        let store = &self.store;
-        if self
-            .table
-            .insert_or_get(h, id, |i| store.row(i) == &t)
-            .is_some()
-        {
-            return None;
-        }
-        for (cols, map) in self.indexes.iter_mut() {
-            let kh = hash_vals(cols.iter().map(|&c| t.get(c)));
-            push_posting(map, kh, id);
-        }
-        self.store.push(t);
-        Some(id)
-    }
-
     /// Remove a fact. Returns `true` when the fact was present. All existing
     /// indexes are updated in place. Tombstoning copies only the touched
     /// liveness page when the store is shared with a snapshot — never the
-    /// tuples.
-    pub fn remove(&mut self, t: &Tuple) -> bool {
+    /// rows.
+    pub fn remove(&mut self, t: &Row) -> bool {
         self.ensure_table();
         let Some(id) = self.find_id(t) else {
             return false;
@@ -526,10 +478,10 @@ impl Relation {
     }
 
     /// Drop tombstoned rows and rebuild the table and index postings.
-    /// Uniquely-owned pages move their tuples; pages still referenced by a
-    /// snapshot are copied (the snapshot keeps its own view either way).
+    /// Live rows are repacked into fresh pages; a snapshot still holding
+    /// the old pages keeps its own view.
     fn compact(&mut self) {
-        self.store.compact(&mut self.pool);
+        self.store.compact();
         self.table.clear();
         self.table.reserve(self.len());
         for (id, t) in self.store.live_rows() {
@@ -546,17 +498,17 @@ impl Relation {
     }
 
     /// Iterate over all facts in insertion order, borrowed.
-    pub fn iter(&self) -> impl Iterator<Item = &Tuple> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &Row> + '_ {
         self.store.live_rows().map(|(_, t)| t)
     }
 
     /// Share this relation's pages into a new relation with no membership
-    /// table, no indexes, and no recycled buffers: O(#chunks) `Arc` bumps,
-    /// zero tuple copies. Snapshot publication uses this — index contents
-    /// depend on query history, so an index-free view gives every snapshot
-    /// of equal facts an identical state digest, and iteration order is
-    /// bit-identical to the source. The share rebuilds its membership
-    /// table lazily on first mutation.
+    /// table and no indexes: O(#chunks) `Arc` bumps, zero row copies.
+    /// Snapshot publication uses this — index contents depend on query
+    /// history, so an index-free view gives every snapshot of equal facts
+    /// an identical state digest, and iteration order is bit-identical to
+    /// the source. The share rebuilds its membership table lazily on first
+    /// mutation.
     pub(crate) fn share(&self) -> Relation {
         Relation {
             store: self.store.share(),
@@ -564,7 +516,6 @@ impl Relation {
             // An empty store needs no rebuild; anything else syncs lazily.
             table_stale: self.store.len_rows() > 0,
             indexes: FxHashMap::default(),
-            pool: Vec::new(),
         }
     }
 
@@ -579,7 +530,7 @@ impl Relation {
         for (_, t) in self.store.live_rows() {
             let h = hash_vals(t.iter());
             note_tuple_copies(1);
-            let id = out.store.push(t.clone());
+            let id = out.store.push(t.as_slice());
             out.table.insert_new(h, id);
         }
         out
@@ -587,17 +538,17 @@ impl Relation {
 
     /// All facts, sorted, for deterministic output.
     pub fn sorted(&self) -> Vec<Tuple> {
-        // Decorate-sort-undecorate: tuples order lexicographically, so an
+        // Decorate-sort-undecorate: rows order lexicographically, so an
         // inline copy of the first two constants (`None` marks "past the
-        // end", which sorts first, matching slice order for short tuples)
-        // decides almost every comparison without dereferencing the heap
-        // tuple; ties on the prefix fall back to the full comparison.
-        let mut v: Vec<(Option<Const>, Option<Const>, &Tuple)> = self
+        // end", which sorts first, matching slice order for short rows)
+        // decides almost every comparison without dereferencing the page;
+        // ties on the prefix fall back to the full comparison.
+        let mut v: Vec<(Option<Const>, Option<Const>, &Row)> = self
             .iter()
             .map(|t| (t.iter().next(), t.iter().nth(1), t))
             .collect();
         v.sort_unstable_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)).then_with(|| a.2.cmp(b.2)));
-        v.into_iter().map(|(_, _, t)| t.clone()).collect()
+        v.into_iter().map(|(_, _, t)| t.to_tuple()).collect()
     }
 
     /// Deterministic dump of every maintained index: for each column set,
@@ -614,7 +565,7 @@ impl Relation {
                     .values()
                     .flat_map(|ids| ids.as_slice().iter().copied())
                     .filter(|&id| self.store.is_live(id))
-                    .map(|id| self.store.row(id).clone())
+                    .map(|id| self.store.row(id).to_tuple())
                     .collect();
                 tuples.sort_unstable();
                 (cols.to_vec(), tuples)
@@ -766,9 +717,9 @@ pub struct BucketIter<'a> {
 }
 
 impl<'a> Iterator for BucketIter<'a> {
-    type Item = &'a Tuple;
+    type Item = &'a Row;
 
-    fn next(&mut self) -> Option<&'a Tuple> {
+    fn next(&mut self) -> Option<&'a Row> {
         for &id in self.ids.by_ref() {
             let t = self.store.row(id);
             if self.cols.iter().zip(self.key).all(|(&c, &k)| t.get(c) == k) {
@@ -798,9 +749,9 @@ enum MatchesInner<'a> {
 }
 
 impl<'a> Iterator for Matches<'a> {
-    type Item = &'a Tuple;
+    type Item = &'a Row;
 
-    fn next(&mut self) -> Option<&'a Tuple> {
+    fn next(&mut self) -> Option<&'a Row> {
         match &mut self.0 {
             MatchesInner::All { it } => it.next().map(|(_, t)| t),
             MatchesInner::Ids { store, ids, bound } => {
@@ -834,7 +785,7 @@ mod tests {
     }
 
     fn hits(r: &Relation, bound: &[(usize, Const)]) -> Vec<Tuple> {
-        let mut v: Vec<Tuple> = r.select(bound).cloned().collect();
+        let mut v: Vec<Tuple> = r.select(bound).map(Row::to_tuple).collect();
         v.sort();
         v
     }
@@ -842,8 +793,8 @@ mod tests {
     #[test]
     fn insert_remove_contains() {
         let mut r = Relation::new();
-        assert!(r.insert(t(&[1, 2])));
-        assert!(!r.insert(t(&[1, 2])));
+        assert!(r.insert(&t(&[1, 2])));
+        assert!(!r.insert(&t(&[1, 2])));
         assert!(r.contains(&t(&[1, 2])));
         assert!(r.contains_vals([Const::Int(1), Const::Int(2)].into_iter()));
         assert!(!r.contains_vals([Const::Int(2), Const::Int(1)].into_iter()));
@@ -855,17 +806,17 @@ mod tests {
     #[test]
     fn select_with_empty_binding_scans_all() {
         let mut r = Relation::new();
-        r.insert(t(&[1, 2]));
-        r.insert(t(&[3, 4]));
+        r.insert(&t(&[1, 2]));
+        r.insert(&t(&[3, 4]));
         assert_eq!(r.select(&[]).count(), 2);
     }
 
     #[test]
     fn select_uses_bound_columns_without_index() {
         let mut r = Relation::new();
-        r.insert(t(&[1, 2]));
-        r.insert(t(&[1, 3]));
-        r.insert(t(&[2, 3]));
+        r.insert(&t(&[1, 2]));
+        r.insert(&t(&[1, 3]));
+        r.insert(&t(&[2, 3]));
         assert_eq!(r.select(&[(0, Const::Int(1))]).count(), 2);
         assert_eq!(
             hits(&r, &[(0, Const::Int(1)), (1, Const::Int(3))]),
@@ -876,10 +827,10 @@ mod tests {
     #[test]
     fn index_maintained_across_mutations() {
         let mut r = Relation::new();
-        r.insert(t(&[1, 2]));
+        r.insert(&t(&[1, 2]));
         r.ensure_index(&[0]);
         assert_eq!(r.select(&[(0, Const::Int(1))]).count(), 1);
-        r.insert(t(&[1, 9]));
+        r.insert(&t(&[1, 9]));
         assert_eq!(r.select(&[(0, Const::Int(1))]).count(), 2);
         r.remove(&t(&[1, 2]));
         assert_eq!(hits(&r, &[(0, Const::Int(1))]), vec![t(&[1, 9])]);
@@ -892,10 +843,10 @@ mod tests {
     #[test]
     fn clone_preserves_indexes() {
         let mut r = Relation::new();
-        r.insert(t(&[1, 2]));
+        r.insert(&t(&[1, 2]));
         r.ensure_index(&[0]);
         let mut c = r.clone();
-        c.insert(t(&[1, 5]));
+        c.insert(&t(&[1, 5]));
         assert_eq!(c.bucket(&[0], &[Const::Int(1)]).unwrap().count(), 2);
         // original untouched
         assert_eq!(r.bucket(&[0], &[Const::Int(1)]).unwrap().count(), 1);
@@ -904,9 +855,9 @@ mod tests {
     #[test]
     fn multi_column_index() {
         let mut r = Relation::new();
-        r.insert(t(&[1, 2, 3]));
-        r.insert(t(&[1, 2, 4]));
-        r.insert(t(&[1, 5, 3]));
+        r.insert(&t(&[1, 2, 3]));
+        r.insert(&t(&[1, 2, 4]));
+        r.insert(&t(&[1, 5, 3]));
         r.ensure_index(&[0, 1]);
         assert_eq!(
             hits(&r, &[(1, Const::Int(2)), (0, Const::Int(1))]),
@@ -917,7 +868,7 @@ mod tests {
     #[test]
     fn clear_empties_indexes() {
         let mut r = Relation::new();
-        r.insert(t(&[1]));
+        r.insert(&t(&[1]));
         r.ensure_index(&[0]);
         r.clear();
         assert!(r.is_empty());
@@ -927,20 +878,20 @@ mod tests {
     #[test]
     fn sorted_is_deterministic() {
         let mut r = Relation::new();
-        r.insert(t(&[3]));
-        r.insert(t(&[1]));
-        r.insert(t(&[2]));
+        r.insert(&t(&[3]));
+        r.insert(&t(&[1]));
+        r.insert(&t(&[2]));
         assert_eq!(r.sorted(), vec![t(&[1]), t(&[2]), t(&[3])]);
     }
 
     #[test]
     fn iteration_is_insertion_ordered() {
         let mut r = Relation::new();
-        r.insert(t(&[3]));
-        r.insert(t(&[1]));
-        r.insert(t(&[2]));
+        r.insert(&t(&[3]));
+        r.insert(&t(&[1]));
+        r.insert(&t(&[2]));
         r.remove(&t(&[1]));
-        let got: Vec<Tuple> = r.iter().cloned().collect();
+        let got: Vec<Tuple> = r.iter().map(Row::to_tuple).collect();
         assert_eq!(got, vec![t(&[3]), t(&[2])]);
     }
 
@@ -949,7 +900,7 @@ mod tests {
         let mut r = Relation::new();
         r.ensure_index(&[0]);
         for i in 0..100 {
-            r.insert(t(&[i, i + 1]));
+            r.insert(&t(&[i, i + 1]));
         }
         for i in 0..80 {
             r.remove(&t(&[i, i + 1]));
@@ -967,7 +918,7 @@ mod tests {
         let mut r = Relation::new();
         r.ensure_index(&[0]);
         for i in 0..50 {
-            r.insert(t(&[i, i]));
+            r.insert(&t(&[i, i]));
         }
         let before = debug_tuple_copies();
         let snap = r.share();
@@ -981,14 +932,14 @@ mod tests {
 
         // Writer mutations never leak into the share.
         r.remove(&t(&[7, 7]));
-        r.insert(t(&[999, 999]));
+        r.insert(&t(&[999, 999]));
         assert!(snap.contains(&t(&[7, 7])));
         assert!(!snap.contains(&t(&[999, 999])));
         assert_eq!(snap.len(), 50);
 
         // Iteration order of the share matches a deep clone's.
-        let deep: Vec<Tuple> = snap.without_indexes().iter().cloned().collect();
-        let shared: Vec<Tuple> = snap.iter().cloned().collect();
+        let deep: Vec<Tuple> = snap.without_indexes().iter().map(Row::to_tuple).collect();
+        let shared: Vec<Tuple> = snap.iter().map(Row::to_tuple).collect();
         assert_eq!(deep, shared);
     }
 
@@ -996,17 +947,17 @@ mod tests {
     fn share_survives_writer_compaction() {
         let mut r = Relation::new();
         for i in 0..200 {
-            r.insert(t(&[i]));
+            r.insert(&t(&[i]));
         }
         let snap = r.share();
-        let expect: Vec<Tuple> = snap.iter().cloned().collect();
+        let expect: Vec<Tuple> = snap.iter().map(Row::to_tuple).collect();
         // Force compaction in the writer (dead > 32 and dead*2 > rows).
         for i in 0..150 {
             r.remove(&t(&[i]));
         }
         assert_eq!(r.len(), 50);
         assert_eq!(snap.len(), 200);
-        let got: Vec<Tuple> = snap.iter().cloned().collect();
+        let got: Vec<Tuple> = snap.iter().map(Row::to_tuple).collect();
         assert_eq!(got, expect);
     }
 
@@ -1014,12 +965,12 @@ mod tests {
     fn share_can_be_mutated_independently() {
         let mut r = Relation::new();
         for i in 0..10 {
-            r.insert(t(&[i]));
+            r.insert(&t(&[i]));
         }
         let mut snap = r.share();
         // First mutation resyncs the membership table lazily.
-        assert!(!snap.insert(t(&[3])), "duplicate still detected");
-        assert!(snap.insert(t(&[77])));
+        assert!(!snap.insert(&t(&[3])), "duplicate still detected");
+        assert!(snap.insert(&t(&[77])));
         assert!(snap.remove(&t(&[0])));
         assert_eq!(snap.len(), 10);
         assert_eq!(r.len(), 10);
@@ -1032,7 +983,7 @@ mod tests {
         let mut r = Relation::new();
         r.ensure_index(&[0]);
         for i in 0..40 {
-            r.insert(t(&[i, i * 2]));
+            r.insert(&t(&[i, i * 2]));
         }
         for i in 0..10 {
             r.remove(&t(&[i, i * 2]));
@@ -1040,8 +991,8 @@ mod tests {
         let c = r.without_indexes();
         assert_eq!(c.len(), 30);
         assert_eq!(c.sorted(), r.sorted());
-        let a: Vec<Tuple> = r.iter().cloned().collect();
-        let b: Vec<Tuple> = c.iter().cloned().collect();
+        let a: Vec<Tuple> = r.iter().map(Row::to_tuple).collect();
+        let b: Vec<Tuple> = c.iter().map(Row::to_tuple).collect();
         assert_eq!(a, b, "bulk load preserves iteration order");
         assert!(c.contains(&t(&[20, 40])), "bulk-loaded table probes work");
         assert!(!c.contains(&t(&[5, 10])));

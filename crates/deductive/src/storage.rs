@@ -1,31 +1,35 @@
-//! Chunked, copy-on-write tuple storage.
+//! Chunked, copy-on-write row storage.
 //!
-//! Rows live in fixed-size chunks (pages) of [`CHUNK_LEN`] tuples, each
-//! behind an `Arc`. Liveness is tracked in parallel chunks of booleans,
-//! also `Arc`-shared. All chunks except the open tail hold exactly
-//! `CHUNK_LEN` rows, so a row id maps to its page with a shift and mask.
+//! Rows live flat in fixed-size pages of [`CHUNK_LEN`] rows: one
+//! `Vec<Const>` per page, arity-strided, so row `i` of a page is the slice
+//! `vals[i * arity..(i + 1) * arity]`. Pages sit behind `Arc`s. Liveness
+//! is tracked in parallel pages of booleans, also `Arc`-shared. All pages
+//! except the open tail hold exactly `CHUNK_LEN` rows, so a row id maps to
+//! its page with a shift and mask.
 //!
 //! The point of the layout is snapshot publication: [`ChunkStore::share`]
 //! produces a second store over the same pages in O(#chunks) `Arc` bumps —
-//! no tuple is copied. Mutation is copy-on-write via `Arc::make_mut`:
+//! no row is copied. Mutation is copy-on-write via `Arc::make_mut`:
 //!
-//! * `push` touches only the open tail chunk (first write after a share
-//!   re-materialises at most one partial page),
+//! * `push` touches only the open tail page. The first write after a share
+//!   copies that partial page once: one allocation and one memcpy of its
+//!   constants, since a page holds no heap object per row,
 //! * `tombstone` copies only the touched *liveness* page (booleans), never
-//!   the tuples, so a writer removing facts under live snapshots stays
+//!   the rows, so a writer removing facts under live snapshots stays
 //!   cheap,
 //! * frozen full pages are never written again until compaction rebuilds
 //!   the store densely packed.
 //!
-//! Row ids are insertion-ordered and stable until compaction, exactly like
-//! the previous flat-vector layout — iteration order, `sorted()` output
-//! and state digests of a shared store are bit-identical to a deep clone.
+//! Dropping the last reference to a page is one free, whatever its row
+//! count. Row ids are insertion-ordered and stable until compaction —
+//! iteration order, `sorted()` output and state digests of a shared store
+//! are bit-identical to a deep clone.
 //!
 //! [`ChunkStore`] is the only storage backend: stable insertion-ordered
 //! row ids, row access, liveness, append, tombstone and an O(#chunks)
 //! `share` — everything `Relation` needs.
 
-use crate::tuple::Tuple;
+use crate::tuple::Row;
 use crate::value::Const;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -36,14 +40,14 @@ pub(crate) const CHUNK_BITS: usize = 10;
 pub(crate) const CHUNK_LEN: usize = 1 << CHUNK_BITS;
 const CHUNK_MASK: usize = CHUNK_LEN - 1;
 
-/// Process-wide count of tuple deep copies performed by the storage layer
-/// (chunk copy-on-write, compaction of shared pages, bulk loads). Snapshot
+/// Process-wide count of rows copied by the storage layer (tail-page
+/// copy-on-write, compaction of shared pages, bulk loads). Snapshot
 /// publication must not move this counter — the CoW tests assert on it.
 static TUPLE_COPIES: AtomicU64 = AtomicU64::new(0);
 
-/// Current value of the storage-layer tuple-copy counter. Debug/test
+/// Current value of the storage-layer row-copy counter. Debug/test
 /// support for proving that an operation (e.g. `snapshot_clone`) performed
-/// zero tuple copies; not part of the stable API.
+/// zero row copies; not part of the stable API.
 #[doc(hidden)]
 pub fn debug_tuple_copies() -> u64 {
     TUPLE_COPIES.load(Ordering::Relaxed)
@@ -54,19 +58,23 @@ pub(crate) fn note_tuple_copies(n: usize) {
     TUPLE_COPIES.fetch_add(n as u64, Ordering::Relaxed);
 }
 
-/// One immutable page of tuples. Only the open tail chunk of a store is
-/// ever mutated (appends); a shared tail is re-materialised by
+/// One page of rows, flat and arity-strided. Only the open tail chunk of
+/// a store is ever mutated (appends); a shared tail is re-materialised by
 /// `Arc::make_mut` through the counting [`Clone`] below.
 #[derive(Debug, Default)]
 pub(crate) struct Chunk {
-    rows: Vec<Tuple>,
+    vals: Vec<Const>,
+    /// Rows in the page (`vals.len() / arity`, kept so that zero-arity
+    /// rows are counted too).
+    rows: usize,
 }
 
 impl Clone for Chunk {
     fn clone(&self) -> Chunk {
-        note_tuple_copies(self.rows.len());
+        note_tuple_copies(self.rows);
         Chunk {
-            rows: self.rows.clone(),
+            vals: self.vals.clone(),
+            rows: self.rows,
         }
     }
 }
@@ -74,25 +82,27 @@ impl Clone for Chunk {
 /// Liveness page parallel to a [`Chunk`]: one flag per row. Pages are
 /// materialised lazily — `None` in the store means "every row live", so
 /// relations that never remove pay nothing per push. Tombstoning a row in
-/// a frozen page copies this page only — booleans, never tuples.
+/// a frozen page copies this page only — booleans, never rows.
 #[derive(Debug, Default, Clone)]
 struct LiveMap {
     live: Vec<bool>,
 }
 
-/// The in-memory chunked tuple store (see module docs).
+/// The in-memory chunked row store (see module docs).
 #[derive(Debug, Default)]
 pub(crate) struct ChunkStore {
     chunks: Vec<Arc<Chunk>>,
     /// Liveness pages parallel to `chunks`; `None` means all rows live.
     lives: Vec<Option<Arc<LiveMap>>>,
+    /// Constants per row, fixed by the first push into an empty store.
+    arity: usize,
     /// Total rows including tombstones.
     len: usize,
     /// Tombstoned rows.
     dead: usize,
-    /// Emptied page shells from `recycle_into`/`compact`, reused by `push`
-    /// so steady-state re-evaluation allocates no new pages.
-    spare_rows: Vec<Vec<Tuple>>,
+    /// Emptied page buffers from `clear`/`compact`, reused by `push` so
+    /// steady-state re-evaluation allocates no new pages.
+    spare_rows: Vec<Vec<Const>>,
     spare_live: Vec<Vec<bool>>,
 }
 
@@ -103,31 +113,33 @@ fn split(id: u32) -> (usize, usize) {
 }
 
 impl ChunkStore {
-    /// Iterate `(id, tuple)` over live rows in insertion order.
+    /// Iterate `(id, row)` over live rows in insertion order.
     #[inline]
     pub(crate) fn live_rows(&self) -> LiveRows<'_> {
         LiveRows {
             chunks: &self.chunks,
             lives: if self.dead > 0 { &self.lives } else { &[] },
+            arity: self.arity,
             next_ci: 0,
             base: 0,
-            rows: &[],
+            vals: &[],
+            rows: 0,
             live: None,
             off: 0,
         }
     }
 
     fn open_tail(&mut self) {
-        let mut rows = self.spare_rows.pop().unwrap_or_default();
-        rows.clear();
-        self.chunks.push(Arc::new(Chunk { rows }));
+        let mut vals = self.spare_rows.pop().unwrap_or_default();
+        vals.clear();
+        self.chunks.push(Arc::new(Chunk { vals, rows: 0 }));
         self.lives.push(None);
     }
 
     /// Materialise the liveness page for chunk `ci` (all-true) if absent,
     /// returning a mutable handle (copy-on-write when shared).
     fn live_page(&mut self, ci: usize) -> &mut LiveMap {
-        let rows = self.chunks[ci].rows.len();
+        let rows = self.chunks[ci].rows;
         let slot = &mut self.lives[ci];
         if slot.is_none() {
             let mut live = self.spare_live.pop().unwrap_or_default();
@@ -162,9 +174,10 @@ impl ChunkStore {
 
     /// Borrow a row by id (valid for tombstoned rows too, until compaction).
     #[inline]
-    pub(crate) fn row(&self, id: u32) -> &Tuple {
+    pub(crate) fn row(&self, id: u32) -> &Row {
         let (ci, off) = split(id);
-        &self.chunks[ci].rows[off]
+        let a = self.arity;
+        Row::new(&self.chunks[ci].vals[off * a..off * a + a])
     }
 
     /// Is the row with this id live?
@@ -181,12 +194,22 @@ impl ChunkStore {
     }
 
     /// Append a row, returning its id (`len_rows` before the call).
-    pub(crate) fn push(&mut self, t: Tuple) -> u32 {
+    ///
+    /// # Panics
+    /// Panics when `vals` does not have the arity of the rows already
+    /// stored: a relation holds the facts of one predicate.
+    pub(crate) fn push(&mut self, vals: &[Const]) -> u32 {
+        if self.len == 0 {
+            self.arity = vals.len();
+        }
+        assert_eq!(vals.len(), self.arity, "row arity differs from the store's");
         if self.len & CHUNK_MASK == 0 {
             self.open_tail();
         }
         let ci = self.chunks.len() - 1;
-        Arc::make_mut(&mut self.chunks[ci]).rows.push(t);
+        let tail = Arc::make_mut(&mut self.chunks[ci]);
+        tail.vals.extend_from_slice(vals);
+        tail.rows += 1;
         let id = self.len as u32;
         self.len += 1;
         id
@@ -202,11 +225,12 @@ impl ChunkStore {
     }
 
     /// A second store over the same pages: O(#chunks) `Arc` bumps, zero
-    /// tuple copies. Writes to either store copy-on-write the touched page.
+    /// row copies. Writes to either store copy-on-write the touched page.
     pub(crate) fn share(&self) -> ChunkStore {
         ChunkStore {
             chunks: self.chunks.clone(),
             lives: self.lives.clone(),
+            arity: self.arity,
             len: self.len,
             dead: self.dead,
             spare_rows: Vec::new(),
@@ -214,19 +238,17 @@ impl ChunkStore {
         }
     }
 
-    /// Drop all rows (shared pages are released, not copied).
+    /// Drop all rows. Shared pages are released, not copied; the buffers
+    /// of uniquely-owned pages are kept for the next pushes.
     pub(crate) fn clear(&mut self) {
-        // Reclaim uniquely-owned page shells; shared pages just drop.
         for chunk in self.chunks.drain(..) {
-            if let Ok(mut c) = Arc::try_unwrap(chunk) {
-                c.rows.clear();
-                self.spare_rows.push(std::mem::take(&mut c.rows));
+            if let Ok(c) = Arc::try_unwrap(chunk) {
+                self.spare_rows.push(c.vals);
             }
         }
         for lm in self.lives.drain(..).flatten() {
-            if let Ok(mut l) = Arc::try_unwrap(lm) {
-                l.live.clear();
-                self.spare_live.push(std::mem::take(&mut l.live));
+            if let Ok(l) = Arc::try_unwrap(lm) {
+                self.spare_live.push(l.live);
             }
         }
         self.len = 0;
@@ -243,8 +265,8 @@ impl ChunkStore {
         // tails are touched — reserving is not worth a page copy.
         if let Some(tail) = self.chunks.last_mut() {
             if let Some(c) = Arc::get_mut(tail) {
-                let want = (c.rows.len() + (n - self.len)).min(CHUNK_LEN);
-                c.rows.reserve(want.saturating_sub(c.rows.len()));
+                let want = (c.rows + (n - self.len)).min(CHUNK_LEN) * self.arity;
+                c.vals.reserve(want.saturating_sub(c.vals.len()));
             }
         }
         let pages = n.div_ceil(CHUNK_LEN);
@@ -253,10 +275,12 @@ impl ChunkStore {
     }
 
     /// Rebuild densely packed (drop tombstones, renumber ids in live
-    /// order). Buffers of uniquely-owned dead rows are parked in `pool`.
-    pub(crate) fn compact(&mut self, pool: &mut Vec<Vec<Const>>) {
+    /// order). Rows of a page a snapshot still references are counted as
+    /// copies; uniquely-owned pages are recycled as the new pages fill.
+    pub(crate) fn compact(&mut self) {
         let chunks = std::mem::take(&mut self.chunks);
         let lives = std::mem::take(&mut self.lives);
+        let a = self.arity;
         self.len = 0;
         self.dead = 0;
         for (chunk, lm) in chunks.into_iter().zip(lives) {
@@ -264,84 +288,50 @@ impl ChunkStore {
                 None => true,
                 Some(l) => l.live.get(off).copied().unwrap_or(true),
             };
+            let mut kept = 0;
+            for off in (0..chunk.rows).filter(|&off| alive(off)) {
+                self.push(&chunk.vals[off * a..off * a + a]);
+                kept += 1;
+            }
             match Arc::try_unwrap(chunk) {
-                // Uniquely owned: move live tuples, recycle dead buffers.
-                Ok(mut c) => {
-                    for (off, t) in c.rows.drain(..).enumerate() {
-                        if alive(off) {
-                            self.push(t);
-                        } else {
-                            pool.push(t.into_vec());
-                        }
-                    }
-                    c.rows.clear();
-                    self.spare_rows.push(std::mem::take(&mut c.rows));
-                }
-                // A snapshot still references this page: copy the live rows.
-                Err(shared) => {
-                    for (off, t) in shared.rows.iter().enumerate() {
-                        if alive(off) {
-                            note_tuple_copies(1);
-                            self.push(t.clone());
-                        }
-                    }
-                }
+                Ok(c) => self.spare_rows.push(c.vals),
+                Err(_) => note_tuple_copies(kept),
             }
-            if let Some(lm) = lm {
-                if let Ok(mut l) = Arc::try_unwrap(lm) {
-                    l.live.clear();
-                    self.spare_live.push(std::mem::take(&mut l.live));
-                }
+            if let Some(Ok(l)) = lm.map(Arc::try_unwrap) {
+                self.spare_live.push(l.live);
             }
         }
-    }
-
-    /// Empty the store, moving every uniquely-owned tuple buffer into
-    /// `pool` and parking page shells for reuse (the relation-recycling
-    /// path of the fixpoint evaluator).
-    pub(crate) fn recycle_into(&mut self, pool: &mut Vec<Vec<Const>>) {
-        for chunk in self.chunks.drain(..) {
-            if let Ok(mut c) = Arc::try_unwrap(chunk) {
-                pool.extend(c.rows.drain(..).map(Tuple::into_vec));
-                self.spare_rows.push(std::mem::take(&mut c.rows));
-            }
-        }
-        for lm in self.lives.drain(..).flatten() {
-            if let Ok(mut l) = Arc::try_unwrap(lm) {
-                l.live.clear();
-                self.spare_live.push(std::mem::take(&mut l.live));
-            }
-        }
-        self.len = 0;
-        self.dead = 0;
     }
 }
 
-/// Iterator over `(id, tuple)` pairs of live rows, in insertion order.
-/// Iterates one cached page slice at a time; a store with no tombstones
-/// (the common case) skips liveness checks entirely.
+/// Iterator over `(id, row)` pairs of live rows, in insertion order.
+/// Iterates one cached page at a time; a store with no tombstones (the
+/// common case) skips liveness checks entirely.
 pub(crate) struct LiveRows<'a> {
     chunks: &'a [Arc<Chunk>],
     /// Empty when the store has no tombstones — liveness is not consulted.
     lives: &'a [Option<Arc<LiveMap>>],
+    arity: usize,
     /// Next chunk to load into the cached page fields below.
     next_ci: usize,
     /// Row id of the current page's first row.
     base: u32,
-    rows: &'a [Tuple],
+    vals: &'a [Const],
+    rows: usize,
     /// Liveness slice for the current page; `None` = all rows live.
     live: Option<&'a [bool]>,
     off: usize,
 }
 
 impl<'a> Iterator for LiveRows<'a> {
-    type Item = (u32, &'a Tuple);
+    type Item = (u32, &'a Row);
 
-    fn next(&mut self) -> Option<(u32, &'a Tuple)> {
+    fn next(&mut self) -> Option<(u32, &'a Row)> {
         loop {
-            if self.off >= self.rows.len() {
+            if self.off >= self.rows {
                 let chunk = self.chunks.get(self.next_ci)?;
-                self.rows = &chunk.rows;
+                self.vals = &chunk.vals;
+                self.rows = chunk.rows;
                 self.live = self
                     .lives
                     .get(self.next_ci)
@@ -359,7 +349,9 @@ impl<'a> Iterator for LiveRows<'a> {
                 Some(l) => l.get(off).copied().unwrap_or(true),
             };
             if alive {
-                return Some((self.base | off as u32, &self.rows[off]));
+                let a = self.arity;
+                let row = Row::new(&self.vals[off * a..off * a + a]);
+                return Some((self.base | off as u32, row));
             }
         }
     }
@@ -369,8 +361,8 @@ impl<'a> Iterator for LiveRows<'a> {
 mod tests {
     use super::*;
 
-    fn t(x: i64) -> Tuple {
-        Tuple::from(vec![Const::Int(x)])
+    fn t(x: i64) -> [Const; 1] {
+        [Const::Int(x)]
     }
 
     #[test]
@@ -378,11 +370,14 @@ mod tests {
         let mut s = ChunkStore::default();
         let n = CHUNK_LEN + 7;
         for i in 0..n {
-            assert_eq!(s.push(t(i as i64)), i as u32);
+            assert_eq!(s.push(&t(i as i64)), i as u32);
         }
         assert_eq!(s.len_rows(), n);
-        assert_eq!(s.row((CHUNK_LEN - 1) as u32), &t((CHUNK_LEN - 1) as i64));
-        assert_eq!(s.row(CHUNK_LEN as u32), &t(CHUNK_LEN as i64));
+        assert_eq!(
+            s.row((CHUNK_LEN - 1) as u32).as_slice(),
+            &t((CHUNK_LEN - 1) as i64)
+        );
+        assert_eq!(s.row(CHUNK_LEN as u32).as_slice(), &t(CHUNK_LEN as i64));
         assert_eq!(s.live_rows().count(), n);
     }
 
@@ -390,7 +385,7 @@ mod tests {
     fn share_is_copy_free_and_isolated() {
         let mut s = ChunkStore::default();
         for i in 0..(CHUNK_LEN + 10) {
-            s.push(t(i as i64));
+            s.push(&t(i as i64));
         }
         let before = debug_tuple_copies();
         let shared = s.share();
@@ -400,7 +395,7 @@ mod tests {
         // partial tail page (bounded by one page of tuples).
         s.tombstone(3);
         assert!(shared.is_live(3), "snapshot unaffected by tombstone");
-        s.push(t(-1));
+        s.push(&t(-1));
         assert_eq!(shared.len_rows(), CHUNK_LEN + 10);
         assert_eq!(s.len_rows(), CHUNK_LEN + 11);
         let ids: Vec<u32> = shared.live_rows().map(|(id, _)| id).collect();
@@ -411,7 +406,7 @@ mod tests {
     fn tombstone_never_copies_tuples() {
         let mut s = ChunkStore::default();
         for i in 0..(2 * CHUNK_LEN) {
-            s.push(t(i as i64));
+            s.push(&t(i as i64));
         }
         let _snap = s.share();
         let before = debug_tuple_copies();
@@ -425,15 +420,13 @@ mod tests {
     fn compact_renumbers_and_preserves_order() {
         let mut s = ChunkStore::default();
         for i in 0..10 {
-            s.push(t(i));
+            s.push(&t(i));
         }
         s.tombstone(0);
         s.tombstone(4);
-        let mut pool = Vec::new();
-        s.compact(&mut pool);
+        s.compact();
         assert_eq!(s.len_rows(), 8);
         assert_eq!(s.dead(), 0);
-        assert_eq!(pool.len(), 2, "dead buffers recycled");
         let got: Vec<i64> = s
             .live_rows()
             .map(|(_, t)| match t.get(0) {

@@ -6,12 +6,15 @@
 //! therefore compare and hash as machine words.
 //!
 //! Like the relation chunk store, the string table lives in `Arc`-shared
-//! append-only chunks so snapshot publication shares it with O(#chunks)
-//! refcount bumps ([`Interner::share`]). The string → symbol lookup map is
-//! keyed by string *hash* (candidates verified against the chunk store),
-//! so it stores no second copy of any string, and shares rebuild it lazily
-//! — [`Interner::resolve`], the only operation digests need, always works
-//! straight off the shared chunks.
+//! append-only pages so snapshot publication shares it with O(#pages)
+//! refcount bumps ([`Interner::share`]). A page holds up to 1024 strings
+//! as one byte arena plus their end offsets, so the first intern after a
+//! share copies the partial tail page with two memcpys, not one heap
+//! object per string, and [`Interner::resolve`] returns a slice of the
+//! arena. The string → symbol lookup map is keyed by string *hash*
+//! (candidates verified against the pages), so it stores no second copy
+//! of any string, and shares rebuild it lazily — `resolve`, the only
+//! operation digests need, always works straight off the shared pages.
 //!
 //! The hasher is an FxHash-style multiplicative hash (the algorithm used by
 //! rustc). It is implemented locally because the crate set for this project
@@ -119,6 +122,30 @@ const STR_CHUNK_BITS: usize = 10;
 const STR_CHUNK_LEN: usize = 1 << STR_CHUNK_BITS;
 const STR_CHUNK_MASK: usize = STR_CHUNK_LEN - 1;
 
+/// One page of interned strings: their bytes back to back in one arena,
+/// and the arena offset at which each string ends.
+#[derive(Clone, Default)]
+struct StrChunk {
+    bytes: String,
+    ends: Vec<usize>,
+}
+
+impl StrChunk {
+    #[inline]
+    fn get(&self, off: usize) -> &str {
+        let start = match off {
+            0 => 0,
+            _ => self.ends[off - 1],
+        };
+        &self.bytes[start..self.ends[off]]
+    }
+
+    fn push(&mut self, s: &str) {
+        self.bytes.push_str(s);
+        self.ends.push(self.bytes.len());
+    }
+}
+
 /// Symbols whose string hashes to one value (collisions are verified
 /// against the chunk store; duplicates cannot occur).
 #[derive(Clone)]
@@ -150,14 +177,14 @@ fn str_hash(s: &str) -> u64 {
 
 /// A string interner: bijective map between strings and [`Symbol`]s.
 ///
-/// Strings live in `Arc`-shared append-only chunks; [`Interner::share`]
+/// Strings live in `Arc`-shared append-only pages; [`Interner::share`]
 /// publishes a snapshot view with refcount bumps only. The lookup map keys
 /// by string hash (no owned string keys) and is rebuilt lazily in shares.
 #[derive(Default, Clone)]
 pub struct Interner {
     /// Interned strings in insertion order; all chunks except the tail
     /// hold exactly [`STR_CHUNK_LEN`] strings.
-    chunks: Vec<Arc<Vec<Box<str>>>>,
+    chunks: Vec<Arc<StrChunk>>,
     /// Total interned strings (the tail chunk may be partial).
     len: usize,
     /// String hash → candidate symbols. Never authoritative on its own:
@@ -177,7 +204,7 @@ impl Interner {
 
     #[inline]
     fn string_at(&self, ix: usize) -> &str {
-        &self.chunks[ix >> STR_CHUNK_BITS][ix & STR_CHUNK_MASK]
+        self.chunks[ix >> STR_CHUNK_BITS].get(ix & STR_CHUNK_MASK)
     }
 
     /// Rebuild the hash-keyed lookup map when it lags the chunks (after a
@@ -214,14 +241,14 @@ impl Interner {
         }
         let sym = Symbol(self.len as u32);
         if self.len & STR_CHUNK_MASK == 0 {
-            self.chunks
-                .push(Arc::new(Vec::with_capacity(STR_CHUNK_LEN)));
+            self.chunks.push(Arc::default());
         }
-        // CoW: only a partial tail chunk can still be shared with a
+        // CoW: only a partial tail page can still be shared with a
         // snapshot, so at most `STR_CHUNK_LEN - 1` strings are ever copied
-        // here, once, regardless of interner size.
+        // here, once, regardless of interner size: one byte arena and one
+        // offset array.
         let tail = self.chunks.last_mut().expect("tail chunk exists");
-        Arc::make_mut(tail).push(s.into());
+        Arc::make_mut(tail).push(s);
         self.len += 1;
         match self.map.entry(h) {
             std::collections::hash_map::Entry::Occupied(mut e) => e.get_mut().push(sym),

@@ -1,20 +1,38 @@
-//! Fact tuples.
+//! Fact tuples: the owned [`Tuple`] and the borrowed [`Row`].
+//!
+//! Relations store their rows flat, arity-strided in shared pages (see
+//! [`crate::storage`]), and hand them out as `&Row`: a view of one row's
+//! constants inside a page. `Row` is to `Tuple` what `str` is to `String`.
+//! Every read method lives on `Row`, a `Tuple` dereferences to one, and a
+//! function that takes `&Row` accepts `&Tuple` as well. A `Tuple` is built
+//! only where a caller must own a fact ([`Row::to_tuple`]).
 
 use crate::symbol::Interner;
 use crate::value::Const;
 use std::fmt;
+use std::ops::Deref;
 
 /// A ground fact tuple: a fixed-arity sequence of constants.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct Tuple(Box<[Const]>);
 
-impl Tuple {
-    /// Build a tuple from constants.
-    pub fn new(consts: impl Into<Box<[Const]>>) -> Self {
-        Tuple(consts.into())
+/// A borrowed fact tuple: one row of constants, in a relation's page or
+/// in a [`Tuple`].
+#[derive(PartialEq, Eq, PartialOrd, Ord, Debug)]
+#[repr(transparent)]
+pub struct Row([Const]);
+
+impl Row {
+    /// View a constant slice as a row.
+    #[inline]
+    pub fn new(consts: &[Const]) -> &Row {
+        // SAFETY: `Row` is `repr(transparent)` over `[Const]`, so the two
+        // reference types have the same layout and slice-length metadata,
+        // and the returned reference borrows `consts` for its lifetime.
+        unsafe { &*(consts as *const [Const] as *const Row) }
     }
 
-    /// The tuple's arity.
+    /// The row's arity.
     #[inline]
     pub fn arity(&self) -> usize {
         self.0.len()
@@ -24,11 +42,6 @@ impl Tuple {
     #[inline]
     pub fn get(&self, i: usize) -> Const {
         self.0[i]
-    }
-
-    /// Recover the backing buffer (no copy; the allocation is reusable).
-    pub fn into_vec(self) -> Vec<Const> {
-        self.0.into_vec()
     }
 
     /// All constants as a slice.
@@ -47,9 +60,30 @@ impl Tuple {
         TupleDisplay { t: self, interner }
     }
 
-    /// Project the tuple onto the given column positions.
+    /// Project the row onto the given column positions.
     pub fn project(&self, cols: &[usize]) -> Tuple {
         Tuple(cols.iter().map(|&c| self.0[c]).collect())
+    }
+
+    /// Copy the row into an owned tuple.
+    pub fn to_tuple(&self) -> Tuple {
+        Tuple(self.0.into())
+    }
+}
+
+impl Tuple {
+    /// Build a tuple from constants.
+    pub fn new(consts: impl Into<Box<[Const]>>) -> Self {
+        Tuple(consts.into())
+    }
+}
+
+impl Deref for Tuple {
+    type Target = Row;
+
+    #[inline]
+    fn deref(&self) -> &Row {
+        Row::new(&self.0)
     }
 }
 
@@ -65,9 +99,9 @@ impl<const N: usize> From<[Const; N]> for Tuple {
     }
 }
 
-/// Helper for rendering a [`Tuple`] with access to the interner.
+/// Helper for rendering a [`Row`] with access to the interner.
 pub struct TupleDisplay<'a> {
-    t: &'a Tuple,
+    t: &'a Row,
     interner: &'a Interner,
 }
 
@@ -118,5 +152,15 @@ mod tests {
         let a = Tuple::from(vec![Const::Int(1)]);
         let b = Tuple::from(vec![Const::Int(1)]);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn rows_view_and_copy_their_constants() {
+        let vals = [Const::Int(3), Const::Int(4)];
+        let row = Row::new(&vals);
+        let t = row.to_tuple();
+        assert_eq!(row, &*t);
+        assert_eq!(t.as_slice(), &vals);
+        assert_eq!(row.project(&[1]), Tuple::from(vec![Const::Int(4)]));
     }
 }

@@ -18,7 +18,7 @@
 
 use gom_analyzer::{body::parse_code_text, codereq};
 use gom_core::SchemaManager;
-use gom_deductive::{Const, Error as DbError, Tuple};
+use gom_deductive::{Const, Error as DbError, Row, Tuple};
 use gom_model::{CodeId, DeclId, MetaModel, SchemaId, TypeId};
 use std::collections::BTreeMap;
 
@@ -70,7 +70,7 @@ pub fn replace_code_text(m: &mut MetaModel, cid: CodeId, new_text: &str) -> Evol
             m.db.resolve(cid.sym())
         )]));
     };
-    let row = row.clone();
+    let row = row.to_tuple();
     drop(rows);
     let decl = DeclId(row.get(2).as_sym().expect("decl column"));
     let (receiver, _, _) = m
@@ -308,7 +308,7 @@ fn remove_decl_cascade(m: &mut MetaModel, decl: DeclId, report: &mut DeleteTypeR
     let code_rows: Vec<Tuple> =
         m.db.relation(m.cat.code)
             .select(&[(2, decl.constant())])
-            .cloned()
+            .map(Row::to_tuple)
             .collect();
     for code_row in code_rows {
         let cid = code_row.get(0);
@@ -417,7 +417,7 @@ pub fn delete_type(
             let hits: Vec<Tuple> =
                 m.db.relation(m.cat.attr)
                     .select(&[(2, ty.constant())])
-                    .cloned()
+                    .map(Row::to_tuple)
                     .collect();
             for t in hits {
                 if m.db.remove(m.cat.attr, &t).unwrap_or(false) {
@@ -525,7 +525,7 @@ pub fn copy_type_into(
 pub fn rename_type(mgr: &mut SchemaManager, ty: TypeId, new_name: &str) -> EvolResult<()> {
     let m = &mut mgr.meta;
     let mut rows = m.db.relation(m.cat.ty).select(&[(0, ty.constant())]);
-    let Some(row) = rows.next().cloned() else {
+    let Some(row) = rows.next().map(Row::to_tuple) else {
         return Err(EvolError::Blocked(vec!["type does not exist".into()]));
     };
     drop(rows);
@@ -800,7 +800,7 @@ mod tests {
             .db
             .relation(mgr.meta.cat.codereq_attr)
             .select(&[(0, cid.constant())])
-            .cloned()
+            .map(Row::to_tuple)
             .collect();
         assert!(rows.iter().any(|t| t.get(1) == loc2.constant()), "{rows:?}");
         assert!(rows.iter().any(|t| t.get(1) == loc.constant()), "{rows:?}");

@@ -9,7 +9,7 @@
 use crate::builtins::Builtins;
 use crate::catalog::Catalog;
 use crate::ids::{CodeId, DeclId, IdGen, PhRepId, SchemaId, TypeId};
-use gom_deductive::{Const, Database, PredId, Result, Symbol, Tuple};
+use gom_deductive::{Const, Database, PredId, Result, Row, Symbol, Tuple};
 
 /// A user-written type reference that does not resolve.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -95,7 +95,7 @@ impl MetaModel {
             .db
             .relation(self.cat.attr)
             .select(&[(0, ty.constant()), (1, Const::Sym(n))])
-            .cloned()
+            .map(Row::to_tuple)
             .collect();
         let mut removed = false;
         for t in hits {
@@ -191,7 +191,7 @@ impl MetaModel {
             .db
             .relation(self.cat.slot)
             .select(&[(0, clid.constant()), (1, Const::Sym(a))])
-            .cloned()
+            .map(Row::to_tuple)
             .collect();
         let mut removed = false;
         for t in hits {
@@ -202,8 +202,9 @@ impl MetaModel {
 
     /// Share the meta model for publication as a read snapshot: the
     /// database is shared copy-on-write via [`Database::snapshot_clone`]
-    /// (definitional + extensional state only — tuple pages and the
-    /// string table are `Arc`-bumped, not copied; no caches or indexes),
+    /// (definitional + extensional state only — row pages, the string
+    /// table and the rules and constraints are `Arc`-bumped, not copied;
+    /// no caches or indexes),
     /// and the catalog, built-ins, and id generator are carried over so
     /// the clone resolves the same predicates and never re-issues an
     /// already-used id.

@@ -348,7 +348,7 @@ impl Runtime {
         };
         // Bind parameters by their recorded names (CodeParam facts).
         if let Some(cp) = m.db.pred_id("CodeParam") {
-            let mut rows: Vec<&gom_deductive::Tuple> =
+            let mut rows: Vec<&gom_deductive::Row> =
                 m.db.relation(cp).select(&[(0, cid.constant())]).collect();
             rows.sort_by_key(|r| r.get(1).as_int().unwrap_or(0));
             for (i, row) in rows.iter().enumerate() {

@@ -9,11 +9,15 @@
 //! reference-counted, so an open session never blocks a reader and a
 //! reader never blocks the writer.
 //!
-//! Capture cost is O(#relations) `Arc` bumps: the snapshot's meta model
-//! shares the writer's tuple pages copy-on-write
-//! (`Database::snapshot_clone`), and the state digest is computed lazily
-//! on first request ([`Snapshot::digest`]) — a commit that no client ever
-//! digests never pays for the sorted dump.
+//! Capture cost is O(#relations + #pages) `Arc` bumps: the snapshot's meta
+//! model shares the writer's row and string pages copy-on-write, and its
+//! rules, constraints and predicate registry behind `Arc`s
+//! (`Database::snapshot_clone`). The state digest is computed lazily on
+//! first request ([`Snapshot::digest`]) — a commit that no client ever
+//! digests never pays for the sorted dump. Pages hold their
+//! rows and strings flat, so the writer's first write to a shared tail
+//! page after a capture copies it with a memcpy, and dropping the last
+//! snapshot that holds a page frees it in one call.
 //!
 //! The digest is computed straight into the snapshot's `Digest` reply
 //! frame: one sealed gom-wire frame (header with CRC, `Reply::Ok` tag and
@@ -62,7 +66,8 @@ pub struct Snapshot {
 
 impl Snapshot {
     /// Capture the current state of `meta` as the snapshot for `epoch`.
-    /// O(#relations) page shares; no tuple copies, no digest computation.
+    /// O(#relations + #pages) `Arc` bumps; no row copies, no digest
+    /// computation.
     pub fn capture(epoch: u64, meta: &MetaModel) -> Snapshot {
         Snapshot {
             epoch,

@@ -580,7 +580,7 @@ pub(crate) fn encode_rows(
     put_rows(
         out,
         names,
-        rows.iter().map(Tuple::as_slice),
+        rows.iter().map(|t| t.as_slice()),
         |out, c| match *c {
             Const::Sym(s) => put_str(out, interner.resolve(s)),
             Const::Int(n) => put_int(out, n),

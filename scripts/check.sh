@@ -213,8 +213,9 @@ GOM_CHAOS_SEEDS=100 cargo test -p gom-server --release --test chaos
 # populated synth5000 base may copy zero tuples (counter-verified), and
 # the publish cost must stay within 1.5x of the recorded microbench row
 # (the pre-CoW deep-clone path sat at ~7.5 ms vs ~23 µs shared, so any
-# slide back toward O(#tuples) publication blows through this gate).
-step "snapshot CoW gate (zero tuple copies + publish cost at synth5000)"
+# slide back toward O(#tuples) publication blows through this gate), as
+# must the cost of the commit that follows a publish.
+step "snapshot CoW gate (zero tuple copies + publish and next-commit cost)"
 GOM_COW_TYPES=5000 cargo test --release --test snapshot_cow
 bench_tmp="$(mktemp -d)"
 cargo build --release -p gom-bench --bin microbench
@@ -240,6 +241,12 @@ microbench_gate() {
   }'
 }
 microbench_gate snapshot_publish_synth5000 "snapshot publish"
+# The writer's next commit after a publish: the held snapshot shares its
+# pages, so the session's first writes copy the tail pages (rows and
+# interned strings) they touch. Flat pages make that copy a memcpy; a
+# slide back to a heap object per row or string, or to deep-cloned rules
+# and constraints at capture, shows here.
+microbench_gate publish_then_commit_synth500 "commit after publish"
 
 # A reader's query reply must cost about its bytes: querying the
 # Attr(T, N, D) rows of a synth500 reader view, encoding the tuples into
