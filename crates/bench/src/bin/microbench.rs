@@ -960,11 +960,6 @@ fn main() {
         }
     }
 
-    let threads: usize = std::env::var("GOM_EVAL_THREADS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1);
-
     let mut reports: Vec<Report> = Vec::new();
     for (name, build) in rows() {
         if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
@@ -987,7 +982,6 @@ fn main() {
     json.push_str("{\n");
     json.push_str("  \"schema\": \"gom-bench/microbench/v1\",\n");
     json.push_str(&format!("  \"unix_secs\": {unix_secs},\n"));
-    json.push_str(&format!("  \"eval_threads\": {threads},\n"));
     json.push_str(&format!("  \"iters\": {iters},\n"));
     json.push_str("  \"benches\": [\n");
     for (i, r) in reports.iter().enumerate() {

@@ -175,22 +175,19 @@ impl Database {
         self.collect_constraint_violations(|_, cc| &idb[cc.viol.index()], indices)
     }
 
-    /// Scan the violation predicates of the given compiled constraints.
-    /// With more than one eval thread, constraints are scanned in parallel.
-    /// Violations are collected in *stored* order — the per-tuple sort that
-    /// used to run here is gone; every public entry point applies one final
-    /// [`sort_violations`] instead (probe: `check.violations.sort_ns`), so
-    /// the rendered output stays deterministic for any thread count.
-    /// `viol_rel` maps a compiled constraint (and its index) to the
-    /// relation holding its violation facts: an IDB slot, or a carried
-    /// relation.
+    /// Scan the violation predicates of the given compiled constraints, one
+    /// after another. Violations are collected in *stored* order; every
+    /// public entry point applies one final [`sort_violations`], so the
+    /// rendered output is deterministic. `viol_rel` maps a compiled
+    /// constraint (and its index) to the relation holding its violation
+    /// facts: an IDB slot, or a carried relation.
     fn collect_constraint_violations<'r>(
         &self,
-        viol_rel: impl Fn(usize, &CompiledConstraint) -> &'r Relation + Sync,
+        viol_rel: impl Fn(usize, &CompiledConstraint) -> &'r Relation,
         indices: &[usize],
     ) -> Result<Vec<Violation>> {
         let compiled = self.compiled.as_ref().expect("compiled");
-        crate::eval::par_map(self.eval_threads(), indices, |&ci, out| {
+        crate::eval::map_contained(indices, |&ci, out| {
             let cc = &compiled.constraints[ci];
             let src = &self.defs.constraints[cc.source_idx];
             let t0 = gom_obs::enabled().then(std::time::Instant::now);
@@ -213,9 +210,9 @@ impl Database {
                 });
             }
             if let Some(t0) = t0 {
-                // Per-constraint timing runs inside the parallel scan, so
-                // the span boundary is not a scope: credit the measured
-                // duration explicitly.
+                // Credit the per-constraint time to the aggregate only: a
+                // check over many constraints would otherwise write one
+                // trace line per constraint.
                 gom_obs::record_span_dur(&format!("check.constraint:{}", src.name), t0.elapsed());
                 gom_obs::counter_add("check.violations", (out.len() - before) as u64);
             }
@@ -327,7 +324,6 @@ impl Database {
             Vec::new()
         } else {
             self.ensure_base_indexes();
-            let threads = self.eval_threads();
             let compiled = self.compiled.take().expect("compiled");
             // Restrict each stratum to rules whose head is needed.
             let restricted: Vec<Vec<usize>> = compiled
@@ -345,14 +341,13 @@ impl Database {
             crate::eval::ensure_idb_indexes(self, &compiled, &mut rels);
             let mut evaluated = Ok(());
             for stratum in &restricted {
-                evaluated =
-                    crate::eval::eval_stratum_public(self, &mut rels, &compiled, stratum, threads);
+                evaluated = crate::eval::eval_stratum_public(self, &mut rels, &compiled, stratum);
                 if evaluated.is_err() {
                     break;
                 }
             }
 
-            // Restore the compiled program before propagating any worker
+            // Restore the compiled program before propagating any evaluation
             // panic, so the database stays usable after the error.
             self.compiled = Some(compiled);
             evaluated?;

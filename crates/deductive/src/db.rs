@@ -103,11 +103,7 @@ pub struct Database {
     /// from the hot insert path.
     pub(crate) idb_size_hints: Vec<usize>,
     journal: Option<Vec<Op>>,
-    /// Worker threads for fixpoint evaluation and constraint checking.
-    /// `0` = unset: consult `GOM_EVAL_THREADS`, defaulting to 1 (the
-    /// reproducible single-threaded configuration).
-    eval_threads: usize,
-    /// Test hook: when set, evaluation workers panic, exercising the
+    /// Test hook: when set, rule evaluation panics, exercising the
     /// panic-containment path ([`Error::EvalPanic`]).
     eval_failpoint: bool,
 }
@@ -569,51 +565,22 @@ impl Database {
         applied.map(drop)
     }
 
-    /// Number of worker threads used within an evaluation stratum and for
-    /// constraint checks. Resolution order: [`Database::set_eval_threads`],
-    /// then the `GOM_EVAL_THREADS` environment variable, then 1. Results
-    /// are identical for every thread count (sorted round merges).
-    pub fn eval_threads(&self) -> usize {
-        if self.eval_threads > 0 {
-            return self.eval_threads;
-        }
-        match std::env::var("GOM_EVAL_THREADS") {
-            Ok(v) => match v.parse::<usize>() {
-                Ok(n) if n >= 1 => n,
-                _ => {
-                    // Reject 0 and garbage loudly (once), then fall back to
-                    // the reproducible single-threaded configuration.
-                    static WARNED: std::sync::Once = std::sync::Once::new();
-                    WARNED.call_once(|| {
-                        eprintln!(
-                            "warning: ignoring invalid GOM_EVAL_THREADS value `{v}` \
-                             (expected an integer >= 1); using 1 thread"
-                        );
-                    });
-                    1
-                }
-            },
-            Err(_) => 1,
-        }
-    }
-
-    /// Test hook: make the next evaluation's workers panic (contained as
+    /// Test hook: make the next evaluation panic (contained as
     /// [`Error::EvalPanic`]). Not part of the public API surface.
     #[doc(hidden)]
     pub fn set_eval_failpoint(&mut self, on: bool) {
         self.eval_failpoint = on;
     }
 
-    /// Is the evaluation failpoint armed? (Checked by the fixpoint workers.)
+    /// Is the evaluation failpoint armed? (Checked by the fixpoint.)
     pub(crate) fn eval_failpoint(&self) -> bool {
         self.eval_failpoint
     }
 
-    /// Set the worker-thread count (clamped to at least 1), overriding
-    /// `GOM_EVAL_THREADS`.
-    pub fn set_eval_threads(&mut self, n: usize) {
-        self.eval_threads = n.max(1);
-    }
+    /// Accepted and ignored; evaluation is single-threaded. Kept so that
+    /// callers written against the former thread-count setting still
+    /// compile.
+    pub fn set_eval_threads(&mut self, _n: usize) {}
 
     /// Build every base-predicate index the compiled plans scan with; the
     /// indexes are maintained in place by subsequent `insert`/`remove`.
@@ -728,7 +695,6 @@ impl Database {
             spare_idb: None,
             idb_size_hints: Vec::new(),
             journal: None,
-            eval_threads: self.eval_threads,
             eval_failpoint: false,
         }
     }

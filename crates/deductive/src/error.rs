@@ -51,10 +51,10 @@ pub enum Error {
     /// An evolution session operation was used out of protocol (e.g. nested
     /// `begin`, or `commit` without `begin`).
     SessionProtocol(String),
-    /// A fixpoint evaluation worker panicked. The panic is contained at the
-    /// worker boundary; the database keeps its base facts and any open
-    /// session stays open (and rollbackable), but derived facts from the
-    /// failed run are discarded.
+    /// A rule evaluation panicked. The panic is contained per work item of
+    /// the fixpoint or constraint scan; the database keeps its base facts
+    /// and any open session stays open (and rollbackable), but derived
+    /// facts from the failed run are discarded.
     EvalPanic(String),
     /// An error with a source position attached (1-based line/column).
     /// Wraps errors that carry no position of their own, so every load
@@ -136,7 +136,7 @@ impl fmt::Display for Error {
                 write!(f, "constraint `{name}` cannot be compiled: {msg}")
             }
             Error::SessionProtocol(msg) => write!(f, "session protocol violation: {msg}"),
-            Error::EvalPanic(msg) => write!(f, "evaluation worker panicked: {msg}"),
+            Error::EvalPanic(msg) => write!(f, "rule evaluation panicked: {msg}"),
             Error::At { line, col, source } => write!(f, "at {line}:{col}: {source}"),
         }
     }

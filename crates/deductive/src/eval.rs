@@ -3,11 +3,9 @@
 //!
 //! Plans are precomputed once per rule at compile time; each fixpoint round
 //! only resolves key constants and walks index buckets. Within a stratum,
-//! rule/delta activations are independent, so they can be evaluated across
-//! threads (scoped, no external dependencies): each worker fills a private
-//! fact buffer, and the buffers are merged, sorted, and deduplicated at the
-//! round barrier — insertion order (and therefore every downstream output)
-//! is identical for every thread count.
+//! a round runs its rule/delta activations in a fixed order into one fact
+//! buffer, merged into the IDB at the round barrier, so insertion order
+//! (and every downstream output) depends only on the program and its facts.
 
 use crate::ast::{Atom, Literal, Rule, Term, Var};
 use crate::compile::Compiled;
@@ -408,7 +406,7 @@ fn publish_rule_stats(db: &Database, head: PredId, ri: usize, derivations: u64, 
 }
 
 // ---------------------------------------------------------------------------
-// Parallel work distribution
+// Panic containment
 // ---------------------------------------------------------------------------
 
 /// Extract a printable message from a caught panic payload.
@@ -422,78 +420,22 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Run `f` over `items`, splitting across up to `threads` scoped threads.
-/// Each worker appends into a private buffer; buffers are concatenated in
-/// chunk order. Callers needing thread-count-independent output sort the
-/// result. With `threads <= 1` this runs inline with no thread overhead.
+/// Run `f` over `items` in order, appending into one buffer.
 ///
-/// Panics inside `f` are contained at the worker boundary and surface as
-/// [`Error::EvalPanic`] — identically on the inline and threaded paths —
-/// so a panicking rule evaluation cannot take the process (or an open
-/// evolution session) down with it.
-pub(crate) fn par_map<T, R, F>(threads: usize, items: &[T], f: F) -> Result<Vec<R>>
+/// A panic inside `f` is contained here and surfaces as
+/// [`Error::EvalPanic`], so a panicking rule evaluation cannot take the
+/// process (or an open evolution session) down with it.
+pub(crate) fn map_contained<T, R, F>(items: &[T], f: F) -> Result<Vec<R>>
 where
-    T: Sync,
-    R: Send,
-    F: Fn(&T, &mut Vec<R>) + Sync,
+    F: Fn(&T, &mut Vec<R>),
 {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    if threads <= 1 || items.len() <= 1 {
-        let t0 = gom_obs::enabled().then(std::time::Instant::now);
-        let mut buf = Vec::new();
-        for it in items {
-            catch_unwind(AssertUnwindSafe(|| f(it, &mut buf)))
-                .map_err(|p| Error::EvalPanic(panic_message(p)))?;
-        }
-        if let Some(t0) = t0 {
-            gom_obs::record(
-                "eval.worker.busy_ns",
-                t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-            );
-        }
-        return Ok(buf);
+    let mut buf = Vec::new();
+    for it in items {
+        catch_unwind(AssertUnwindSafe(|| f(it, &mut buf)))
+            .map_err(|p| Error::EvalPanic(panic_message(p)))?;
     }
-    let chunk = items.len().div_ceil(threads.min(items.len()));
-    let mut out: Vec<R> = Vec::new();
-    let mut failed: Option<Error> = None;
-    std::thread::scope(|s| {
-        let f = &f;
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|ch| {
-                s.spawn(move || {
-                    let t0 = gom_obs::enabled().then(std::time::Instant::now);
-                    let mut buf = Vec::new();
-                    for it in ch {
-                        f(it, &mut buf);
-                    }
-                    if let Some(t0) = t0 {
-                        gom_obs::record(
-                            "eval.worker.busy_ns",
-                            t0.elapsed().as_nanos().min(u128::from(u64::MAX)) as u64,
-                        );
-                    }
-                    buf
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(buf) => out.extend(buf),
-                Err(p) => {
-                    // Keep joining the remaining workers (scoped threads
-                    // must finish anyway); report the first panic.
-                    if failed.is_none() {
-                        failed = Some(Error::EvalPanic(panic_message(p)));
-                    }
-                }
-            }
-        }
-    });
-    match failed {
-        Some(e) => Err(e),
-        None => Ok(out),
-    }
+    Ok(buf)
 }
 
 // ---------------------------------------------------------------------------
@@ -505,12 +447,10 @@ where
 /// Probe-first: every derivation is checked against the membership table
 /// (re-derivations of known facts — the bulk of the traffic on dense
 /// inputs — cost one probe and nothing else), and only the genuinely new
-/// facts are sorted before insertion. Sorting that small set keeps
-/// insertion order — and thus all downstream iteration order — sorted per
-/// round and independent of thread count and work-chunk layout, and it
-/// keeps the row vector a concatenation of sorted runs, which the final
-/// [`Relation::sorted`] merge exploits. Each fact is hashed once; the
-/// probe and the insert share it.
+/// facts are inserted, in derivation order. Work items run in a fixed
+/// order, so insertion order — and thus all downstream iteration order —
+/// depends only on the program and its facts. Each fact is hashed once;
+/// the probe and the insert share it.
 fn flush_round(facts: Vec<Staged>, idb: &mut [Relation], delta: &mut [Vec<u32>]) {
     // The membership probe is latency-bound: each duplicate hit touches
     // the slot line and then the stored row to verify equality. Hashing
@@ -556,12 +496,11 @@ fn eval_stratum(
     rules: &[Rule],
     plans: &[RulePlans],
     rule_ixs: &[usize],
-    threads: usize,
 ) -> Result<()> {
     let stratum_preds: FxHashSet<PredId> = rule_ixs.iter().map(|&i| rules[i].head.pred).collect();
     let mut delta: Vec<Vec<u32>> = vec![Vec::new(); idb.len()];
     // Round 0: full evaluation of every rule against the stratum input.
-    let round0 = par_map(threads, rule_ixs, |&ri, buf| {
+    let round0 = map_contained(rule_ixs, |&ri, buf| {
         if db.eval_failpoint() {
             panic!("injected evaluation failpoint");
         }
@@ -597,7 +536,7 @@ fn eval_stratum(
         if work.is_empty() {
             break;
         }
-        let round = par_map(threads, &work, |&(ri, li), buf| {
+        let round = map_contained(&work, |&(ri, li), buf| {
             let rp = &plans[ri];
             let Literal::Pos(atom) = &rules[ri].body[li] else {
                 unreachable!("delta work items are positive literals");
@@ -635,9 +574,8 @@ pub(crate) fn eval_stratum_public(
     idb: &mut [Relation],
     compiled: &Compiled,
     rule_ixs: &[usize],
-    threads: usize,
 ) -> Result<()> {
-    eval_stratum(db, idb, &compiled.rules, &compiled.plans, rule_ixs, threads)
+    eval_stratum(db, idb, &compiled.rules, &compiled.plans, rule_ixs)
 }
 
 /// Solve a body against the current EDB + a given IDB, with some variables
@@ -693,7 +631,6 @@ pub(crate) fn ensure_idb_indexes(db: &Database, compiled: &Compiled, rels: &mut 
 pub(crate) fn eval_program(
     db: &Database,
     compiled: &Compiled,
-    threads: usize,
     size_hints: &[usize],
     spare: Option<Idb>,
 ) -> Result<Idb> {
@@ -719,14 +656,7 @@ pub(crate) fn eval_program(
     for (si, stratum) in compiled.strat.rule_strata.iter().enumerate() {
         let _sp =
             gom_obs::enabled().then(|| gom_obs::span_labeled("eval.stratum", &si.to_string()));
-        eval_stratum(
-            db,
-            &mut rels,
-            &compiled.rules,
-            &compiled.plans,
-            stratum,
-            threads,
-        )?;
+        eval_stratum(db, &mut rels, &compiled.rules, &compiled.plans, stratum)?;
     }
     Ok(Idb {
         rels,
@@ -740,7 +670,7 @@ pub(crate) fn eval_program(
 // Naive tuple-at-a-time interpreter
 // ---------------------------------------------------------------------------
 // Kept as the differential-test oracle and the `datalog_eval` benchmark
-// ablation: no plans, no bucket fast path, strictly single-threaded.
+// ablation: no plans, no bucket fast path.
 
 /// Match one rule body (already ordered) against the store, calling `sink`
 /// for every complete binding.
@@ -862,13 +792,12 @@ impl Database {
             return Ok(());
         }
         self.ensure_base_indexes();
-        let threads = self.eval_threads();
         let compiled = self.compiled.take().expect("just compiled");
         let hints = std::mem::take(&mut self.idb_size_hints);
         let spare = self.spare_idb.take();
-        let idb = eval_program(self, &compiled, threads, &hints, spare);
+        let idb = eval_program(self, &compiled, &hints, spare);
         // Restore the compiled program before propagating any evaluation
-        // error: a contained worker panic must leave the database usable
+        // error: a contained evaluation panic must leave the database usable
         // (base facts intact, open session still rollbackable) — only the
         // derived facts of the failed run are discarded.
         self.compiled = Some(compiled);
@@ -879,8 +808,8 @@ impl Database {
     }
 
     /// Sorted facts of a derived predicate computed by the naive
-    /// tuple-at-a-time interpreter (no plans, no maintained indexes, no
-    /// threads). Differential-test oracle; not cached.
+    /// tuple-at-a-time interpreter (no plans, no maintained indexes).
+    /// Differential-test oracle; not cached.
     #[doc(hidden)]
     pub fn reference_facts(&mut self, pred: PredId) -> Result<Vec<Tuple>> {
         self.ensure_compiled()?;
@@ -1085,25 +1014,6 @@ mod tests {
         db.insert(edge, t2(3, 0)).unwrap();
         let semi = db.derived_facts(path).unwrap();
         assert_eq!(semi, db.reference_facts(path).unwrap());
-    }
-
-    #[test]
-    fn parallel_evaluation_matches_serial() {
-        let build = || {
-            let (mut db, edge, _) = setup_path();
-            for i in 0..12 {
-                db.insert(edge, t2(i, i + 1)).unwrap();
-            }
-            db.insert(edge, t2(7, 2)).unwrap();
-            db.insert(edge, t2(11, 0)).unwrap();
-            db
-        };
-        let mut serial = build();
-        let path = serial.pred_id("Path").unwrap();
-        let expected = serial.derived_facts(path).unwrap();
-        let mut par = build();
-        par.set_eval_threads(4);
-        assert_eq!(par.derived_facts(path).unwrap(), expected);
     }
 
     #[test]

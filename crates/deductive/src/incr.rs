@@ -179,7 +179,8 @@ impl Database {
 
     /// The DRed core: maintain `idb` for the net base changes `del`/`add`,
     /// which must already be applied to the live store. Infallible: plan
-    /// execution cannot error and no parallel evaluation is involved.
+    /// execution cannot error, and DRed does not run through the panic
+    /// containment of [`crate::eval::map_contained`].
     fn dred(&mut self, idb: &mut Idb, compiled: &Compiled, mut del: DeltaMap, mut add: DeltaMap) {
         if del.is_empty() && add.is_empty() {
             return;

@@ -15,7 +15,7 @@
 //!
 //! Iteration order is insertion order with removed rows skipped, so any
 //! deterministic insertion sequence yields deterministic scans — the
-//! parallel evaluator relies on this (see [`crate::eval`]).
+//! evaluator relies on this (see [`crate::eval`]).
 //!
 //! Snapshot publication uses [`Relation::share`]: the chunk pages are
 //! `Arc`-bumped instead of copied, the membership table and indexes are

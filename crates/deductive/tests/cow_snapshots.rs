@@ -6,8 +6,8 @@
 //! the end, every old snapshot must still be byte-identical — digest,
 //! per-predicate iteration order, and `sorted()` output — to a deep-clone
 //! oracle (`deep_snapshot_clone`, the pre-CoW publication path) captured
-//! at the same instant. Runs under 1 and 4 evaluation threads, with the
-//! fixpoint exercised mid-session so shared pages also serve evaluation.
+//! at the same instant. The fixpoint is exercised mid-session so shared
+//! pages also serve evaluation.
 
 use gom_deductive::value::Const;
 use gom_deductive::{Database, Row, Tuple};
@@ -37,10 +37,9 @@ struct Oracle {
     violations: usize,
 }
 
-fn run_session(seed: u64, threads: usize) {
+fn run_session(seed: u64) {
     let mut db = Database::new();
     db.load(PROGRAM).expect("program loads");
-    db.set_eval_threads(threads);
     let edge = db.pred_id("Edge").expect("Edge");
     let flag = db.pred_id("Flag").expect("Flag");
     let preds = [edge, flag];
@@ -107,7 +106,7 @@ fn run_session(seed: u64, threads: usize) {
         assert_eq!(
             snap.debug_state_digest(),
             oracle.digest,
-            "digest drift in snapshot {i} (seed {seed}, {threads} threads)"
+            "digest drift in snapshot {i} (seed {seed})"
         );
         for (j, &p) in preds.iter().enumerate() {
             let got: Vec<Tuple> = snap.relation(p).iter().map(Row::to_tuple).collect();
@@ -118,25 +117,16 @@ fn run_session(seed: u64, threads: usize) {
 
     // Snapshots are also fully usable as databases: evaluation over the
     // shared pages reproduces the oracle's violation count.
-    for (i, (snap, oracle)) in snaps.into_iter().enumerate() {
-        let mut snap = snap;
-        snap.set_eval_threads(threads);
+    for (i, (mut snap, oracle)) in snaps.into_iter().enumerate() {
         let violations = snap.check().expect("snapshot check");
         assert_eq!(violations.len(), oracle.violations, "violations, snap {i}");
     }
 }
 
 #[test]
-fn cow_snapshots_match_deep_clone_oracle_single_thread() {
+fn cow_snapshots_match_deep_clone_oracle() {
     for seed in [7, 1993] {
-        run_session(seed, 1);
-    }
-}
-
-#[test]
-fn cow_snapshots_match_deep_clone_oracle_four_threads() {
-    for seed in [7, 1993] {
-        run_session(seed, 4);
+        run_session(seed);
     }
 }
 

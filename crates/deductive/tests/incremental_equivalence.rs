@@ -10,7 +10,7 @@
 //! inside sessions that undo part or all of their work by rollback. After
 //! every batch and every rollback, maintenance must still be armed and
 //! every derived predicate read from the maintained IDB must equal the
-//! naive reference interpreter. Runs at 1 and 4 eval threads.
+//! naive reference interpreter.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod common;
@@ -64,7 +64,7 @@ fn preds(db: &Database, names: &[&str]) -> Vec<PredId> {
     names.iter().map(|n| db.pred_id(n).unwrap()).collect()
 }
 
-fn run(seed: u64, threads: usize) {
+fn run(seed: u64) {
     // Even seeds: a random program; odd seeds: the fixed one.
     let (mut db, mut rng, bases, derived, domain) = if seed.is_multiple_of(2) {
         let db = common::build(seed);
@@ -80,9 +80,8 @@ fn run(seed: u64, threads: usize) {
         );
         (db, rng, b, d, 10)
     };
-    db.set_eval_threads(threads);
     db.ensure_maintained().unwrap();
-    let ctx = format!("seed {seed} threads {threads}");
+    let ctx = format!("seed {seed}");
 
     for batch in 0..BATCHES {
         let ops = random_batch(&mut db, &mut rng, &bases, domain);
@@ -165,15 +164,8 @@ fn assert_maintained(db: &mut Database, derived: &[PredId], ctx: &str) {
 }
 
 #[test]
-fn maintained_equals_scratch_single_threaded() {
+fn maintained_equals_scratch() {
     for seed in 0..SEEDS {
-        run(seed, 1);
-    }
-}
-
-#[test]
-fn maintained_equals_scratch_multi_threaded() {
-    for seed in 0..SEEDS {
-        run(seed, 4);
+        run(seed);
     }
 }

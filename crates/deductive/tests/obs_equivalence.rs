@@ -2,7 +2,7 @@
 //! *pure observation*. Evaluating the same randomized stratified programs
 //! (seeds shared with `planned_equivalence`) with gom-obs fully enabled —
 //! aggregation *and* a live JSONL trace sink — yields a bit-identical IDB
-//! to the uninstrumented run, serial and parallel.
+//! to the uninstrumented run.
 
 mod common;
 
@@ -35,12 +35,11 @@ impl Write for SharedBuf {
     }
 }
 
-fn idb_matches_with_obs_on(threads: usize, seeds: std::ops::Range<u64>) {
+fn idb_matches_with_obs_on(seeds: std::ops::Range<u64>) {
     for seed in seeds {
         // Uninstrumented run.
         gom_obs::set_enabled(false);
         let mut plain_db = build(seed);
-        plain_db.set_eval_threads(threads);
         let plain = derived(&mut plain_db);
 
         // Instrumented run: aggregation + trace sink.
@@ -48,15 +47,11 @@ fn idb_matches_with_obs_on(threads: usize, seeds: std::ops::Range<u64>) {
         gom_obs::set_trace_writer(Box::new(buf.clone()));
         gom_obs::set_enabled(true);
         let mut obs_db = build(seed);
-        obs_db.set_eval_threads(threads);
         let instrumented = derived(&mut obs_db);
         gom_obs::set_enabled(false);
         gom_obs::clear_trace();
 
-        assert_eq!(
-            instrumented, plain,
-            "seed {seed}, {threads} thread(s): instrumented IDB differs"
-        );
+        assert_eq!(instrumented, plain, "seed {seed}: instrumented IDB differs");
         // The instrumented run actually recorded something (it was not a
         // silently disabled run).
         let traced = buf.0.lock().unwrap_or_else(PoisonError::into_inner);
@@ -64,21 +59,14 @@ fn idb_matches_with_obs_on(threads: usize, seeds: std::ops::Range<u64>) {
             traced
                 .windows(b"eval.fixpoint".len())
                 .any(|w| w == b"eval.fixpoint"),
-            "seed {seed}, {threads} thread(s): no eval.fixpoint span traced"
+            "seed {seed}: no eval.fixpoint span traced"
         );
     }
 }
 
 #[test]
-fn instrumented_eval_is_bit_identical_serial() {
+fn instrumented_eval_is_bit_identical() {
     let _g = lock();
     gom_obs::reset();
-    idb_matches_with_obs_on(1, 0..30);
-}
-
-#[test]
-fn instrumented_eval_is_bit_identical_parallel() {
-    let _g = lock();
-    gom_obs::reset();
-    idb_matches_with_obs_on(4, 0..30);
+    idb_matches_with_obs_on(0..30);
 }

@@ -319,7 +319,6 @@ fn full_eval_trace_is_valid_jsonl() {
     gom_obs::set_enabled(true);
 
     let mut db = build(seed);
-    db.set_eval_threads(2);
     let idb = derived(&mut db);
     assert!(idb.iter().any(|rel| !rel.is_empty()));
 
@@ -418,7 +417,6 @@ fn disabled_path_records_nothing_end_to_end() {
     gom_obs::set_enabled(false);
 
     let mut db = build(7);
-    db.set_eval_threads(2);
     let _ = derived(&mut db);
 
     let snap = gom_obs::snapshot();

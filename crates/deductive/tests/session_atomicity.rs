@@ -5,11 +5,10 @@
 //!   storage observable through the indexes), and — after re-deriving —
 //!   the IDB. Checked through [`Database::debug_state_digest`], which
 //!   renders facts and every index's live rows interner-independently.
-//! * a panic inside a fixpoint evaluation worker must surface as
+//! * a panic inside a fixpoint rule evaluation must surface as
 //!   [`Error::EvalPanic`], leave the database usable, and leave an open
 //!   session rollbackable — exercised deterministically through the
-//!   `set_eval_failpoint` hook on both the inline and the multi-threaded
-//!   evaluation paths.
+//!   `set_eval_failpoint` hook.
 
 use gom_deductive::{Const, Database, Error, Tuple};
 use gom_obs::SplitMix64;
@@ -127,10 +126,9 @@ fn self_cancelling_session_commits_to_identical_state() {
     assert_eq!(db.debug_state_digest(), before);
 }
 
-fn eval_panic_is_contained(threads: usize) {
-    let mut rng = SplitMix64::new(0xEE7 + threads as u64);
+fn eval_panic_is_contained(seed: u64) {
+    let mut rng = SplitMix64::new(seed);
     let mut db = build(&mut rng);
-    db.set_eval_threads(threads);
     db.evaluate().expect("healthy evaluate");
     let before = db.debug_state_digest();
 
@@ -143,36 +141,32 @@ fn eval_panic_is_contained(threads: usize) {
     let err = db.evaluate().expect_err("failpoint must surface");
     assert!(
         matches!(err, Error::EvalPanic(_)),
-        "threads={threads}: expected EvalPanic, got {err:?}"
+        "seed={seed:#x}: expected EvalPanic, got {err:?}"
     );
     assert!(
         db.in_session(),
-        "threads={threads}: the session survives the panic"
+        "seed={seed:#x}: the session survives the panic"
     );
 
     // The database stays usable: clear the failpoint, evaluate again,
     // roll the session back, and verify bit-identical restoration.
     db.set_eval_failpoint(false);
     db.evaluate()
-        .unwrap_or_else(|e| panic!("threads={threads}: db unusable after contained panic: {e}"));
+        .unwrap_or_else(|e| panic!("seed={seed:#x}: db unusable after contained panic: {e}"));
     db.rollback_session().expect("rollback after panic");
     db.evaluate().expect("re-evaluate");
     assert_eq!(
         db.debug_state_digest(),
         before,
-        "threads={threads}: contained panic + rollback must restore state"
+        "seed={seed:#x}: contained panic + rollback must restore state"
     );
 }
 
-/// A worker panic on the single-threaded (inline) evaluation path becomes
-/// `Error::EvalPanic`; the session stays open and rollbackable.
+/// A panic in rule evaluation becomes `Error::EvalPanic`; the session
+/// stays open and rollbackable.
 #[test]
-fn eval_panic_contained_inline() {
-    eval_panic_is_contained(1);
-}
-
-/// Same containment on the multi-threaded scoped-worker path.
-#[test]
-fn eval_panic_contained_threaded() {
-    eval_panic_is_contained(4);
+fn eval_panic_is_contained_and_rolled_back() {
+    for seed in [0xEE7 + 1, 0xEE7 + 4] {
+        eval_panic_is_contained(seed);
+    }
 }

@@ -10,7 +10,7 @@
 //! * **counters** — monotonic `u64` sums, e.g. `eval.tuples.derived`,
 //!   `journal.fsyncs`;
 //! * **histograms** — fixed power-of-two buckets (no allocation after
-//!   creation), e.g. `eval.worker.busy_ns`.
+//!   creation), e.g. `server.request.ns:query`.
 //!
 //! Two sinks consume them:
 //!
@@ -167,8 +167,8 @@ pub fn vital_record(name: &str, v: u64) {
 }
 
 /// Credit an externally measured duration to span `name` (aggregation
-/// only; no trace line, no nesting). Used where the span boundary does not
-/// map to a scope, e.g. per-constraint timing inside a parallel scan.
+/// only; no trace line, no nesting), e.g. per-constraint timing, where a
+/// trace line per constraint would flood the trace.
 #[inline]
 pub fn record_span_dur(name: &str, dur: Duration) {
     if !enabled() {

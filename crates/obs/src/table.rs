@@ -115,11 +115,11 @@ mod tests {
         );
         let mut h = crate::Hist::default();
         h.record(1000);
-        snap.hists.insert("eval.worker.busy_ns".into(), h);
+        snap.hists.insert("server.request.ns:query".into(), h);
         let t = render_table(&snap);
         assert!(t.contains("eval.tuples.derived"), "{t}");
         assert!(t.contains("eval.stratum:0"), "{t}");
-        assert!(t.contains("eval.worker.busy_ns"), "{t}");
+        assert!(t.contains("server.request.ns:query"), "{t}");
         assert!(t.contains("1.00ms"), "{t}");
         assert!(t.contains("42"), "{t}");
     }

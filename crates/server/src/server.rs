@@ -82,8 +82,9 @@ pub struct Config {
     /// Connection bound: further connections are shed with a typed
     /// `Overloaded` frame until an active one closes.
     pub max_connections: usize,
-    /// Eval-thread override applied to the schema base (chaos testing
-    /// runs the same sweep at 1 and 4 threads).
+    /// Accepted and ignored; evaluation is single-threaded. Kept so that
+    /// configs written against the former eval-thread override still
+    /// compile.
     pub eval_threads: Option<usize>,
     /// Slow-request threshold in milliseconds: requests that take at
     /// least this long land in the ring-buffer slow log (surfaced by
@@ -390,9 +391,6 @@ pub fn serve(config: Config) -> io::Result<ServerHandle> {
         None => SchemaManager::new()
             .map_err(|e| io::Error::other(format!("schema base init failed: {e}")))?,
     };
-    if let Some(threads) = config.eval_threads {
-        mgr.meta.db.set_eval_threads(threads);
-    }
     register_counters();
     // Keep violations maintained from the start, so every published epoch
     // (the initial one included) carries them to readers. Commits and

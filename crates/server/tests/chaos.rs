@@ -14,9 +14,9 @@
 //! digest — with no leaked session, a free writer lock, and (for the
 //! journal-backed variant) a recovery replay landing on the same digest.
 //!
-//! Sweep size: `GOM_CHAOS_SEEDS` seeds per eval-thread configuration
-//! (default 25; `scripts/check.sh` runs 100 → 200 runs across the 1- and
-//! 4-thread sweeps). Deterministic targeted tests cover the slow-loris
+//! Sweep size: `GOM_CHAOS_SEEDS` seeds in each of two seed blocks, seeds
+//! `0..N` and `1_000..1_000 + N` (default 25; `scripts/check.sh` runs 100
+//! → 200 runs). Deterministic targeted tests cover the slow-loris
 //! timeout, load shedding, duplicate-token commits, and CRC rejection.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
@@ -66,11 +66,10 @@ impl Drop for TestDirs {
     }
 }
 
-fn hardened_config(socket: &Path, threads: usize) -> Config {
+fn hardened_config(socket: &Path) -> Config {
     let mut config = Config::in_memory(socket);
     config.lease = LEASE;
     config.io_deadline = IO_DEADLINE;
-    config.eval_threads = Some(threads);
     config
 }
 
@@ -275,16 +274,16 @@ impl Driver {
 
 /// One seeded chaos run: returns the proxy's fault counts so sweeps can
 /// assert injection coverage.
-fn run_chaos(seed: u64, threads: usize, store: Option<PathBuf>) -> FaultStats {
-    let dirs = TestDirs::new(&format!("run{seed}_{threads}"));
+fn run_chaos(seed: u64, store: Option<PathBuf>) -> FaultStats {
+    let dirs = TestDirs::new(&format!("run{seed}"));
     let sock = dirs.path("gomd.sock");
     let proxy_sock = dirs.path("proxy.sock");
     let twin_sock = dirs.path("twin.sock");
 
-    let mut config = hardened_config(&sock, threads);
+    let mut config = hardened_config(&sock);
     config.store = store.clone();
     let server = serve(config).expect("faulted server start");
-    let twin = serve(hardened_config(&twin_sock, threads)).expect("twin server start");
+    let twin = serve(hardened_config(&twin_sock)).expect("twin server start");
     let proxy = FaultProxy::spawn(&proxy_sock, &sock, FaultPlan::hostile(seed)).expect("proxy");
 
     // Hostile path: the driver talks through the proxy.
@@ -331,7 +330,7 @@ fn run_chaos(seed: u64, threads: usize, store: Option<PathBuf>) -> FaultStats {
     // start.
     if let Some(store_path) = store {
         let recovery_sock = dirs.path("recovered.sock");
-        let mut config = hardened_config(&recovery_sock, threads);
+        let mut config = hardened_config(&recovery_sock);
         config.store = Some(store_path);
         let recovered = serve(config).expect("recovery start");
         let mut c = connect(&recovery_sock);
@@ -420,24 +419,23 @@ fn assert_coverage(total: &FaultStats, seeds: u64) {
     );
 }
 
-#[test]
-fn chaos_sweep_single_thread_eval() {
+fn chaos_sweep(first_seed: u64) {
     let seeds = sweep_seeds();
     let mut total = FaultStats::default();
-    for seed in 0..seeds {
-        accumulate(&mut total, run_chaos(seed, 1, None));
+    for seed in first_seed..first_seed + seeds {
+        accumulate(&mut total, run_chaos(seed, None));
     }
     assert_coverage(&total, seeds);
 }
 
 #[test]
-fn chaos_sweep_parallel_eval() {
-    let seeds = sweep_seeds();
-    let mut total = FaultStats::default();
-    for seed in 0..seeds {
-        accumulate(&mut total, run_chaos(1_000 + seed, 4, None));
-    }
-    assert_coverage(&total, seeds);
+fn chaos_sweep_seed_block_0() {
+    chaos_sweep(0);
+}
+
+#[test]
+fn chaos_sweep_seed_block_1000() {
+    chaos_sweep(1_000);
 }
 
 #[test]
@@ -445,7 +443,7 @@ fn chaos_with_store_recovers_cleanly() {
     for seed in 0..6u64 {
         let dirs = TestDirs::new(&format!("store{seed}"));
         let store = dirs.path("db.gomj");
-        run_chaos(2_000 + seed, 1, Some(store));
+        run_chaos(2_000 + seed, Some(store));
     }
 }
 
@@ -455,7 +453,7 @@ fn chaos_with_store_recovers_cleanly() {
 fn duplicate_token_commit_is_applied_once() {
     let dirs = TestDirs::new("dup_token");
     let sock = dirs.path("gomd.sock");
-    let server = serve(hardened_config(&sock, 1)).expect("server");
+    let server = serve(hardened_config(&sock)).expect("server");
     let mut c = connect(&sock);
 
     committed_epoch(
@@ -527,7 +525,7 @@ fn duplicate_token_commit_is_applied_once() {
 fn slow_loris_partial_frame_times_out() {
     let dirs = TestDirs::new("loris");
     let sock = dirs.path("gomd.sock");
-    let server = serve(hardened_config(&sock, 1)).expect("server");
+    let server = serve(hardened_config(&sock)).expect("server");
 
     let mut loris = UnixStream::connect(&sock).unwrap();
     // First half of a legitimate frame: a 12-byte header+payload cut at
@@ -563,7 +561,7 @@ fn slow_loris_partial_frame_times_out() {
 fn overload_sheds_with_typed_reply_and_recovers() {
     let dirs = TestDirs::new("shed");
     let sock = dirs.path("gomd.sock");
-    let mut config = hardened_config(&sock, 1);
+    let mut config = hardened_config(&sock);
     config.max_connections = 2;
     let server = serve(config).expect("server");
 
@@ -623,7 +621,7 @@ fn overload_sheds_with_typed_reply_and_recovers() {
 fn corrupt_frame_gets_typed_protocol_error() {
     let dirs = TestDirs::new("crc");
     let sock = dirs.path("gomd.sock");
-    let server = serve(hardened_config(&sock, 1)).expect("server");
+    let server = serve(hardened_config(&sock)).expect("server");
 
     let mut evil = UnixStream::connect(&sock).unwrap();
     let mut frame = Vec::new();

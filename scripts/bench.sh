@@ -8,7 +8,6 @@
 #   scripts/bench.sh --compare BENCH_old.json [out.json]
 #                                    # run, then fail if any bench present
 #                                    # in BOTH snapshots regressed >10%
-#   GOM_EVAL_THREADS=4 scripts/bench.sh out.json   # parallel evaluator
 #   BENCH_ITERS=31 scripts/bench.sh  # more samples per bench
 #
 # The JSON schema is gom-bench/microbench/v1: per bench, the name, median

@@ -52,10 +52,10 @@ cargo build --release
 step "cargo test --workspace -q"
 cargo test --workspace -q
 
-# The planned/parallel evaluator must agree with the naive reference
-# interpreter; run the differential suite in release so it exercises the
-# same codegen the benchmarks measure.
-step "differential test (planned vs naive, serial vs parallel)"
+# The planned evaluator must agree with the naive reference interpreter;
+# run the differential suite in release so it exercises the same codegen
+# the benchmarks measure.
+step "differential test (planned vs naive)"
 cargo test -p gom-deductive --release --test planned_equivalence
 
 # Observation must be pure: the instrumented engine (aggregation + live
@@ -202,9 +202,10 @@ no_fixpoint_under "$server_tmp/server-trace.jsonl" \
 rm -rf "$server_tmp"
 
 # Hostile clients and networks: the lease/deadline/shedding tests and the
-# seeded chaos-proxy sweep run in release (100 seeds per eval-thread
-# configuration → 200 faulted runs), asserting digest identity against an
-# unfaulted twin, exactly-once tokened commits, and clean recovery.
+# seeded chaos-proxy sweep run in release (100 seeds in each of the two
+# seed blocks, 0.. and 1000.. → 200 faulted runs), asserting digest
+# identity against an unfaulted twin, exactly-once tokened commits, and
+# clean recovery.
 step "chaos-proxy sweep + lease tests (release, 200 seeded runs)"
 cargo test -p gom-server --release --test lease
 GOM_CHAOS_SEEDS=100 cargo test -p gom-server --release --test chaos

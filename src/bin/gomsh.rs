@@ -496,15 +496,14 @@ fn main() {
     }
     if let Some(sock) = serve_sock {
         std::process::exit(serve_main(gomflex::server::Config {
-            socket: std::path::PathBuf::from(sock),
             store: store_path.map(std::path::PathBuf::from),
             sync,
             session_timeout,
             lease,
             io_deadline,
             max_connections,
-            eval_threads: None,
             slow_ms,
+            ..gomflex::server::Config::in_memory(sock)
         }));
     }
     if let Some(sock) = connect_sock {

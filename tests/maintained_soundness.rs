@@ -3,10 +3,10 @@
 //! Over many seeded random evolution sessions the maintained violation
 //! read must be *bit-identical* to delta checking, and the maintained
 //! IDB's full `check()` to a from-scratch check of a deep snapshot — same
-//! commit/rollback decision, same rendered violations —
-//! at 1 and 4 eval threads, including rollback-then-recommit sessions
-//! (which maintain the IDB through the inverse ops) and sessions replayed
-//! through durable-store recovery (which rebuild it from a journal).
+//! commit/rollback decision, same rendered violations — including
+//! rollback-then-recommit sessions (which maintain the IDB through the
+//! inverse ops) and sessions replayed through durable-store recovery
+//! (which rebuild it from a journal). The sweep runs from two seed bases.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use gom_bench::{build_synth_schema, populate_objects, synth_manager, SynthParams};
@@ -14,7 +14,7 @@ use gom_deductive::Database;
 use gom_obs::SplitMix64;
 use gomflex::prelude::*;
 
-/// Random sessions per thread configuration (the issue asks for >= 120).
+/// Random sessions per sweep (at least 120).
 const SESSIONS: usize = 120;
 
 /// Apply one random schema-evolution primitive inside the open session.
@@ -141,23 +141,22 @@ fn differential_session(
     maintained
 }
 
-fn run_sweep(threads: usize) {
+fn run_sweep(seed: u64) {
     let (mut mgr, types) = synth_manager(SynthParams {
         types: 12,
         ..Default::default()
     });
     // Give some types live instances so attribute changes become breaking.
     populate_objects(&mut mgr, &types[..4], 1);
-    mgr.meta.db.set_eval_threads(threads);
     assert!(
         mgr.check().unwrap().is_empty(),
         "synth schema must start consistent"
     );
 
-    let mut rng = SplitMix64::new(0x3A1D_7000 + threads as u64);
+    let mut rng = SplitMix64::new(seed);
+    let label = format!("seed={seed:#x}");
     let mut inconsistent = 0usize;
     for session in 0..SESSIONS {
-        let label = format!("threads={threads}");
         let maintained = differential_session(&mut mgr, &types, &mut rng, session, &label);
 
         if maintained.is_empty() {
@@ -207,53 +206,19 @@ fn run_sweep(threads: usize) {
     // The op mix must actually exercise the interesting half of the space.
     assert!(
         inconsistent >= SESSIONS / 10,
-        "threads={threads}: only {inconsistent}/{SESSIONS} sessions were inconsistent — \
+        "{label}: only {inconsistent}/{SESSIONS} sessions were inconsistent — \
          the random mix no longer stresses the maintained path"
     );
 }
 
 #[test]
 fn maintained_is_sound_single_threaded() {
-    run_sweep(1);
+    run_sweep(0x3A1D_7000 + 1);
 }
 
 #[test]
-fn maintained_is_sound_multi_threaded() {
-    run_sweep(4);
-}
-
-/// The two thread counts must agree with *each other*: same seeds, same
-/// decisions through the maintained path.
-#[test]
-fn maintained_sweep_is_deterministic_across_thread_counts() {
-    let decisions = |threads: usize| -> Vec<bool> {
-        let (mut mgr, types) = synth_manager(SynthParams {
-            types: 12,
-            ..Default::default()
-        });
-        populate_objects(&mut mgr, &types[..4], 1);
-        mgr.meta.db.set_eval_threads(threads);
-        let mut rng = SplitMix64::new(0x3A1D_7000);
-        let mut out = Vec::with_capacity(SESSIONS);
-        for session in 0..SESSIONS {
-            mgr.begin_evolution().unwrap();
-            let nops = 1 + rng.below(5);
-            for op in 0..nops {
-                mutate(&mut mgr, &types, &mut rng, session * 8 + op);
-            }
-            let delta = mgr.meta.db.session_delta().unwrap();
-            let maintained = mgr
-                .meta
-                .db
-                .check_maintained(&delta)
-                .unwrap()
-                .expect("maintained state armed");
-            out.push(maintained.is_empty());
-            mgr.rollback_evolution().unwrap();
-        }
-        out
-    };
-    assert_eq!(decisions(1), decisions(4));
+fn maintained_is_sound_second_seed() {
+    run_sweep(0x3A1D_7000 + 4);
 }
 
 /// Durable-store recovery: sessions journaled while the maintained path was

@@ -13,7 +13,7 @@
 //! maintained state) must never leave carried violation relations in the
 //! next snapshot; a commit or a rollback (which maintains the state
 //! through its inverse ops) must carry them, and the reader checks above
-//! referee what they carry. Runs at 1 and 4 eval threads.
+//! referee what they carry.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 #[path = "../crates/deductive/tests/common/mod.rs"]
@@ -63,12 +63,10 @@ fn verify(
     cell: &SnapshotCell,
     long_lived: &mut ReaderCache,
     writer: &MetaModel,
-    threads: usize,
     ctx: &str,
 ) -> usize {
     let mut oracle = writer.db.deep_snapshot_clone();
     assert!(!oracle.carries_violations(), "{ctx}: the oracle re-derives");
-    oracle.set_eval_threads(threads);
     let expect_check = render_check(&mut oracle);
     let expect_rows = answers(&mut oracle);
 
@@ -123,9 +121,8 @@ fn verify(
 
 /// Run one seeded history; returns how many published epochs carried a
 /// non-empty set of violations.
-fn run(seed: u64, threads: usize) -> usize {
+fn run(seed: u64) -> usize {
     let mut meta = MetaModel::new().expect("meta");
-    meta.db.set_eval_threads(threads);
     let mut rng = common::build_into(&mut meta.db, seed);
     meta.db
         .load(&common::constraints(&mut rng, 0))
@@ -139,7 +136,6 @@ fn run(seed: u64, threads: usize) -> usize {
         &cell,
         &mut long_lived,
         &meta,
-        threads,
         &format!("seed {seed} epoch 0"),
     ) > 0
     {
@@ -188,29 +184,20 @@ fn run(seed: u64, threads: usize) -> usize {
              violations only from a live maintained state"
         );
         let ctx = format!("seed {seed} epoch {epoch} ({what})");
-        if verify(&cell, &mut long_lived, &meta, threads, &ctx) > 0 && carried {
+        if verify(&cell, &mut long_lived, &meta, &ctx) > 0 && carried {
             carried_nonempty += 1;
         }
     }
     carried_nonempty
 }
 
-fn sweep(threads: usize) {
-    let carried_nonempty: usize = (0..SEEDS).map(|seed| run(seed, threads)).sum();
+#[test]
+fn snapshot_readers_match_from_scratch_single_threaded() {
+    let carried_nonempty: usize = (0..SEEDS).map(run).sum();
     // The sweep must exercise carried relations that hold violations, not
     // only empty ones.
     assert!(
         carried_nonempty >= SEEDS as usize,
         "only {carried_nonempty} carried epochs had violations"
     );
-}
-
-#[test]
-fn snapshot_readers_match_from_scratch_single_threaded() {
-    sweep(1);
-}
-
-#[test]
-fn snapshot_readers_match_from_scratch_multi_threaded() {
-    sweep(4);
 }
