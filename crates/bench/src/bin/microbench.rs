@@ -16,6 +16,8 @@
 //! * `ees_check_*`  — full EES consistency check over the GOM catalog,
 //! * `rollback_then_commit_*` — a rolled-back session, then the
 //!   `ees_check_*` commit (should stay near `ees_check_*`),
+//! * `op_maintain_*` — one `add_attr` and its removal in an open session:
+//!   the per-op DRed upkeep every evolution primitive pays,
 //! * `check_in_session_*`, `repairs_after_violation_*` — a full check and
 //!   repair generation inside an open session (reads of the maintained IDB),
 //! * `dred_*`       — DRed incremental maintenance of the armed IDB,
@@ -314,6 +316,23 @@ fn open_session(n: usize) -> (SchemaManager, TypeId) {
     let (mut mgr, leaf) = maintained_commit_setup(n);
     mgr.begin_evolution().expect("begin session");
     (mgr, leaf)
+}
+
+/// One `add_attr` and its removal in an open session on a
+/// [`maintained_commit_setup`] base: two single-fact changes, each
+/// maintained by DRed (units = ops).
+fn op_maintain(n: usize) -> Bench<'static> {
+    let (mut mgr, leaf) = open_session(n);
+    let int_ty = mgr.meta.builtins.int;
+    bench(move || {
+        mgr.meta
+            .add_attr(leaf, "op_maintained", int_ty)
+            .expect("add attr");
+        mgr.meta
+            .remove_attr(leaf, "op_maintained")
+            .expect("remove attr");
+        2
+    })
 }
 
 /// Trace-shaped GOM source for the one-type schema `{prefix}{i}`, with
@@ -690,6 +709,8 @@ fn rows() -> Vec<Row> {
             let (mut mgr, t0) = maintained_commit_setup(5000);
             bench(move || maintained_commit_iter(&mut mgr, t0, "bm"))
         }),
+        row("op_maintain_synth500", || op_maintain(500)),
+        row("op_maintain_synth5000", || op_maintain(5000)),
         row("rollback_then_commit_synth500", || {
             rollback_then_commit(500)
         }),

@@ -60,12 +60,83 @@ pub(crate) struct Compiled {
     pub strat: Stratification,
     /// Rule indices by head predicate.
     pub rules_by_head: FxHashMap<PredId, Vec<usize>>,
+    /// The trigger index: per predicate (indexed by `PredId`), every body
+    /// literal that reads it, ordered by stratum, rule and literal. DRed
+    /// joins a change only through these reads (see [`Compiled::reads`]).
+    pub triggers: Vec<Vec<Trigger>>,
+    /// Head predicates of each stratum (sorted), parallel to
+    /// `strat.rule_strata`.
+    pub stratum_heads: Vec<Vec<PredId>>,
     /// Compiled constraints, parallel to `Database::constraints`.
     pub constraints: Vec<CompiledConstraint>,
     /// Every `(predicate, sorted bound columns)` an execution plan scans
     /// with; the evaluator builds these indexes up front so plan execution
     /// always hits ready buckets.
     pub index_masks: Vec<(PredId, Box<[usize]>)>,
+}
+
+/// One body literal, listed in [`Compiled::triggers`] under the predicate
+/// it reads.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Trigger {
+    /// Stratum of the reading rule.
+    pub stratum: usize,
+    /// The reading rule (index into [`Compiled::rules`]).
+    pub rule: usize,
+    /// Position of the literal in the rule body.
+    pub lit: usize,
+    /// The literal is negated.
+    pub neg: bool,
+    /// A positive read of a head of the rule's own stratum: DRed follows
+    /// it from that stratum's own frontier, while every other read is
+    /// seeded by the net change of a base predicate or a lower stratum.
+    pub internal: bool,
+}
+
+impl Compiled {
+    /// The reads of `p` by the rules of stratum `s`, in rule and literal
+    /// order. Empty for a predicate declared after compilation.
+    pub(crate) fn reads(&self, p: PredId, s: usize) -> &[Trigger] {
+        let Some(all) = self.triggers.get(p.index()) else {
+            return &[];
+        };
+        let lo = all.partition_point(|t| t.stratum < s);
+        let hi = all.partition_point(|t| t.stratum <= s);
+        &all[lo..hi]
+    }
+}
+
+/// Build [`Compiled::triggers`] and [`Compiled::stratum_heads`].
+fn trigger_index(
+    pred_count: usize,
+    rules: &[Rule],
+    strat: &Stratification,
+) -> (Vec<Vec<Trigger>>, Vec<Vec<PredId>>) {
+    let mut triggers: Vec<Vec<Trigger>> = vec![Vec::new(); pred_count];
+    let mut stratum_heads = Vec::with_capacity(strat.rule_strata.len());
+    for (stratum, rule_ixs) in strat.rule_strata.iter().enumerate() {
+        let mut heads: Vec<PredId> = rule_ixs.iter().map(|&ri| rules[ri].head.pred).collect();
+        heads.sort_unstable();
+        heads.dedup();
+        for &rule in rule_ixs {
+            for (lit, l) in rules[rule].body.iter().enumerate() {
+                let (a, neg) = match l {
+                    Literal::Pos(a) => (a, false),
+                    Literal::Neg(a) => (a, true),
+                    Literal::Cmp(..) => continue,
+                };
+                triggers[a.pred.index()].push(Trigger {
+                    stratum,
+                    rule,
+                    lit,
+                    neg,
+                    internal: !neg && heads.binary_search(&a.pred).is_ok(),
+                });
+            }
+        }
+        stratum_heads.push(heads);
+    }
+    (triggers, stratum_heads)
 }
 
 /// Compiled form of one constraint.
@@ -689,11 +760,14 @@ impl Database {
         }
         let mut index_masks: Vec<(PredId, Box<[usize]>)> = mask_set.into_iter().collect();
         index_masks.sort();
+        let (triggers, stratum_heads) = trigger_index(self.preds.len(), &rules, &strat);
         self.compiled = Some(std::sync::Arc::new(Compiled {
             rules,
             plans,
             strat,
             rules_by_head,
+            triggers,
+            stratum_heads,
             constraints: ccs,
             index_masks,
         }));

@@ -15,14 +15,22 @@
 //! 3. **insert** — propagate insertions (and deletions through negation)
 //!    against the new state.
 //!
-//! Net per-predicate deltas flow upward through the strata. Phase 1 needs
-//! the pre-change database, but cloning the EDB/IDB per change is
-//! O(database) — exactly the cost this module exists to avoid. Instead the
-//! old state is reconstructed *in place*: net-deleted facts are temporarily
-//! re-inserted and net-added facts temporarily removed, the over-deletion
-//! joins run, and the store flips back before re-derivation
-//! ([`Database::flip_restore`]). The flip only ever touches the Δ facts,
-//! so one change costs O(Δ · strata) regardless of database size.
+//! Net per-predicate deltas flow upward through the strata. A change pays
+//! only for the rules it reaches: the compiled program's trigger index
+//! ([`Compiled::reads`]) lists, per predicate, the body literals that read
+//! it. A stratum is visited only when one of its literals reads a
+//! predicate with a net change, its joins start from exactly those
+//! literals, and its frontier facts propagate only through the literals
+//! that read them. A change that no rule reads costs no join at all.
+//!
+//! Phase 1 needs the pre-change database, but cloning the EDB/IDB per
+//! change is O(database) — exactly the cost this module exists to avoid.
+//! Instead the old state is reconstructed *in place*: net-deleted facts are
+//! temporarily re-inserted and net-added facts temporarily removed, the
+//! over-deletion joins run, and the store flips back before re-derivation
+//! ([`Database::flip_restore`]). The flip touches only the Δ facts of the
+//! predicates the visited stratum reads, and only when phase 1 has a seed,
+//! so one change costs O(Δ · reached strata) regardless of database size.
 //!
 //! The maintained IDB is the database's only IDB: derived predicates —
 //! including compiled constraint violation relations — are correct at all
@@ -35,13 +43,11 @@
 //! from-scratch checks of a deep snapshot.
 #![deny(clippy::unwrap_used, clippy::expect_used)]
 
-use crate::ast::Literal;
 use crate::check::key_hash;
-use crate::compile::Compiled;
+use crate::compile::{Compiled, Trigger};
 use crate::db::Database;
 use crate::error::Result;
 use crate::eval::{exec_plan, instantiate_head, Binding, DeltaSrc, Idb, Store};
-use crate::plan::RulePlans;
 use crate::pred::PredId;
 use crate::relation::Relation;
 use crate::symbol::{FxHashMap, FxHashSet};
@@ -111,17 +117,17 @@ impl Database {
         current
     }
 
-    /// Feed one applied base-fact change through DRed. On any
-    /// irregularity the IDB is dropped — EES then falls back to
-    /// [`Database::check_delta`]; fact mutation itself never fails because
-    /// of maintenance.
-    fn maintain_change(&mut self, pred: PredId, tuple: &Row, inserted: bool) {
+    /// Feed one applied base-fact change through DRed and return what it
+    /// cost. On any irregularity the IDB is dropped — EES then falls back
+    /// to [`Database::check_delta`]; fact mutation itself never fails
+    /// because of maintenance.
+    fn maintain_change(&mut self, pred: PredId, tuple: &Row, inserted: bool) -> DredCost {
         let _sp = gom_obs::span("dred.maintain");
         if !self.idb_matches_program() {
-            return;
+            return DredCost::default();
         }
         let (Some(mut idb), Some(compiled)) = (self.idb.take(), self.compiled.clone()) else {
-            return;
+            return DredCost::default();
         };
         if let Some(key) = &self.preds[pred.index()].key {
             let counts = idb.key_counts.entry(pred).or_default();
@@ -142,135 +148,140 @@ impl Database {
         } else {
             (delta, DeltaMap::default())
         };
-        self.dred(&mut idb, &compiled, del, add);
+        let cost = self.dred(&mut idb, &compiled, del, add);
         self.idb = Some(idb);
+        gom_obs::counter_add("dred.strata_visited", cost.strata);
+        gom_obs::counter_add("dred.probes", cost.probes);
+        cost
     }
 
-    /// Flip the live store between the new state and the old (pre-delta)
-    /// state, in place: with `to_old` the net-deleted facts are re-inserted
-    /// and the net-added ones removed (base facts into the live EDB, derived
-    /// facts into `idb`); with `!to_old` the exact inverse. Phase 1 of DRed
-    /// must see the *old* database — including under every negated literal,
-    /// where a merely-superset state would silently skip over-deletions —
-    /// and this reconstructs it at O(Δ) cost instead of cloning.
-    fn flip_restore(&mut self, idb: &mut Idb, del: &DeltaMap, add: &DeltaMap, to_old: bool) {
+    /// Flip the predicates `preds` of the live store between the new state
+    /// and the old (pre-delta) state, in place: with `to_old` their
+    /// net-deleted facts are re-inserted and their net-added ones removed
+    /// (base facts into the live EDB, derived facts into `idb`); with
+    /// `!to_old` the exact inverse. Phase 1 of DRed must see the *old*
+    /// database — including under every negated literal, where a
+    /// merely-superset state would silently skip over-deletions — and this
+    /// reconstructs it at O(Δ) cost instead of cloning.
+    fn flip_restore(
+        &mut self,
+        idb: &mut Idb,
+        preds: &[PredId],
+        del: &DeltaMap,
+        add: &DeltaMap,
+        to_old: bool,
+    ) {
         let (ins, rem) = if to_old { (del, add) } else { (add, del) };
-        for (p, r) in ins {
+        for &p in preds {
             let target = if self.preds[p.index()].is_base() {
                 &mut self.rels[p.index()]
             } else {
                 &mut idb.rels[p.index()]
             };
-            for t in r.iter() {
+            for t in ins.get(&p).into_iter().flat_map(Relation::iter) {
                 target.insert(t);
             }
-        }
-        for (p, r) in rem {
-            let target = if self.preds[p.index()].is_base() {
-                &mut self.rels[p.index()]
-            } else {
-                &mut idb.rels[p.index()]
-            };
-            for t in r.iter() {
+            for t in rem.get(&p).into_iter().flat_map(Relation::iter) {
                 target.remove(t);
             }
         }
     }
 
     /// The DRed core: maintain `idb` for the net base changes `del`/`add`,
-    /// which must already be applied to the live store. Infallible: plan
+    /// which must already be applied to the live store. Only the strata the
+    /// trigger index reaches from a change are visited, and each joins only
+    /// through the literals that read a changed predicate. Infallible: plan
     /// execution cannot error, and DRed does not run through the panic
     /// containment of [`crate::eval::map_contained`].
-    fn dred(&mut self, idb: &mut Idb, compiled: &Compiled, mut del: DeltaMap, mut add: DeltaMap) {
+    fn dred(
+        &mut self,
+        idb: &mut Idb,
+        compiled: &Compiled,
+        mut del: DeltaMap,
+        mut add: DeltaMap,
+    ) -> DredCost {
+        let mut cost = DredCost::default();
         if del.is_empty() && add.is_empty() {
-            return;
+            return cost;
         }
-        for stratum in &compiled.strat.rule_strata {
-            let rules = &compiled.rules;
-            let stratum_preds: FxHashSet<PredId> =
-                stratum.iter().map(|&i| rules[i].head.pred).collect();
+        let rules = &compiled.rules;
+        // The single-row delta of a frontier fact, refilled per fact.
+        let mut row = Relation::new();
+        let mut seeds: Vec<(PredId, Trigger)> = Vec::new();
+        let mut flipped: Vec<PredId> = Vec::new();
+        for (s, heads) in compiled.stratum_heads.iter().enumerate() {
+            // `del`/`add` hold base facts plus the nets of *lower* strata
+            // only — this stratum's heads enter them in phases 2–3 — so
+            // every seed is an external read, and the flip never touches a
+            // relation phase 1 derives into.
+            seeds.clear();
+            for &p in del
+                .keys()
+                .chain(add.keys().filter(|p| !del.contains_key(p)))
+            {
+                let reads = compiled.reads(p, s).iter().filter(|t| !t.internal);
+                seeds.extend(reads.map(|&t| (p, t)));
+            }
+            let reached = |over_delete| {
+                seeds
+                    .iter()
+                    .any(|&(p, t)| seed_src(&del, &add, p, t.neg, over_delete).is_some())
+            };
+            let (over_deletes, inserts) = (reached(true), reached(false));
+            if !over_deletes && !inserts {
+                continue;
+            }
+            cost.strata += 1;
+            seeds.sort_unstable_by_key(|&(_, t)| (t.rule, t.lit));
 
             // ----- phase 1: over-delete (old state, reconstructed in place) -----
-            // `del`/`add` hold base facts plus the nets of *lower* strata
-            // only — this stratum's heads are written in phases 2–3 — so the
-            // flip never touches a relation phase 1 derives into.
-            self.flip_restore(idb, &del, &add, true);
             let mut over: Vec<(PredId, Tuple)> = Vec::new();
-            let mut over_set: FxHashSet<(PredId, Tuple)> = FxHashSet::default();
-            let mut frontier: Vec<(PredId, Tuple)> = Vec::new();
-            for &ri in stratum {
-                let rule = &rules[ri];
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let (src_pred, neg) = match lit {
-                        Literal::Pos(a) if !stratum_preds.contains(&a.pred) => (a.pred, false),
-                        Literal::Neg(a) => (a.pred, true),
-                        _ => continue,
-                    };
-                    let src = if neg {
-                        add.get(&src_pred)
-                    } else {
-                        del.get(&src_pred)
-                    };
-                    let Some(src) = src.filter(|r| !r.is_empty()) else {
+            if over_deletes {
+                // Both sides of every changed predicate the stratum reads:
+                // another literal of a seeded rule must see the old state
+                // too (`multiple_negations_falsified_by_one_change_over_delete`).
+                flipped.clear();
+                flipped.extend(seeds.iter().map(|&(p, _)| p));
+                flipped.sort_unstable();
+                flipped.dedup();
+                self.flip_restore(idb, &flipped, &del, &add, true);
+                let mut over_set: FxHashSet<(PredId, Tuple)> = FxHashSet::default();
+                let mut frontier: Vec<(PredId, Tuple)> = Vec::new();
+                for &(p, t) in &seeds {
+                    let Some(src) = seed_src(&del, &add, p, t.neg, true) else {
                         continue;
                     };
-                    delta_join(
-                        self,
-                        &idb.rels,
-                        None,
-                        &compiled.plans[ri],
-                        li,
-                        src,
-                        neg,
-                        &mut |h| {
-                            if idb.rels[rule.head.pred.index()].contains(&h)
-                                && over_set.insert((rule.head.pred, h.clone()))
-                            {
-                                frontier.push((rule.head.pred, h));
-                            }
-                        },
-                    );
-                }
-            }
-            // iterate: stratum-pred deletions propagate
-            while let Some((dp, dt)) = frontier.pop() {
-                over.push((dp, dt.clone()));
-                let mut dr = Relation::new();
-                dr.insert(&dt);
-                for &ri in stratum {
-                    let rule = &rules[ri];
-                    for (li, lit) in rule.body.iter().enumerate() {
-                        let Literal::Pos(a) = lit else {
-                            continue;
-                        };
-                        if a.pred != dp {
-                            continue;
+                    let head = rules[t.rule].head.pred;
+                    cost.probes += delta_join(self, &idb.rels, compiled, t, src, &mut |h| {
+                        if idb.rels[head.index()].contains(&h) && over_set.insert((head, h.clone()))
+                        {
+                            frontier.push((head, h));
                         }
-                        delta_join(
-                            self,
-                            &idb.rels,
-                            None,
-                            &compiled.plans[ri],
-                            li,
-                            &dr,
-                            false,
-                            &mut |h| {
-                                if idb.rels[rule.head.pred.index()].contains(&h)
-                                    && over_set.insert((rule.head.pred, h.clone()))
-                                {
-                                    frontier.push((rule.head.pred, h));
-                                }
-                            },
-                        );
-                    }
+                    });
                 }
+                // iterate: stratum-pred deletions propagate
+                while let Some((dp, dt)) = frontier.pop() {
+                    row.recycle();
+                    row.insert(&dt);
+                    for &t in compiled.reads(dp, s).iter().filter(|t| t.internal) {
+                        let head = rules[t.rule].head.pred;
+                        cost.probes += delta_join(self, &idb.rels, compiled, t, &row, &mut |h| {
+                            if idb.rels[head.index()].contains(&h)
+                                && over_set.insert((head, h.clone()))
+                            {
+                                frontier.push((head, h));
+                            }
+                        });
+                    }
+                    over.push((dp, dt));
+                }
+                // back to the new state, then take out the over-deleted facts
+                self.flip_restore(idb, &flipped, &del, &add, false);
+                for (p, t) in &over {
+                    idb.rels[p.index()].remove(t);
+                }
+                gom_obs::counter_add("dred.overdeleted", over.len() as u64);
             }
-            // back to the new state, then take out the over-deleted facts
-            self.flip_restore(idb, &del, &add, false);
-            for (p, t) in &over {
-                idb.rels[p.index()].remove(t);
-            }
-            gom_obs::counter_add("dred.overdeleted", over.len() as u64);
 
             // ----- phase 2: re-derive (new state) ------------------------------------
             let mut still_deleted = over;
@@ -278,7 +289,7 @@ impl Database {
             loop {
                 let mut rederived: Vec<usize> = Vec::new();
                 for (i, (p, t)) in still_deleted.iter().enumerate() {
-                    if derivable(self, &idb.rels, compiled, *p, t) {
+                    if derivable(self, &idb.rels, compiled, *p, t, &mut cost.probes) {
                         rederived.push(i);
                     }
                 }
@@ -297,36 +308,17 @@ impl Database {
 
             // ----- phase 3: insert (new state) -----------------------------------------
             let mut frontier: Vec<(PredId, Tuple)> = Vec::new();
-            for &ri in stratum {
-                let rule = &rules[ri];
-                for (li, lit) in rule.body.iter().enumerate() {
-                    let (src_pred, neg) = match lit {
-                        Literal::Pos(a) if !stratum_preds.contains(&a.pred) => (a.pred, false),
-                        Literal::Neg(a) => (a.pred, true),
-                        _ => continue,
-                    };
-                    let src = if neg {
-                        del.get(&src_pred)
-                    } else {
-                        add.get(&src_pred)
-                    };
-                    let Some(src) = src.filter(|r| !r.is_empty()) else {
+            if inserts {
+                for &(p, t) in &seeds {
+                    let Some(src) = seed_src(&del, &add, p, t.neg, false) else {
                         continue;
                     };
-                    delta_join(
-                        self,
-                        &idb.rels,
-                        None,
-                        &compiled.plans[ri],
-                        li,
-                        src,
-                        neg,
-                        &mut |h| {
-                            if !idb.rels[rule.head.pred.index()].contains(&h) {
-                                frontier.push((rule.head.pred, h));
-                            }
-                        },
-                    );
+                    let head = rules[t.rule].head.pred;
+                    cost.probes += delta_join(self, &idb.rels, compiled, t, src, &mut |h| {
+                        if !idb.rels[head.index()].contains(&h) {
+                            frontier.push((head, h));
+                        }
+                    });
                 }
             }
             while let Some((ap, at)) = frontier.pop() {
@@ -336,37 +328,20 @@ impl Database {
                 gom_obs::counter_add("dred.inserted", 1);
                 idb.rels[ap.index()].insert(&at);
                 add.entry(ap).or_default().insert(&at);
-                let mut dr = Relation::new();
-                dr.insert(&at);
-                for &ri in stratum {
-                    let rule = &rules[ri];
-                    for (li, lit) in rule.body.iter().enumerate() {
-                        let Literal::Pos(a) = lit else {
-                            continue;
-                        };
-                        if a.pred != ap {
-                            continue;
+                row.recycle();
+                row.insert(&at);
+                for &t in compiled.reads(ap, s).iter().filter(|t| t.internal) {
+                    let head = rules[t.rule].head.pred;
+                    cost.probes += delta_join(self, &idb.rels, compiled, t, &row, &mut |h| {
+                        if !idb.rels[head.index()].contains(&h) {
+                            frontier.push((head, h));
                         }
-                        delta_join(
-                            self,
-                            &idb.rels,
-                            None,
-                            &compiled.plans[ri],
-                            li,
-                            &dr,
-                            false,
-                            &mut |h| {
-                                if !idb.rels[rule.head.pred.index()].contains(&h) {
-                                    frontier.push((rule.head.pred, h));
-                                }
-                            },
-                        );
-                    }
+                    });
                 }
             }
             // ----- net bookkeeping for upper strata -------------------------------------
-            for &p in &stratum_preds {
-                let both: Vec<Tuple> = match (del.get(&p), add.get(&p)) {
+            for p in heads {
+                let both: Vec<Tuple> = match (del.get(p), add.get(p)) {
                     (Some(d), Some(a)) => d
                         .iter()
                         .filter(|t| a.contains(t))
@@ -377,68 +352,89 @@ impl Database {
                 if both.is_empty() {
                     continue;
                 }
-                if let Some(d) = del.get_mut(&p) {
+                if let Some(d) = del.get_mut(p) {
                     for t in &both {
                         d.remove(t);
                     }
                 }
-                if let Some(a) = add.get_mut(&p) {
+                if let Some(a) = add.get_mut(p) {
                     for t in &both {
                         a.remove(t);
                     }
                 }
             }
         }
+        cost
     }
 }
 
-/// Evaluate one rule with literal `li` bound from `delta_rel`, executing
-/// the rule's precompiled delta plan. When the literal is negative, the
-/// precompiled generator plan treats it as a positive scan over the delta
-/// facts (the classic DRed trick: an inserted fact falsifies, a deleted
-/// fact enables, the negation for exactly its own ground instance).
-#[allow(clippy::too_many_arguments)]
+/// What one DRed run cost: the strata it visited and the tuples its plan
+/// scans touched (the `dred.strata_visited` and `dred.probes` counters).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct DredCost {
+    strata: u64,
+    probes: u64,
+}
+
+/// The net change a seed joins from, when not empty. Phase 1
+/// (`over_delete`) joins a positive read with deletions and a negated read
+/// with insertions; phase 3 the reverse.
+fn seed_src<'a>(
+    del: &'a DeltaMap,
+    add: &'a DeltaMap,
+    p: PredId,
+    neg: bool,
+    over_delete: bool,
+) -> Option<&'a Relation> {
+    let side = if neg == over_delete { add } else { del };
+    side.get(&p).filter(|r| !r.is_empty())
+}
+
+/// Evaluate the rule of trigger `t` with its literal bound from
+/// `delta_rel`, executing the rule's precompiled delta plan; returns the
+/// probes it made. When the literal is negative, the precompiled generator
+/// plan treats it as a positive scan over the delta facts (the classic DRed
+/// trick: an inserted fact falsifies, a deleted fact enables, the negation
+/// for exactly its own ground instance).
 fn delta_join(
     db: &Database,
     idb: &[Relation],
-    base_override: Option<&[Relation]>,
-    rp: &RulePlans,
-    li: usize,
+    compiled: &Compiled,
+    t: Trigger,
     delta_rel: &Relation,
-    neg_as_generator: bool,
     sink: &mut dyn FnMut(Tuple),
-) {
-    let plan = if neg_as_generator {
-        rp.neg_delta_plan(li)
+) -> u64 {
+    let rp = &compiled.plans[t.rule];
+    let plan = if t.neg {
+        rp.neg_delta_plan(t.lit)
     } else {
-        rp.delta_plan(li)
+        rp.delta_plan(t.lit)
     };
     let mut binding: Binding = vec![None; plan.var_count];
-    let store = Store::new(db, idb, base_override);
+    let store = Store::new(db, idb, None);
     exec_plan(
         &store,
         plan,
-        Some((li, DeltaSrc::Rel(delta_rel))),
+        Some((t.lit, DeltaSrc::Rel(delta_rel))),
         &mut binding,
         &mut |b| {
             sink(instantiate_head(&rp.head, b));
             true
         },
     );
-    if gom_obs::enabled() {
-        gom_obs::counter_add("dred.probes", store.probes.get());
-    }
+    store.probes.get()
 }
 
 /// Is `t` derivable for `pred` by any rule against the given state? Runs
 /// each candidate rule's precompiled derivability plan (head variables
-/// pre-bound from `t`).
+/// pre-bound from `t`), adding the probes it makes to `probes`.
 fn derivable(
     db: &Database,
     idb: &[Relation],
-    compiled: &crate::compile::Compiled,
+    compiled: &Compiled,
     pred: PredId,
     t: &Tuple,
+    probes: &mut u64,
 ) -> bool {
     use crate::ast::Term;
     let Some(rule_ixs) = compiled.rules_by_head.get(&pred) else {
@@ -475,9 +471,7 @@ fn derivable(
             found = true;
             false
         });
-        if gom_obs::enabled() {
-            gom_obs::counter_add("dred.probes", store.probes.get());
-        }
+        *probes += store.probes.get();
         if found {
             return true;
         }
@@ -603,6 +597,67 @@ mod tests {
         assert!(maintained_facts(&mut db, h).is_empty());
         db.remove(s, &t1(1)).unwrap();
         assert!(maintained_facts(&mut db, h).contains(&t1(1)));
+    }
+
+    /// Apply one base change to the store and maintain the armed IDB
+    /// through DRed, returning what it cost.
+    fn maintained_change(db: &mut Database, p: PredId, t: &Tuple, inserted: bool) -> DredCost {
+        let applied = if inserted {
+            db.rels[p.index()].insert(t)
+        } else {
+            db.rels[p.index()].remove(t)
+        };
+        assert!(applied, "the change must take effect");
+        db.maintain_change(p, t, inserted)
+    }
+
+    #[test]
+    fn dred_visits_only_the_strata_a_change_reaches() {
+        // Strata: P (0), Q (1, reads P negatively), R (2, reads Q
+        // negatively). `Top` is read by the top stratum only, and `Unread`
+        // by no rule at all.
+        let mut db = Database::new();
+        db.load(
+            "base A(x).
+             base B(x).
+             base Top(x).
+             base Unread(x).
+             derived P(x).
+             derived Q(x).
+             derived R(x).
+             P(X) :- A(X).
+             Q(X) :- B(X), not P(X).
+             R(X) :- Top(X), not Q(X).",
+        )
+        .unwrap();
+        let [a, b, top, unread] = ["A", "B", "Top", "Unread"].map(|n| db.pred_id(n).unwrap());
+        let derived = ["P", "Q", "R"].map(|n| db.pred_id(n).unwrap());
+        for p in [b, top] {
+            db.insert(p, t1(1)).unwrap();
+        }
+        db.ensure_maintained().unwrap();
+        let check = |db: &mut Database| {
+            for p in derived {
+                maintained_facts(db, p);
+            }
+        };
+        for inserted in [true, false] {
+            let cost = maintained_change(&mut db, unread, &t1(1), inserted);
+            assert_eq!(
+                cost,
+                DredCost::default(),
+                "an unread predicate costs nothing"
+            );
+            check(&mut db);
+            let cost = maintained_change(&mut db, top, &t1(2), inserted);
+            assert_eq!(cost.strata, 1, "only the top stratum reads Top");
+            check(&mut db);
+            // A(1) derives P(1), which takes Q(1) out, which derives R(1).
+            let cost = maintained_change(&mut db, a, &t1(1), inserted);
+            assert_eq!(cost.strata, 3, "A reaches every stratum");
+            check(&mut db);
+        }
+        assert!(maintained_facts(&mut db, derived[2]).is_empty());
     }
 
     #[test]

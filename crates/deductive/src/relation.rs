@@ -56,12 +56,17 @@ impl Ids {
         }
     }
 
+    /// Ids are unique within a bucket, so the search may start at either
+    /// end. It starts at the back: the row removed is most often one
+    /// appended shortly before (DRed's phase-1 flip re-inserts a deleted
+    /// fact and takes it out again; a session removes what it added), and a
+    /// large bucket such as an attribute-domain posting is not walked.
     fn remove_id(&mut self, id: u32) {
         match self {
             Ids::One(x) if *x == id => *self = Ids::Many(Vec::new()),
             Ids::One(_) => {}
             Ids::Many(v) => {
-                if let Some(pos) = v.iter().position(|&x| x == id) {
+                if let Some(pos) = v.iter().rposition(|&x| x == id) {
                     v.swap_remove(pos);
                 }
             }

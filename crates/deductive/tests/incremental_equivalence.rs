@@ -11,6 +11,11 @@
 //! every batch and every rollback, maintenance must still be armed and
 //! every derived predicate read from the maintained IDB must equal the
 //! naive reference interpreter.
+//!
+//! DRed visits only the strata its trigger index reaches from a change. A
+//! second fixed program pins the reach cases after every single op: a
+//! change that reaches the top stratum only through a negated literal,
+//! past an unreached middle stratum, and a change no rule reads.
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 mod common;
@@ -48,6 +53,39 @@ fn fixed_program(rng: &mut SplitMix64) -> Database {
     }
     for _ in 0..rng.below(4) {
         db.insert(bl, random_tuple(rng, 1, 10)).unwrap();
+    }
+    db
+}
+
+/// Three strata: `Path` (0) over `Edge`, `Open` (1) for the nodes on no
+/// cycle, and `Flag` (2) for the unmarked nodes on a cycle. `Mark` is read
+/// only by stratum 2 and only negated, so a change to it reaches stratum 2
+/// through negation alone while strata 0 and 1 stay unreached. No rule
+/// reads `Idle`.
+fn reach_program(rng: &mut SplitMix64) -> Database {
+    let mut db = Database::new();
+    db.load(
+        "base Edge(a, b).
+         base Node(x).
+         base Mark(x).
+         base Idle(x).
+         derived Path(a, b).
+         derived Open(x).
+         derived Flag(x).
+         Path(X, Y) :- Edge(X, Y).
+         Path(X, Z) :- Edge(X, Y), Path(Y, Z).
+         Open(X) :- Node(X), not Path(X, X).
+         Flag(X) :- Node(X), not Open(X), not Mark(X).",
+    )
+    .unwrap();
+    let [edge, node, mark] = ["Edge", "Node", "Mark"].map(|n| db.pred_id(n).unwrap());
+    for _ in 0..rng.below(10) {
+        db.insert(edge, random_tuple(rng, 2, 6)).unwrap();
+    }
+    for p in [node, mark] {
+        for _ in 0..rng.below(6) {
+            db.insert(p, random_tuple(rng, 1, 6)).unwrap();
+        }
     }
     db
 }
@@ -167,5 +205,32 @@ fn assert_maintained(db: &mut Database, derived: &[PredId], ctx: &str) {
 fn maintained_equals_scratch() {
     for seed in 0..SEEDS {
         run(seed);
+    }
+}
+
+#[test]
+fn reach_cases_match_scratch_after_every_op() {
+    for seed in 0..SEEDS {
+        let mut rng = SplitMix64::new(seed ^ 0x5EED_7216);
+        let mut db = reach_program(&mut rng);
+        let bases = preds(&db, &["Edge", "Node", "Mark", "Idle"]);
+        let derived = preds(&db, &["Path", "Open", "Flag"]);
+        db.ensure_maintained().unwrap();
+        for step in 0..30 {
+            // One single-fact change: an insert, or the delete of a stored
+            // fact when there is one.
+            let p = bases[rng.below(bases.len())];
+            let stored = db.facts_sorted(p);
+            let op = if stored.is_empty() || rng.below(2) == 0 {
+                let t = random_tuple(&mut rng, db.pred_decl(p).arity, 6);
+                db.insert(p, t.clone()).unwrap();
+                format!("+{}{t:?}", db.pred_name(p))
+            } else {
+                let t = &stored[rng.below(stored.len())];
+                db.remove(p, t).unwrap();
+                format!("-{}{t:?}", db.pred_name(p))
+            };
+            assert_maintained(&mut db, &derived, &format!("seed {seed}: step {step} {op}"));
+        }
     }
 }

@@ -260,6 +260,27 @@ step "read reply gates (query and digest replies at synth500)"
 microbench_gate wire_rows_reply_synth500 "read reply"
 microbench_gate wire_digest_reply_synth500 "digest reply"
 
+# microbench_count_gate ROW COLUMN: fail when the exact count COLUMN of
+# microbench row ROW (for example `derived_per_iter`, `probes_per_iter`)
+# exceeds its value in the newest BENCH_*.json that records the row. The
+# counts come from the row's instrumented warmup run, so they do not depend
+# on the host; the row runs once here unless a timed gate already ran it.
+microbench_count_gate() {
+  local row="$1" column="$2"
+  [ -f "$bench_tmp/$row.json" ] \
+    || ./target/release/microbench --iters 1 --out "$bench_tmp/$row.json" "$row" 2> /dev/null
+  row_count() {
+    grep -o "\"name\": \"$row\", [^}]*\"$column\": [0-9]*" "$1" | grep -o '[0-9]*$'
+  }
+  local baseline_file recorded current
+  baseline_file=$(grep -l "\"name\": \"$row\"" BENCH_*.json | sort | tail -1)
+  recorded=$(row_count "$baseline_file")
+  current=$(row_count "$bench_tmp/$row.json")
+  echo "$row: ${current} $column (recorded ${recorded} in ${baseline_file})"
+  [ -n "$current" ] && [ -n "$recorded" ] && [ "$current" -le "$recorded" ] \
+    || { echo "REGRESSION: $row $column rose above its recorded value"; exit 1; }
+}
+
 # gomd start-up on the gomd_bench preload (500 types, 50 x 2 objects, one
 # checkpoint) must stay within 1.5x of its recorded row, and its recovery
 # fixpoint may derive no more rows than recorded: the maintained IDB holds
@@ -267,15 +288,13 @@ microbench_gate wire_digest_reply_synth500 "digest reply"
 # doubles the count deterministically.
 step "recovery gates (recovery fixpoint and IDB size at synth500)"
 microbench_gate recover_synth500 "recovery fixpoint"
-row_derived() {
-  grep -o '"name": "recover_synth500", [^}]*"derived_per_iter": [0-9]*' "$1" \
-    | grep -o '[0-9]*$'
-}
-derived_recorded=$(row_derived "$(grep -l '"name": "recover_synth500"' BENCH_*.json | sort | tail -1)")
-derived_current=$(row_derived "$bench_tmp/recover_synth500.json")
-echo "recover_synth500: ${derived_current} derived rows (recorded ${derived_recorded})"
-[ -n "$derived_current" ] && [ "$derived_current" -le "$derived_recorded" ] \
-  || { echo "REGRESSION: the recovery fixpoint derives more IDB rows than recorded"; exit 1; }
+microbench_count_gate recover_synth500 derived_per_iter
+
+# Per-op DRed may make no more probes than recorded: the six-op commit
+# joins only through the literals that read a changed predicate, and a
+# slide back to scanning more joins shows as more probes.
+step "DRed probe gate (six-op maintained commit at synth500)"
+microbench_count_gate ees_check_synth500 probes_per_iter
 rm -rf "$bench_tmp"
 
 # A hostile-client smoke over the real binaries: a writer that goes silent
