@@ -10,10 +10,17 @@
 //! cargo run --release -p gom-bench --bin microbench -- --iters 21 fixpoint
 //! ```
 //!
+//! A filter equal to a row's name selects that row alone; any other
+//! filter selects every row whose name contains it (`ees_check_synth`
+//! runs the whole family).
+//!
 //! Covered paths:
 //! * `fixpoint_*`   — bottom-up semi-naive fixpoint (transitive closure),
 //!   and the naive tuple-at-a-time reference interpreter beside it (B7),
-//! * `ees_check_*`  — full EES consistency check over the GOM catalog,
+//! * `check_full_synth50` — a full consistency check over a 50-type GOM
+//!   catalog, every cache invalidated first,
+//! * `ees_check_*`  — a six-op maintained session committed through the
+//!   EES read of the maintained IDB,
 //! * `rollback_then_commit_*` — a rolled-back session, then the
 //!   `ees_check_*` commit (should stay near `ees_check_*`),
 //! * `op_maintain_*` — one `add_attr` and its removal in an open session:
@@ -645,7 +652,7 @@ fn rows() -> Vec<Row> {
                 graph.derived_facts(path).unwrap().len() as u64
             })
         }),
-        row("ees_check_synth50", || {
+        row("check_full_synth50", || {
             let (mut mgr, _) = synth_manager(SynthParams {
                 types: 50,
                 ..Default::default()
@@ -981,9 +988,21 @@ fn main() {
         }
     }
 
+    let rows = rows();
+    let names: Vec<&'static str> = rows.iter().map(|(name, _)| *name).collect();
+    let selected = |name: &str| {
+        filters.is_empty()
+            || filters.iter().any(|f| {
+                if names.contains(&f.as_str()) {
+                    name == f
+                } else {
+                    name.contains(f.as_str())
+                }
+            })
+    };
     let mut reports: Vec<Report> = Vec::new();
-    for (name, build) in rows() {
-        if !filters.is_empty() && !filters.iter().any(|f| name.contains(f.as_str())) {
+    for (name, build) in rows {
+        if !selected(name) {
             continue;
         }
         let r = measure(name, &mut build(), iters);

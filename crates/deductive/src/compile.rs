@@ -44,7 +44,7 @@ use crate::db::Database;
 use crate::error::{Error, Result};
 use crate::plan::RulePlans;
 use crate::pred::{PredId, PredKind};
-use crate::stratify::{stratify, Stratification};
+use crate::stratify::{stratify, DepGraph, Stratification};
 use crate::symbol::{FxHashMap, FxHashSet};
 
 /// A fully compiled program: user rules plus constraint-generated rules,
@@ -713,9 +713,15 @@ impl Database {
                 return Err(e);
             }
         }
-        let strat = match stratify(self.preds.len(), &rules, |p| self.pred_name(p).to_string()) {
+        let strat = match stratify(self.preds.len(), &rules) {
             Ok(s) => s,
-            Err(e) => {
+            Err(w) => {
+                let mut e = Error::NotStratifiable(w.render(|p| self.pred_name(PredId(p as u32))));
+                // Anchor at the closing rule when it is a user rule read
+                // from text (a generated rule has no source position).
+                if let Some((line, col)) = defs.rule_info.get(w.rule).and_then(|i| i.pos) {
+                    e = e.at(line, col);
+                }
                 self.decompile();
                 return Err(e);
             }
@@ -772,6 +778,13 @@ impl Database {
             index_masks,
         }));
         Ok(())
+    }
+
+    /// The dependency analysis of the user rules: the components and
+    /// negation-cycle witnesses compilation stratifies by, available even
+    /// when the program does not compile.
+    pub fn dep_graph(&self) -> DepGraph {
+        DepGraph::of_rules(self.preds.len(), &self.defs.rules)
     }
 
     /// Compile (if needed) and expose the full rule program for static

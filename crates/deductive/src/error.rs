@@ -29,7 +29,8 @@ pub enum Error {
         /// The offending variable name (or index).
         var: String,
     },
-    /// Negation occurs in a cycle: no stratification exists.
+    /// Negation occurs in a recursive cycle: no stratification exists.
+    /// Carries the shortest witness cycle, e.g. `P -> not Q -> P`.
     NotStratifiable(String),
     /// Syntax error in the rule/constraint text DSL.
     Parse {
@@ -125,9 +126,9 @@ impl fmt::Display for Error {
                     "rule `{rule}` is not range-restricted: variable {var} unbound"
                 )
             }
-            Error::NotStratifiable(p) => write!(
+            Error::NotStratifiable(cycle) => write!(
                 f,
-                "program is not stratifiable: predicate `{p}` depends negatively on itself"
+                "program is not stratifiable: negation occurs in the cycle {cycle}"
             ),
             Error::Parse { line, col, msg } => {
                 write!(f, "parse error at {line}:{col}: {msg}")

@@ -75,7 +75,7 @@ pub use provenance::Derivation;
 pub use relation::{BucketIter, Matches, Relation};
 pub use repair::{Repair, RepairKind};
 pub use storage::debug_tuple_copies;
-pub use stratify::{stratify, Stratification};
+pub use stratify::{stratify, DepEdge, DepGraph, Stratification, Witness};
 pub use symbol::{FxHashMap, FxHashSet, Interner, Symbol};
 pub use tuple::{Row, Tuple};
 pub use value::Const;

@@ -12,10 +12,6 @@
 //! | `meta_dep_pos(p, q)` / `meta_dep_neg(p, q)` | some rule for `p` reads `q` positively / under negation |
 //! | `meta_cviol(c, p)` | constraint `c` compiles to violation predicate `p` |
 //! | `meta_evolvable(p)` | `p` is a catalog predicate written by evolution primitives |
-//! | `meta_type(tid, name)` / `meta_attr(tid, attr, domain, sid)` | reflected MetaModel rows |
-//! | `meta_rule_uses(r, p, sign)` | rule `r` uses predicate `p` with the given polarity |
-//! | `meta_evolves_to(from, to)` | reflected version-graph edges (when versioning is installed) |
-//! | `meta_has_instances(tid)` | some physical representation exists for `tid` |
 //!
 //! — and the analysis passes are themselves Datalog meta-rules evaluated by
 //! `gom-deductive` (see [`META_PROGRAM`]): a *polarity-aware* transitive
@@ -60,11 +56,6 @@ base meta_dep_pos(p, q).
 base meta_dep_neg(p, q).
 base meta_cviol(c, p).
 base meta_evolvable(p).
-base meta_type(tid, name).
-base meta_attr(tid, attr, domain, sid).
-base meta_rule_uses(rule, p, sign).
-base meta_evolves_to(from, to).
-base meta_has_instances(tid).
 derived aff_pos(p, b).
 derived aff_neg(p, b).
 derived meta_constraint_reads(c, b).
@@ -160,14 +151,6 @@ fn meta_pred(mdb: &Database, name: &str) -> Result<PredId> {
         .ok_or_else(|| Error::UnknownPredicate(name.to_string()))
 }
 
-/// Re-intern a constant from the analyzed database into the meta-database.
-fn port(host: &Database, mdb: &mut Database, c: Const) -> Const {
-    match c.as_sym() {
-        Some(s) => mdb.constant(host.resolve(s)),
-        None => c,
-    }
-}
-
 fn const_str(db: &Database, c: Const) -> String {
     match c.as_sym() {
         Some(s) => db.resolve(s).to_string(),
@@ -208,11 +191,6 @@ impl ImpactIndex {
         let m_dep_neg = meta_pred(&mdb, "meta_dep_neg")?;
         let m_cviol = meta_pred(&mdb, "meta_cviol")?;
         let m_evolvable = meta_pred(&mdb, "meta_evolvable")?;
-        let m_type = meta_pred(&mdb, "meta_type")?;
-        let m_attr = meta_pred(&mdb, "meta_attr")?;
-        let m_rule_uses = meta_pred(&mdb, "meta_rule_uses")?;
-        let m_evolves_to = meta_pred(&mdb, "meta_evolves_to")?;
-        let m_has_instances = meta_pred(&mdb, "meta_has_instances")?;
 
         // meta_base: every extensional predicate of the analyzed database.
         let base_ids: Vec<PredId> = db.base_preds().collect();
@@ -224,27 +202,20 @@ impl ImpactIndex {
             mdb.insert(m_base, vec![c])?;
         }
 
-        // Dependency edges and rule-usage facts from every compiled rule
-        // (user rules plus the Lloyd–Topor auxiliaries — the auxiliaries
-        // are what connect violation predicates to base predicates).
-        for (i, rule) in rules.iter().enumerate() {
+        // Dependency edges from every compiled rule (user rules plus the
+        // Lloyd–Topor auxiliaries — the auxiliaries are what connect
+        // violation predicates to base predicates).
+        for rule in &rules {
             let head = db.pred_name(rule.head.pred).to_string();
-            let rname = format!("r{i}");
             for lit in &rule.body {
-                let (atom, sign, edge) = match lit {
-                    Literal::Pos(a) => (a, "pos", m_dep_pos),
-                    Literal::Neg(a) => (a, "neg", m_dep_neg),
+                let (atom, edge) = match lit {
+                    Literal::Pos(a) => (a, m_dep_pos),
+                    Literal::Neg(a) => (a, m_dep_neg),
                     Literal::Cmp(..) => continue,
                 };
                 let pname = db.pred_name(atom.pred).to_string();
                 let (h, p) = (mdb.constant(&head), mdb.constant(&pname));
                 mdb.insert(edge, vec![h, p])?;
-                let (r, p, s) = (
-                    mdb.constant(&rname),
-                    mdb.constant(&pname),
-                    mdb.constant(sign),
-                );
-                mdb.insert(m_rule_uses, vec![r, p, s])?;
             }
         }
 
@@ -266,52 +237,6 @@ impl ImpactIndex {
             if db.pred_id(name).is_some() {
                 let c = mdb.constant(name);
                 mdb.insert(m_evolvable, vec![c])?;
-            }
-        }
-
-        // Reflected MetaModel rows (when the catalog is installed).
-        let mut tid_sid: FxHashMap<Const, Const> = FxHashMap::default();
-        if let Some(ty) = db.pred_id("Type") {
-            for row in db.facts_sorted(ty) {
-                tid_sid.insert(row.get(0), row.get(2));
-                let (a, b) = (
-                    port(db, &mut mdb, row.get(0)),
-                    port(db, &mut mdb, row.get(1)),
-                );
-                mdb.insert(m_type, vec![a, b])?;
-            }
-        }
-        if let Some(attr) = db.pred_id("Attr") {
-            for row in db.facts_sorted(attr) {
-                let sid = tid_sid.get(&row.get(0)).copied();
-                let a = port(db, &mut mdb, row.get(0));
-                let b = port(db, &mut mdb, row.get(1));
-                let c = port(db, &mut mdb, row.get(2));
-                let d = match sid {
-                    Some(s) => port(db, &mut mdb, s),
-                    None => mdb.constant("unknown"),
-                };
-                mdb.insert(m_attr, vec![a, b, c, d])?;
-            }
-        }
-        for vpred in ["evolves_to_S", "evolves_to_T"] {
-            if let Some(p) = db.pred_id(vpred) {
-                for row in db.facts_sorted(p) {
-                    let (a, b) = (
-                        port(db, &mut mdb, row.get(0)),
-                        port(db, &mut mdb, row.get(1)),
-                    );
-                    mdb.insert(m_evolves_to, vec![a, b])?;
-                }
-            }
-        }
-        if let Some(phrep) = db.pred_id("PhRep") {
-            let mut seen: FxHashSet<Const> = FxHashSet::default();
-            for row in db.facts_sorted(phrep) {
-                if seen.insert(row.get(1)) {
-                    let t = port(db, &mut mdb, row.get(1));
-                    mdb.insert(m_has_instances, vec![t])?;
-                }
             }
         }
 

@@ -13,11 +13,16 @@
 //! |---------|------------------|----------|
 //! | `L00xx` | syntax           | `L0001` parse error, `L0002` unknown predicate |
 //! | `L01xx` | safety           | `L0101` unsafe rule, `L0102` unsafe constraint, `L0103` open formula |
-//! | `L02xx` | stratification   | `L0201` negation cycle (with minimal witness path) |
+//! | `L02xx` | stratification   | `L0201` negation cycle (with the engine's minimal witness path) |
 //! | `L03xx` | dependency graph | `L0301` undefined derived pred, `L0302` arity mismatch, `L0303` unused pred, `L0304` unreachable rule, `L0305` never-firing constraint |
 //! | `L04xx` | performance      | `L0401` cartesian product, `L0402` non-linear recursion, `L0403` wide join |
 //! | `L05xx` | schema           | `L0501` dangling type ref, `L0502` shadowed attribute, `L0503` version-graph cycle |
 //! | `L06xx` | impact (emitted by `gom-impact`) | `L0601` breaking change without migration, `L0602` constraint unaffected by any primitive, `L0603` impact footprint exceeds threshold |
+//!
+//! The graph analyses are the engine's own: `L0201`, `L0402` and `L0503`
+//! read [`gom_deductive::DepGraph`] (components and negation-cycle
+//! witnesses), the pass the engine stratifies by, so a lint and a failed
+//! compile name the same cycle.
 //!
 //! ## Baselines
 //!
@@ -173,11 +178,7 @@ pub fn error_to_diag(e: &Error) -> Diagnostic {
         .with_note(format!(
             "variable {var} does not occur in any positive body literal"
         )),
-        Error::NotStratifiable(p) => Diagnostic::new(
-            "L0201",
-            Severity::Error,
-            format!("program is not stratifiable: `{p}` depends negatively on itself"),
-        ),
+        Error::NotStratifiable(cycle) => passes::strat::negation_cycle(cycle),
         Error::BadConstraint { name, msg } => Diagnostic::new(
             "L0103",
             Severity::Error,

@@ -13,7 +13,6 @@ pub(crate) mod schema;
 pub(crate) mod strat;
 
 use crate::diag::Span;
-use gom_deductive::ast::Literal;
 use gom_deductive::{Database, Formula};
 
 /// Span of rule `i`, when it was parsed from text.
@@ -24,85 +23,6 @@ pub(crate) fn rule_span(db: &Database, i: usize) -> Option<Span> {
 /// Span of constraint `i`, when it was parsed from text.
 pub(crate) fn constraint_span(db: &Database, i: usize) -> Option<Span> {
     db.constraint_info(i).pos.map(|(l, c)| Span::point(l, c))
-}
-
-/// The predicate dependency graph of the *user* rules: one edge per body
-/// literal, `head -> body-pred`, labelled with polarity and the rule it
-/// came from.
-pub(crate) struct PredGraph {
-    /// Adjacency per predicate index: `(target, is_negative, rule index)`.
-    pub edges: Vec<Vec<(usize, bool, usize)>>,
-}
-
-impl PredGraph {
-    pub(crate) fn build(db: &Database) -> PredGraph {
-        let mut edges = vec![Vec::new(); db.pred_count()];
-        for (ri, rule) in db.rules().iter().enumerate() {
-            let h = rule.head.pred.index();
-            for lit in &rule.body {
-                match lit {
-                    Literal::Pos(a) => edges[h].push((a.pred.index(), false, ri)),
-                    Literal::Neg(a) => edges[h].push((a.pred.index(), true, ri)),
-                    Literal::Cmp(..) => {}
-                }
-            }
-        }
-        PredGraph { edges }
-    }
-
-    /// Strongly connected components (Kosaraju); returns the component id
-    /// of every node.
-    pub(crate) fn sccs(&self) -> Vec<usize> {
-        let n = self.edges.len();
-        let mut visited = vec![false; n];
-        let mut order = Vec::with_capacity(n);
-        for s in 0..n {
-            if visited[s] {
-                continue;
-            }
-            visited[s] = true;
-            let mut stack = vec![(s, 0usize)];
-            while let Some(frame) = stack.last_mut() {
-                let (u, i) = *frame;
-                if i < self.edges[u].len() {
-                    frame.1 += 1;
-                    let v = self.edges[u][i].0;
-                    if !visited[v] {
-                        visited[v] = true;
-                        stack.push((v, 0));
-                    }
-                } else {
-                    order.push(u);
-                    stack.pop();
-                }
-            }
-        }
-        let mut radj = vec![Vec::new(); n];
-        for (u, outs) in self.edges.iter().enumerate() {
-            for &(v, _, _) in outs {
-                radj[v].push(u);
-            }
-        }
-        let mut comp = vec![usize::MAX; n];
-        let mut c = 0;
-        for &s in order.iter().rev() {
-            if comp[s] != usize::MAX {
-                continue;
-            }
-            comp[s] = c;
-            let mut st = vec![s];
-            while let Some(u) = st.pop() {
-                for &v in &radj[u] {
-                    if comp[v] == usize::MAX {
-                        comp[v] = c;
-                        st.push(v);
-                    }
-                }
-            }
-            c += 1;
-        }
-        comp
-    }
 }
 
 /// Collect every atom mentioned anywhere in a formula.

@@ -7,15 +7,14 @@
 //! * `L0403` — a constraint compiles into a violation program whose widest
 //!   rule joins more than `max_join_width` positive literals.
 
-use super::{constraint_span, rule_span, PredGraph};
+use super::{constraint_span, rule_span};
 use crate::diag::{Diagnostic, LintReport, Severity};
 use crate::LintConfig;
 use gom_deductive::ast::{Literal, Rule};
 use gom_deductive::Database;
 
 pub(crate) fn run(db: &mut Database, cfg: &LintConfig, report: &mut LintReport) {
-    let graph = PredGraph::build(db);
-    let comp = graph.sccs();
+    let comp = db.dep_graph().comp;
 
     for (i, rule) in db.rules().iter().enumerate().skip(cfg.baseline.rules) {
         let span = rule_span(db, i);

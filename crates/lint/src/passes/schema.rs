@@ -12,11 +12,13 @@
 //! * `L0502` — a type re-declares an attribute that one of its (transitive)
 //!   supertypes already declares (shadowed inherited attribute).
 //! * `L0503` — the `evolves_to` version graph (schema- or type-level) has a
-//!   cycle.
+//!   cycle; the note shows the engine's shortest witness.
 
 use crate::diag::{Diagnostic, LintReport, Severity};
 use crate::LintConfig;
-use gom_deductive::{Const, Database, FxHashMap, FxHashSet, PredId, PredKind, Tuple};
+use gom_deductive::{
+    Const, Database, DepEdge, DepGraph, FxHashMap, FxHashSet, PredId, PredKind, Tuple,
+};
 
 pub(crate) fn run(db: &Database, _cfg: &LintConfig, report: &mut LintReport) {
     let pred = |name: &str, arity: usize| -> Option<PredId> {
@@ -141,18 +143,31 @@ pub(crate) fn run(db: &Database, _cfg: &LintConfig, report: &mut LintReport) {
         let Some(p) = pred(pname, 2) else {
             continue;
         };
-        let mut succ: FxHashMap<Const, Vec<Const>> = FxHashMap::default();
+        // Number the versions in fact order; every edge counts, since any
+        // cycle in a version graph is an error.
+        let mut index: FxHashMap<Const, usize> = FxHashMap::default();
         let mut nodes: Vec<Const> = Vec::new();
-        for t in sorted(db, p) {
-            succ.entry(t.get(0)).or_default().push(t.get(1));
-            nodes.push(t.get(0));
+        let mut edges: Vec<Vec<DepEdge>> = Vec::new();
+        for (rule, t) in sorted(db, p).iter().enumerate() {
+            let [from, to] = [t.get(0), t.get(1)].map(|c| {
+                *index.entry(c).or_insert_with(|| {
+                    nodes.push(c);
+                    edges.push(Vec::new());
+                    nodes.len() - 1
+                })
+            });
+            edges[from].push(DepEdge {
+                to,
+                neg: true,
+                rule,
+            });
         }
-        if let Some(cycle) = find_cycle(&nodes, &succ) {
+        if let Some(w) = DepGraph::new(edges).witnesses.first() {
             let label_of = |c: Const| match names.get(&c) {
                 Some(&n) => format!("{} ({})", show(c), show(n)),
                 None => show(c),
             };
-            let path: Vec<String> = cycle.iter().map(|&c| label_of(c)).collect();
+            let path: Vec<String> = w.cycle.iter().map(|&i| label_of(nodes[i])).collect();
             report.diags.push(
                 Diagnostic::new(
                     "L0503",
@@ -169,48 +184,4 @@ pub(crate) fn run(db: &Database, _cfg: &LintConfig, report: &mut LintReport) {
 /// Facts of `p` in deterministic order.
 fn sorted(db: &Database, p: PredId) -> Vec<Tuple> {
     db.facts_sorted(p)
-}
-
-/// First cycle found by coloured DFS; returned as `[n0, …, nk, n0]`.
-fn find_cycle(nodes: &[Const], succ: &FxHashMap<Const, Vec<Const>>) -> Option<Vec<Const>> {
-    let mut state: FxHashMap<Const, u8> = FxHashMap::default(); // 1 = on stack, 2 = done
-    let mut path: Vec<Const> = Vec::new();
-
-    fn dfs(
-        u: Const,
-        succ: &FxHashMap<Const, Vec<Const>>,
-        state: &mut FxHashMap<Const, u8>,
-        path: &mut Vec<Const>,
-    ) -> Option<Vec<Const>> {
-        state.insert(u, 1);
-        path.push(u);
-        for &v in succ.get(&u).into_iter().flatten() {
-            match state.get(&v).copied() {
-                Some(1) => {
-                    let start = path.iter().position(|&x| x == v).unwrap_or(0);
-                    let mut cycle = path[start..].to_vec();
-                    cycle.push(v);
-                    return Some(cycle);
-                }
-                Some(_) => {}
-                None => {
-                    if let Some(c) = dfs(v, succ, state, path) {
-                        return Some(c);
-                    }
-                }
-            }
-        }
-        path.pop();
-        state.insert(u, 2);
-        None
-    }
-
-    for &n in nodes {
-        if !state.contains_key(&n) {
-            if let Some(c) = dfs(n, succ, &mut state, &mut path) {
-                return Some(c);
-            }
-        }
-    }
-    None
 }

@@ -1,89 +1,31 @@
 //! Stratification lint — `L0201`.
 //!
-//! Where the engine's fixpoint stratifier only names one predicate that
-//! "depends negatively on itself", this pass finds the actual negation
-//! cycle and reports a minimal witness path, anchored at the rule that
-//! introduces the offending negation.
+//! Reports each component of the user rules that has a negation inside
+//! it once, with the engine's shortest witness cycle, anchored at the rule
+//! whose negation closes it.
 
-use super::{rule_span, PredGraph};
+use super::rule_span;
 use crate::diag::{Diagnostic, LintReport, Severity};
 use crate::LintConfig;
 use gom_deductive::Database;
 
 pub(crate) fn run(db: &Database, _cfg: &LintConfig, report: &mut LintReport) {
-    let graph = PredGraph::build(db);
-    let comp = graph.sccs();
-    let names: Vec<String> = db.pred_ids().map(|p| db.pred_name(p).to_string()).collect();
-
-    // Per component, keep only the shortest witness cycle:
-    // (cycle length, path [v, …, u], rule introducing the negation).
-    let mut best: Vec<Option<(usize, Vec<usize>, usize)>> = vec![None; graph.edges.len()];
-    for (u, outs) in graph.edges.iter().enumerate() {
-        for &(v, neg, ri) in outs {
-            if !neg || comp[u] != comp[v] {
-                continue;
-            }
-            // Shortest path v ->* u inside the component closes the cycle
-            // u -not-> v -> … -> u.
-            let Some(path) = shortest_path(&graph, &comp, v, u) else {
-                continue;
-            };
-            let slot = &mut best[comp[u]];
-            if slot.as_ref().is_none_or(|(l, _, _)| path.len() < *l) {
-                *slot = Some((path.len(), path, ri));
-            }
-        }
-    }
-
-    for (_, path, ri) in best.into_iter().flatten() {
-        // path = [v, …, u]; render the cycle as u -> not v -> … -> u.
-        let Some(&u) = path.last() else { continue };
-        let mut text = names[u].clone();
-        for (i, &p) in path.iter().enumerate() {
-            if i == 0 {
-                text.push_str(&format!(" -> not {}", names[p]));
-            } else {
-                text.push_str(&format!(" -> {}", names[p]));
-            }
-        }
-        report.diags.push(
-            Diagnostic::new(
-                "L0201",
-                Severity::Error,
-                "program is not stratifiable: negation occurs in a recursive cycle",
-            )
-            .with_span(rule_span(db, ri))
-            .with_note(format!("minimal cycle: {text}"))
-            .with_fix("break the cycle: remove one negation or split the recursion"),
-        );
+    let names: Vec<&str> = db.pred_ids().map(|p| db.pred_name(p)).collect();
+    for w in db.dep_graph().witnesses {
+        let cycle = w.render(|p| names[p]);
+        report
+            .diags
+            .push(negation_cycle(&cycle).with_span(rule_span(db, w.rule)));
     }
 }
 
-/// BFS shortest path from `from` to `to` restricted to `from`'s component.
-/// Returns the node sequence `[from, …, to]`.
-fn shortest_path(graph: &PredGraph, comp: &[usize], from: usize, to: usize) -> Option<Vec<usize>> {
-    let n = graph.edges.len();
-    let mut prev = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    prev[from] = from;
-    queue.push_back(from);
-    while let Some(u) = queue.pop_front() {
-        if u == to {
-            let mut path = vec![to];
-            let mut cur = to;
-            while cur != from {
-                cur = prev[cur];
-                path.push(cur);
-            }
-            path.reverse();
-            return Some(path);
-        }
-        for &(v, _, _) in &graph.edges[u] {
-            if comp[v] == comp[from] && prev[v] == usize::MAX {
-                prev[v] = u;
-                queue.push_back(v);
-            }
-        }
-    }
-    None
+/// The `L0201` diagnostic for a rendered witness cycle.
+pub(crate) fn negation_cycle(cycle: &str) -> Diagnostic {
+    Diagnostic::new(
+        "L0201",
+        Severity::Error,
+        "program is not stratifiable: negation occurs in a recursive cycle",
+    )
+    .with_note(format!("minimal cycle: {cycle}"))
+    .with_fix("break the cycle: remove one negation or split the recursion")
 }

@@ -139,13 +139,15 @@ cargo test --release --test maintained_soundness
 cargo test -p gom-deductive --release --test incremental_equivalence
 
 # The seeded property oracles, in release: compiled FOL constraints agree
-# with naive model checking, the parser survives arbitrary input, the
-# incrementally extended schema hierarchy agrees with a rebuild from its
-# surviving frames, object lifecycles keep the schema/object constraints,
-# and the core invariants (rollback, repairs, closure, change-set
-# inversion) hold.
+# with naive model checking, the SCC stratifier agrees with the relaxation
+# loop and its negation-cycle witnesses are real cycles, the parser
+# survives arbitrary input, the incrementally extended schema hierarchy
+# agrees with a rebuild from its surviving frames, object lifecycles keep
+# the schema/object constraints, and the core invariants (rollback,
+# repairs, closure, change-set inversion) hold.
 step "seeded property oracles (release)"
 cargo test -p gom-deductive --release --test fol_equivalence
+cargo test -p gom-deductive --release --test stratify_oracle
 cargo test -p gom-analyzer --release --test robustness
 cargo test -p gom-analyzer --release --test hierarchy_equivalence
 cargo test -p gom-runtime --release --test consistency_maintenance
