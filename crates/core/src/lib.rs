@@ -26,4 +26,4 @@ pub use consistency::{install, GOM_CONSTRAINTS, GOM_RULES, SINGLE_INHERITANCE_CO
 pub use durable::{OpenError, RecoveryReport};
 pub use explain::{explain_op, ExplainedRepair};
 pub use gom_impact::{ClassifiedOp, Footprint, ImpactIndex, PlanConfig, PlanReport};
-pub use manager::{EvolutionOutcome, SchemaManager};
+pub use manager::{DefineError, EvolutionOutcome, SchemaManager};

@@ -11,7 +11,9 @@
 //!
 //! [`SchemaManager`] wires the Analyzer, the Runtime System, and the
 //! Consistency Control around the shared Database Model and exposes exactly
-//! this protocol.
+//! this protocol: step by step ([`SchemaManager::begin_evolution`] …
+//! [`SchemaManager::end_evolution`]), or as one micro-session that commits
+//! or rolls back ([`SchemaManager::autocommit`]).
 
 use crate::consistency;
 use crate::explain::{explain_repair, ExplainedRepair};
@@ -134,8 +136,7 @@ impl SchemaManager {
         let report = self.lint();
         if report.denies(level) {
             return Err(DbError::SessionProtocol(format!(
-                "lint gate ({}): {} error(s), {} warning(s), {} note(s) — \
-                 session left open; fix the schema or roll back",
+                "lint gate ({}): {} error(s), {} warning(s), {} note(s) — commit refused",
                 level.name(),
                 report.count(Severity::Error),
                 report.count(Severity::Warn),
@@ -191,18 +192,17 @@ impl SchemaManager {
 
     /// Step 1 — BES: begin an evolution session. No journal I/O: only a
     /// committed session reaches the durable store, at EES.
+    ///
+    /// Arms IDB maintenance first, so every primitive inside the session
+    /// feeds its delta through DRed and EES, check, query, why and repairs
+    /// read the maintained IDB (O(Δ) per op, flat in schema size). Arming
+    /// is a no-op when an earlier session, committed or rolled back, left
+    /// the IDB armed. A BES that cannot arm opens nothing.
     pub fn begin_evolution(&mut self) -> DbResult<()> {
         let _sp = gom_obs::span("session.bes");
+        self.meta.db.ensure_maintained()?;
         self.meta.db.begin_session()?;
         self.analyzer.forget_undo();
-        // Arm IDB maintenance: every primitive inside the session feeds its
-        // delta through DRed, so EES, check, query, why and repairs read
-        // the maintained IDB (O(Δ) per op, flat in schema size). A no-op
-        // when already armed by an earlier session, committed or rolled
-        // back: rollback applies its inverse ops through the same
-        // maintenance. Failure to arm never blocks a session: it leaves no
-        // IDB, and EES falls back to the delta check.
-        let _ = self.meta.db.ensure_maintained();
         Ok(())
     }
 
@@ -211,27 +211,16 @@ impl SchemaManager {
         self.meta.db.in_session()
     }
 
-    /// Steps 4–5 — EES: check consistency incrementally against the
-    /// session's delta. On success the session commits; on violations it
-    /// stays open.
+    /// Steps 4–5 — EES: read the violations of the constraints the
+    /// session's delta affects from the maintained IDB. On success the
+    /// session commits; on violations it stays open.
     pub fn end_evolution(&mut self) -> DbResult<EvolutionOutcome> {
         let _sp = gom_obs::span("session.ees");
         let delta = self.meta.db.session_delta()?;
         if gom_obs::enabled() {
             gom_obs::counter_add("session.delta.ops", delta.ops.len() as u64);
         }
-        // The maintained path is a read of violation relations DRed kept
-        // up to date per primitive (O(Δ)); if the maintained IDB was
-        // dropped mid-session for any reason, the delta check re-derives
-        // exactly what the read would have returned (sound given
-        // pre-session consistency).
-        let violations = match self.meta.db.check_maintained(&delta)? {
-            Some(vs) => vs,
-            None => {
-                gom_obs::counter_add("check.maintenance.fallbacks", 1);
-                self.meta.db.check_delta(&delta)?
-            }
-        };
+        let violations = self.meta.db.check_maintained(&delta)?;
         if violations.is_empty() {
             self.check_lint_gate()?;
             self.journal_commit(&delta)?;
@@ -441,27 +430,37 @@ impl SchemaManager {
 
     // ----- convenience front ends ---------------------------------------------------
 
-    /// Define schemas from GOM source inside one evolution session: parse,
-    /// lower, check. On violations the session is rolled back and the
-    /// violations returned in the error; use the step-wise API to repair
-    /// interactively instead.
-    pub fn define_schema(&mut self, src: &str) -> Result<Vec<LoweredSchema>, DefineError> {
+    /// Run `f` as one micro-session: BES, `f`, EES. Commits when the
+    /// session is consistent and returns `f`'s result with the committed
+    /// delta. When `f` errs, the session is inconsistent, or EES itself
+    /// errs (lint gate, journal), the session is rolled back: it is closed
+    /// on every path.
+    pub fn autocommit<T, E>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, E>,
+    ) -> Result<(T, ChangeSet), DefineError<E>> {
         self.begin_evolution().map_err(DefineError::Db)?;
-        let lowered = match self.analyzer.lower_source(&mut self.meta, src) {
-            Ok(l) => l,
-            Err(e) => {
-                self.rollback_evolution().map_err(DefineError::Db)?;
-                return Err(DefineError::Analyze(e));
-            }
+        let err = match f(self) {
+            Err(e) => DefineError::Op(e),
+            Ok(out) => match self.end_evolution() {
+                Ok(EvolutionOutcome::Consistent(delta)) => return Ok((out, delta)),
+                Ok(EvolutionOutcome::Inconsistent(vs)) => {
+                    DefineError::Inconsistent(vs.iter().map(|v| v.render(&self.meta.db)).collect())
+                }
+                Err(e) => DefineError::Db(e),
+            },
         };
-        match self.end_evolution().map_err(DefineError::Db)? {
-            EvolutionOutcome::Consistent(_) => Ok(lowered),
-            EvolutionOutcome::Inconsistent(violations) => {
-                let rendered = violations.iter().map(|v| v.render(&self.meta.db)).collect();
-                self.rollback_evolution().map_err(DefineError::Db)?;
-                Err(DefineError::Inconsistent(rendered))
-            }
-        }
+        self.rollback_evolution().map_err(DefineError::Db)?;
+        Err(err)
+    }
+
+    /// Define schemas from GOM source inside one micro-session
+    /// ([`Self::autocommit`]): parse, lower, check. On violations the
+    /// session is rolled back and the violations returned in the error;
+    /// use the step-wise API to repair interactively instead.
+    pub fn define_schema(&mut self, src: &str) -> Result<Vec<LoweredSchema>, DefineError> {
+        self.autocommit(|mgr| mgr.analyzer.lower_source(&mut mgr.meta, src))
+            .map(|(lowered, _)| lowered)
     }
 
     /// Create an object (delegates to the Runtime System; `PhRep`/`Slot`
@@ -498,21 +497,23 @@ impl SchemaManager {
     }
 }
 
-/// Error from the one-shot [`SchemaManager::define_schema`] front end.
+/// Error from a micro-session ([`SchemaManager::autocommit`]); the session
+/// was rolled back. `E` is the error of the session's work, by default
+/// that of [`SchemaManager::define_schema`].
 #[derive(Debug)]
-pub enum DefineError {
-    /// Parse/lowering failure (session rolled back).
-    Analyze(AnalyzeError),
-    /// Consistency violations (rendered; session rolled back).
+pub enum DefineError<E = AnalyzeError> {
+    /// The session's work failed.
+    Op(E),
+    /// Consistency violations (rendered).
     Inconsistent(Vec<String>),
-    /// Database error.
+    /// Database error, including a refused commit.
     Db(DbError),
 }
 
-impl std::fmt::Display for DefineError {
+impl<E: std::fmt::Display> std::fmt::Display for DefineError<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            DefineError::Analyze(e) => write!(f, "{e}"),
+            DefineError::Op(e) => write!(f, "{e}"),
             DefineError::Inconsistent(v) => {
                 write!(f, "schema is inconsistent: {}", v.join("; "))
             }
@@ -521,7 +522,7 @@ impl std::fmt::Display for DefineError {
     }
 }
 
-impl std::error::Error for DefineError {}
+impl<E: std::fmt::Debug + std::fmt::Display> std::error::Error for DefineError<E> {}
 
 #[cfg(test)]
 mod tests {
@@ -637,6 +638,23 @@ end schema S;";
         assert_eq!(mgr.get_attr(p, "age").unwrap(), Value::Int(30));
         // Consistency still holds with objects around.
         assert!(mgr.check().unwrap().is_empty());
+    }
+
+    #[test]
+    fn autocommit_rolls_back_a_failed_op() {
+        let mut mgr = SchemaManager::new().unwrap();
+        mgr.define_schema(CAR_SCHEMA_SRC).unwrap();
+        let facts_before = mgr.meta.db.fact_count();
+        let err = mgr
+            .autocommit(|mgr| {
+                let sid = mgr.meta.schema_by_name("CarSchema").unwrap();
+                mgr.meta.new_type(sid, "Truck").unwrap();
+                Err::<(), _>("op failed")
+            })
+            .unwrap_err();
+        assert!(matches!(err, DefineError::Op("op failed")), "{err}");
+        assert!(!mgr.in_evolution());
+        assert_eq!(mgr.meta.db.fact_count(), facts_before);
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! Consistency checking: full and dependency-pruned incremental.
+//! Consistency checking: full, maintained and dependency-pruned
+//! incremental.
 //!
 //! Full checking materialises the IDB and scans every violation predicate
-//! plus every key. Incremental checking (the stand-in for the paper's
-//! efficient-consistency-check citation [20]) first intersects the change
-//! set's predicates with each constraint's base-dependency cone and then
-//! evaluates only the rules feeding the affected constraints.
+//! plus every key. Both incremental checks (the stand-in for the paper's
+//! efficient-consistency-check citation [20]) first intersect the change
+//! set's predicates with each constraint's base-dependency cone. The
+//! maintained check, which EES uses, then reads the affected violation
+//! relations from the IDB that DRed kept current; the delta check, a
+//! baseline and referee, evaluates only the rules feeding them.
 
 use crate::changes::ChangeSet;
 use crate::compile::CompiledConstraint;
@@ -258,25 +261,15 @@ impl Database {
         Ok(out)
     }
 
-    /// Names of constraints whose dependency cone intersects the change
-    /// set's predicates.
-    pub fn affected_constraints(&mut self, delta: &ChangeSet) -> Result<Vec<String>> {
-        self.ensure_compiled()?;
-        let touched: FxHashSet<PredId> = delta.touched_preds().into_iter().collect();
-        let compiled = self.compiled.as_ref().expect("compiled");
-        let mut names = Vec::new();
-        for cc in &compiled.constraints {
-            if cc.deps.iter().any(|p| touched.contains(p)) {
-                names.push(self.defs.constraints[cc.source_idx].name.clone());
-            }
-        }
-        Ok(names)
-    }
-
     /// Incremental consistency check after `delta`, assuming the database
     /// was consistent before: evaluates only the rule cones of affected
     /// constraints and re-checks only keys of touched predicates (and only
     /// around inserted tuples).
+    ///
+    /// EES never calls this: it reads the maintained IDB
+    /// ([`Self::check_maintained`]). This is the delta-check baseline the
+    /// benchmarks compare against, and the referee the soundness sweeps
+    /// hold the maintained read to.
     pub fn check_delta(&mut self, delta: &ChangeSet) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("check.delta");
         self.ensure_compiled()?;
@@ -392,9 +385,9 @@ impl Database {
     /// constraint are already up to date, so the commit check reduces to
     /// reading the relations of the delta-affected constraints plus the
     /// (unfilterable) key checks — O(Δ) in the session's change instead of
-    /// O(schema). Returns `Ok(None)` when maintenance is not armed or the
-    /// IDB went stale; callers then fall back to
-    /// [`Database::check_delta`].
+    /// O(schema). When the IDB was dropped mid-session (a definition
+    /// change, or [`Database::invalidate_caches`]) it is re-armed first,
+    /// which re-derives it once from the current state.
     ///
     /// Decision-equivalent to [`Database::check_delta`] by construction:
     /// the identical affected-constraint selection reads the maintained
@@ -402,17 +395,13 @@ impl Database {
     /// checks are shared code. The `tests/maintained_soundness.rs` sweep
     /// asserts bit-identical reports across both paths and against a
     /// from-scratch check.
-    pub fn check_maintained(&mut self, delta: &ChangeSet) -> Result<Option<Vec<Violation>>> {
-        if !self.maintenance_active() {
-            return Ok(None);
-        }
+    pub fn check_maintained(&mut self, delta: &ChangeSet) -> Result<Vec<Violation>> {
         let _sp = gom_obs::span("ees.maintained");
-        if !self.idb_matches_program() {
-            return Ok(None);
+        if !self.maintenance_active() || !self.idb_matches_program() {
+            self.ensure_maintained()?;
         }
-        let (Some(idb), Some(compiled)) = (&self.idb, &self.compiled) else {
-            return Ok(None);
-        };
+        let idb = self.idb.as_ref().expect("armed");
+        let compiled = self.compiled.as_ref().expect("compiled");
         let touched: FxHashSet<PredId> = delta.touched_preds().into_iter().collect();
         let affected: Vec<usize> = compiled
             .constraints
@@ -428,7 +417,7 @@ impl Database {
             gom_obs::counter_add("check.violations.maintained", out.len() as u64);
         }
         sort_violations(&mut out);
-        Ok(Some(out))
+        Ok(out)
     }
 }
 
@@ -529,8 +518,6 @@ mod tests {
         let mut delta = ChangeSet::new();
         delta.insert(p, Tuple::from(vec![Const::Int(3)]));
         db.apply(&delta).unwrap();
-        let names = db.affected_constraints(&delta).unwrap();
-        assert_eq!(names, vec!["p_nonneg".to_string()]);
         // Incremental check only sees p_nonneg — and P(3) is fine.
         assert!(db.check_delta(&delta).unwrap().is_empty());
         // Full check still reports the stale Q violation.

@@ -118,8 +118,8 @@ impl Database {
     }
 
     /// Feed one applied base-fact change through DRed and return what it
-    /// cost. On any irregularity the IDB is dropped — EES then falls back
-    /// to [`Database::check_delta`]; fact mutation itself never fails
+    /// cost. On any irregularity the IDB is dropped — EES then re-arms it
+    /// ([`Database::check_maintained`]); fact mutation itself never fails
     /// because of maintenance.
     fn maintain_change(&mut self, pred: PredId, tuple: &Row, inserted: bool) -> DredCost {
         let _sp = gom_obs::span("dred.maintain");

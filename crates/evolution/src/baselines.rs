@@ -14,7 +14,7 @@
 //!   `birthday`-style attribute replacement) under either policy so the
 //!   crossover can be measured.
 
-use gom_core::SchemaManager;
+use gom_core::{DefineError, SchemaManager};
 use gom_deductive::FxHashSet;
 use gom_model::{MetaModel, TypeId};
 use gom_runtime::{Value, ValueSource};
@@ -310,25 +310,15 @@ impl ImmediateCheckManager {
         &mut self,
         p: &crate::primitive::Primitive,
     ) -> Result<crate::primitive::PrimitiveResult, String> {
-        self.inner.begin_evolution().map_err(|e| e.to_string())?;
-        let result = match crate::primitive::apply(&mut self.inner.meta, p) {
-            Ok(r) => r,
-            Err(e) => {
-                self.inner.rollback_evolution().ok();
-                return Err(e.to_string());
-            }
-        };
-        match self.inner.end_evolution().map_err(|e| e.to_string())? {
-            gom_core::EvolutionOutcome::Consistent(_) => Ok(result),
-            gom_core::EvolutionOutcome::Inconsistent(violations) => {
-                let msgs: Vec<String> = violations
-                    .iter()
-                    .map(|v| v.render(&self.inner.meta.db))
-                    .collect();
-                self.inner.rollback_evolution().map_err(|e| e.to_string())?;
-                Err(format!("operation refused: {}", msgs.join("; ")))
-            }
-        }
+        self.inner
+            .autocommit(|mgr| crate::primitive::apply(&mut mgr.meta, p))
+            .map(|(result, _)| result)
+            .map_err(|e| match e {
+                DefineError::Inconsistent(msgs) => {
+                    format!("operation refused: {}", msgs.join("; "))
+                }
+                e => e.to_string(),
+            })
     }
 }
 
@@ -359,28 +349,28 @@ pub fn cure_add_attr(
 ) -> Result<TypeId, Box<dyn std::error::Error>> {
     match policy {
         CurePolicy::ImmediateConversion => {
-            mgr.begin_evolution()?;
-            mgr.meta.add_attr(ty, attr, domain)?;
-            mgr.runtime.convert_add_slot(
-                &mut mgr.meta,
-                ty,
-                attr,
-                domain,
-                ValueSource::Default(default),
-            )?;
-            let out = mgr.end_evolution()?;
-            if !out.is_consistent() {
-                let msgs: Vec<String> = out
-                    .violations()
-                    .iter()
-                    .map(|v| v.render(&mgr.meta.db))
-                    .collect();
-                mgr.rollback_evolution()?;
-                return Err(msgs.join("; ").into());
-            }
+            mgr.autocommit(|mgr| -> Result<(), Box<dyn std::error::Error>> {
+                mgr.meta.add_attr(ty, attr, domain)?;
+                mgr.runtime.convert_add_slot(
+                    &mut mgr.meta,
+                    ty,
+                    attr,
+                    domain,
+                    ValueSource::Default(default),
+                )?;
+                Ok(())
+            })?;
             Ok(ty)
         }
         CurePolicy::Masking => {
+            // Fashion: old instances substitute for the new version. The
+            // new attribute reads the default, so it must have a source form.
+            let default_src = match &default {
+                Value::Int(n) => n.to_string(),
+                Value::Float(x) => format!("{x:?}"),
+                Value::Str(s) => format!("\"{s}\""),
+                other => return Err(format!("unsupported default {other}").into()),
+            };
             crate::versioning::install(mgr)?;
             let old_schema = mgr.meta.schema_of(ty).ok_or("type has no schema")?;
             let old_name = mgr.meta.type_name(ty).ok_or("type has no name")?;
@@ -397,48 +387,34 @@ pub fn cure_add_attr(
                     .ok_or("schema has no name")?;
                 mgr.meta.db.resolve(sym).to_string()
             };
-            mgr.begin_evolution()?;
-            let new_schema_name = format!("{schema_name}_v2_{attr}");
-            let new_schema = mgr.meta.new_schema(&new_schema_name)?;
-            let new_ty = crate::complex::copy_type_into(mgr, ty, new_schema, &old_name)
-                .map_err(|e| e.to_string())?;
-            let any = mgr.meta.builtins.any;
-            mgr.meta.add_subtype(new_ty, any)?;
-            mgr.meta.add_attr(new_ty, attr, domain)?;
-            crate::versioning::record_schema_evolution(mgr, old_schema, new_schema)?;
-            crate::versioning::record_type_evolution(mgr, ty, new_ty)?;
-            // Fashion: old instances substitute for the new version. Every
-            // attribute of the new version must be redirected; the new
-            // attribute reads the default and is read-only on old objects.
-            let default_src = match &default {
-                Value::Int(n) => n.to_string(),
-                Value::Float(x) => format!("{x:?}"),
-                Value::Str(s) => format!("\"{s}\""),
-                other => return Err(format!("unsupported default {other}").into()),
-            };
-            let mut fashion =
-                format!("fashion {old_name}@{schema_name} as {old_name}@{new_schema_name} where\n");
-            for (a, _) in mgr.meta.attrs_inherited(ty) {
-                fashion.push_str(&format!("  {a} : -> ANY is self.{a};\n"));
-                fashion.push_str(&format!(
-                    "  {a} : <- ANY is begin self.{a} := value; end;\n"
-                ));
-            }
-            fashion.push_str(&format!("  {attr} : -> ANY is {default_src};\n"));
-            fashion.push_str("end fashion;\n");
-            mgr.analyzer
-                .lower_source(&mut mgr.meta, &fashion)
-                .map_err(|e| e.to_string())?;
-            let out = mgr.end_evolution()?;
-            if !out.is_consistent() {
-                let msgs: Vec<String> = out
-                    .violations()
-                    .iter()
-                    .map(|v| v.render(&mgr.meta.db))
-                    .collect();
-                mgr.rollback_evolution()?;
-                return Err(msgs.join("; ").into());
-            }
+            let (new_ty, _) = mgr.autocommit(|mgr| -> Result<_, Box<dyn std::error::Error>> {
+                let new_schema_name = format!("{schema_name}_v2_{attr}");
+                let new_schema = mgr.meta.new_schema(&new_schema_name)?;
+                let new_ty = crate::complex::copy_type_into(mgr, ty, new_schema, &old_name)
+                    .map_err(|e| e.to_string())?;
+                let any = mgr.meta.builtins.any;
+                mgr.meta.add_subtype(new_ty, any)?;
+                mgr.meta.add_attr(new_ty, attr, domain)?;
+                crate::versioning::record_schema_evolution(mgr, old_schema, new_schema)?;
+                crate::versioning::record_type_evolution(mgr, ty, new_ty)?;
+                // Every attribute of the new version is redirected; the new
+                // attribute is read-only on old objects.
+                let mut fashion = format!(
+                    "fashion {old_name}@{schema_name} as {old_name}@{new_schema_name} where\n"
+                );
+                for (a, _) in mgr.meta.attrs_inherited(ty) {
+                    fashion.push_str(&format!("  {a} : -> ANY is self.{a};\n"));
+                    fashion.push_str(&format!(
+                        "  {a} : <- ANY is begin self.{a} := value; end;\n"
+                    ));
+                }
+                fashion.push_str(&format!("  {attr} : -> ANY is {default_src};\n"));
+                fashion.push_str("end fashion;\n");
+                mgr.analyzer
+                    .lower_source(&mut mgr.meta, &fashion)
+                    .map_err(|e| e.to_string())?;
+                Ok(new_ty)
+            })?;
             Ok(new_ty)
         }
     }
@@ -499,6 +475,28 @@ mod tests {
             .any(|v| v.constraint == "single_inheritance"));
         // fixed_check has no such invariant and reports nothing.
         assert!(fixed_check(&mgr.meta).is_empty());
+    }
+
+    #[test]
+    fn masking_cure_with_unsupported_default_changes_nothing() {
+        let mut mgr = SchemaManager::new().unwrap();
+        mgr.define_schema(CAR_SCHEMA_SRC).unwrap();
+        let s = mgr.meta.schema_by_name("CarSchema").unwrap();
+        let car = mgr.meta.type_by_name(s, "Car").unwrap();
+        let boolean = mgr.meta.builtins.bool_;
+        let before = mgr.meta.db.debug_state_digest();
+        let err = cure_add_attr(
+            &mut mgr,
+            car,
+            "isElectric",
+            boolean,
+            Value::Bool(true),
+            CurePolicy::Masking,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unsupported default"), "{err}");
+        assert!(!mgr.in_evolution(), "no session may be left open");
+        assert_eq!(mgr.meta.db.debug_state_digest(), before);
     }
 
     #[test]

@@ -240,6 +240,23 @@ pub enum DeleteTypeSemantics {
     Orphan,
 }
 
+impl DeleteTypeSemantics {
+    /// The keywords [`Self::parse`] accepts, for usage and error messages.
+    pub const CHOICES: &'static str = "restrict|reconnect|cascade|cascade-objects|orphan";
+
+    /// Parse one of [`Self::CHOICES`] (front-end keyword form).
+    pub fn parse(s: &str) -> Option<DeleteTypeSemantics> {
+        Some(match s {
+            "restrict" => DeleteTypeSemantics::Restrict,
+            "reconnect" => DeleteTypeSemantics::Reconnect,
+            "cascade" => DeleteTypeSemantics::Cascade,
+            "cascade-objects" => DeleteTypeSemantics::CascadeInstances,
+            "orphan" => DeleteTypeSemantics::Orphan,
+            _ => return None,
+        })
+    }
+}
+
 /// Report of a [`delete_type`] execution.
 #[derive(Debug, Default)]
 pub struct DeleteTypeReport {

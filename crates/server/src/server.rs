@@ -38,7 +38,7 @@
 use crate::session::{Acquire, SessionLock};
 use crate::snapshot::{ReaderCache, Snapshot, SnapshotCell};
 use crate::wire::{self, ErrorKind, EvolutionOp, ReadEvent, Reply, Request};
-use gom_core::{EvolutionOutcome, SchemaManager};
+use gom_core::{DefineError, EvolutionOutcome, SchemaManager};
 use gom_deductive::Database;
 use gom_evolution::{delete_type, DeleteTypeSemantics};
 use gom_store::SyncPolicy;
@@ -919,47 +919,33 @@ impl Connection {
             return busy;
         }
         let mut mgr = self.shared.mgr();
-        let reply = (|| {
-            mgr.begin_evolution()
-                .map_err(|e| Reply::err(ErrorKind::Internal, e.to_string()))?;
-            let msg = match apply_op(&mut mgr, op) {
-                Ok(m) => m,
-                Err(e) => {
-                    let _ = mgr.rollback_evolution();
-                    return Err(Reply::err(ErrorKind::BadRequest, e));
-                }
-            };
-            match mgr.end_evolution() {
-                Ok(EvolutionOutcome::Consistent(delta)) => {
-                    let epoch = self.shared.cell.epoch() + 1;
-                    self.shared
-                        .cell
-                        .publish(Snapshot::capture(epoch, &mgr.meta));
-                    Ok(Reply::Committed {
-                        epoch,
-                        changes: delta.len() as u64,
-                        token: 0,
-                    })
-                }
-                Ok(EvolutionOutcome::Inconsistent(violations)) => {
-                    let rendered: Vec<String> =
-                        violations.iter().map(|v| v.render(&mgr.meta.db)).collect();
-                    let _ = mgr.rollback_evolution();
-                    let mut msg = format!("autocommit rejected ({msg}): ");
-                    msg.push_str(&rendered.join("; "));
-                    Err(Reply::err(ErrorKind::BadRequest, msg))
-                }
-                Err(e) => {
-                    let _ = mgr.rollback_evolution();
-                    Err(Reply::err(ErrorKind::Internal, e.to_string()))
-                }
-            }
-        })();
+        let reply = match mgr.autocommit(|mgr| apply_op(mgr, op)) {
+            Ok((_, delta)) => Reply::Committed {
+                epoch: self.publish(&mgr),
+                changes: delta.len() as u64,
+                token: 0,
+            },
+            Err(DefineError::Op(e)) => Reply::err(ErrorKind::BadRequest, e),
+            Err(DefineError::Inconsistent(rendered)) => Reply::err(
+                ErrorKind::BadRequest,
+                format!("autocommit rejected: {}", rendered.join("; ")),
+            ),
+            Err(DefineError::Db(e)) => Reply::err(ErrorKind::Internal, e.to_string()),
+        };
         drop(mgr);
         self.shared.lock.release(self.id);
-        match reply {
-            Ok(r) | Err(r) => r,
-        }
+        reply
+    }
+
+    /// Publish the epoch a commit just produced and return its number.
+    /// Runs *after* the journal commit inside EES: every published epoch
+    /// is durable.
+    fn publish(&self, mgr: &SchemaManager) -> u64 {
+        let epoch = self.shared.cell.epoch() + 1;
+        self.shared
+            .cell
+            .publish(Snapshot::capture(epoch, &mgr.meta));
+        epoch
     }
 
     fn ees(&self, token: Option<u64>) -> Reply {
@@ -991,12 +977,7 @@ impl Connection {
         let mut mgr = self.shared.mgr();
         match mgr.end_evolution() {
             Ok(EvolutionOutcome::Consistent(delta)) => {
-                // Publish *after* the journal commit inside end_evolution:
-                // every published epoch is durable.
-                let epoch = self.shared.cell.epoch() + 1;
-                self.shared
-                    .cell
-                    .publish(Snapshot::capture(epoch, &mgr.meta));
+                let epoch = self.publish(&mgr);
                 let changes = delta.len() as u64;
                 // Record the token before releasing the lock: any retry is
                 // ordered behind the release (it must reconnect or re-queue)
@@ -1173,27 +1154,18 @@ fn apply_op(mgr: &mut SchemaManager, op: &EvolutionOp) -> Result<String, String>
         }
         EvolutionOp::DelType { ty, semantics } => {
             let t = mgr.meta.resolve_type_ref(ty).map_err(|e| e.to_string())?;
-            let sem = parse_semantics(semantics)?;
+            let sem = DeleteTypeSemantics::parse(semantics).ok_or_else(|| {
+                format!(
+                    "unknown delete semantics `{semantics}` ({})",
+                    DeleteTypeSemantics::CHOICES
+                )
+            })?;
             let report = delete_type(mgr, t, sem).map_err(|e| e.to_string())?;
             Ok(format!(
                 "deleted: {} fact(s) removed, {} edge(s) reconnected, {} instance(s) deleted",
                 report.facts_removed, report.reconnected, report.instances_deleted
             ))
         }
-    }
-}
-
-fn parse_semantics(s: &str) -> Result<DeleteTypeSemantics, String> {
-    match s {
-        "restrict" => Ok(DeleteTypeSemantics::Restrict),
-        "reconnect" => Ok(DeleteTypeSemantics::Reconnect),
-        "cascade" => Ok(DeleteTypeSemantics::Cascade),
-        "cascade-objects" => Ok(DeleteTypeSemantics::CascadeInstances),
-        "orphan" => Ok(DeleteTypeSemantics::Orphan),
-        other => Err(format!(
-            "unknown delete semantics `{other}` \
-             (restrict|reconnect|cascade|cascade-objects|orphan)"
-        )),
     }
 }
 

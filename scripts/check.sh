@@ -97,8 +97,8 @@ cargo run --release -q --bin gomsh -- \
   "$trace_tmp/session.gsh" > /dev/null
 # A clean interactive session commits through the maintained EES path:
 # per-op dred.maintain spans while the session is open, one ees.maintained
-# read at commit — and never a full check.delta re-evaluation, not even
-# after the failed in-session load. The check inside the session reads the
+# read at commit — and never a re-derivation of the IDB, not even after
+# the failed in-session load. The check inside the session reads the
 # maintained IDB: no fixpoint under it.
 for span in eval.fixpoint eval.stratum ees.maintained dred.maintain \
             session.bes session.ees \
@@ -106,10 +106,6 @@ for span in eval.fixpoint eval.stratum ees.maintained dred.maintain \
   grep -q "\"name\":\"$span" "$trace_tmp/trace.jsonl" \
     || { echo "MISSING span $span in trace"; exit 1; }
 done
-if grep -q '"check.maintenance.fallbacks":[1-9]' "$trace_tmp/trace.jsonl"; then
-  echo "maintained EES fell back to delta checking on the clean path"
-  exit 1
-fi
 grep -q '"journal.appends"' "$trace_tmp/trace.jsonl" \
   || { echo "MISSING journal counters in trace"; exit 1; }
 # A committed session is one journal append; BES and rollback write
@@ -125,10 +121,13 @@ echo "journal.appends=${appends} session.commits=${commits}"
 no_fixpoint_under "$trace_tmp/trace.jsonl" check.full \
   || { echo "an in-session check re-derived the IDB instead of reading it"; exit 1; }
 # Rollback maintains the IDB through the inverse ops, so the BES after the
-# rollback finds it armed and runs no fixpoint (and the EES after the
-# failed load reads it: the fallback grep above).
+# rollback finds it armed and runs no fixpoint.
 no_fixpoint_under "$trace_tmp/trace.jsonl" session.bes \
   || { echo "a BES re-derived the IDB after a rollback"; exit 1; }
+# Every EES, including the one after the failed in-session load, reads the
+# IDB the session maintained: no re-arm, so no fixpoint under it.
+no_fixpoint_under "$trace_tmp/trace.jsonl" session.ees \
+  || { echo "an EES re-derived the IDB instead of reading it"; exit 1; }
 
 # The maintained violation relations must agree bit-identically with full
 # checking across random sessions (incl. rollback/recommit and recovery

@@ -645,29 +645,16 @@ impl Shell {
         if self.mgr.in_evolution() || !self.mgr.has_store() {
             return f(&mut self.mgr);
         }
-        self.mgr.begin_evolution()?;
-        let out = match f(&mut self.mgr) {
-            Ok(v) => v,
-            Err(e) => {
-                let _ = self.mgr.rollback_evolution();
-                return Err(e);
-            }
-        };
-        match self.mgr.end_evolution()? {
-            EvolutionOutcome::Consistent(_) => Ok(out),
-            EvolutionOutcome::Inconsistent(violations) => {
-                let rendered: Vec<String> = violations
-                    .iter()
-                    .map(|v| v.render(&self.mgr.meta.db))
-                    .collect();
-                self.mgr.rollback_evolution()?;
-                Err(format!(
-                    "rolled back — change is inconsistent outside a session: {} \
-                     (use `begin` to repair interactively)",
-                    rendered.join("; ")
-                )
-                .into())
-            }
+        match self.mgr.autocommit(f) {
+            Ok((out, _)) => Ok(out),
+            Err(DefineError::Op(e)) => Err(e),
+            Err(DefineError::Inconsistent(rendered)) => Err(format!(
+                "rolled back — change is inconsistent outside a session: {} \
+                 (use `begin` to repair interactively)",
+                rendered.join("; ")
+            )
+            .into()),
+            Err(DefineError::Db(e)) => Err(e.into()),
         }
     }
 
@@ -777,14 +764,12 @@ impl Shell {
                     return Err("usage: del-type T@S <semantics>".into());
                 };
                 let t = self.resolve_type(tref)?;
-                let semantics = match sem {
-                    "restrict" => DeleteTypeSemantics::Restrict,
-                    "reconnect" => DeleteTypeSemantics::Reconnect,
-                    "cascade" => DeleteTypeSemantics::Cascade,
-                    "cascade-objects" => DeleteTypeSemantics::CascadeInstances,
-                    "orphan" => DeleteTypeSemantics::Orphan,
-                    other => return Err(format!("unknown semantics `{other}`").into()),
-                };
+                let semantics = DeleteTypeSemantics::parse(sem).ok_or_else(|| {
+                    format!(
+                        "unknown delete semantics `{sem}` ({})",
+                        DeleteTypeSemantics::CHOICES
+                    )
+                })?;
                 let report =
                     self.autocommit(|mgr| delete_type(mgr, t, semantics).map_err(|e| e.into()))?;
                 println!(

@@ -63,7 +63,7 @@ pub mod prelude {
         CAR_SCHEMA_SRC, COMPANY_SCHEMA_SRC, NEW_CAR_SCHEMA_TYPES_SRC,
     };
     pub use gom_analyzer::lower::Analyzer;
-    pub use gom_core::{EvolutionOutcome, OpenError, RecoveryReport, SchemaManager};
+    pub use gom_core::{DefineError, EvolutionOutcome, OpenError, RecoveryReport, SchemaManager};
     pub use gom_deductive::{Database, Repair, RepairKind, Violation};
     pub use gom_evolution::{
         add_argument, add_argument_plan, copy_type_into, cure_add_attr, delete_type, fixed_check,

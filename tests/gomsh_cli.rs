@@ -66,6 +66,28 @@ fn full_fueltype_session_via_shell() {
 }
 
 #[test]
+fn lint_gate_refusal_of_a_load_leaves_no_session_open() {
+    let dir = std::env::temp_dir().join("gomsh_cli_test");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join(format!("shadow.{}.gom", std::process::id()));
+    // `x` on the subtype shadows `x` on the supertype: lints as L0502 (warn).
+    std::fs::write(
+        &path,
+        "schema ShadowSchema is\n  type A is [ x : string; ] end type A;\n  \
+         type B supertype A is [ x : string; ] end type B;\nend schema ShadowSchema;\n",
+    )
+    .unwrap();
+    let out = run_script(&format!(
+        "lint deny warn\nload {}\nbegin\nquit\n",
+        path.display()
+    ));
+    let _ = std::fs::remove_file(&path);
+    assert!(out.contains("lint gate (warn)"), "{out}");
+    assert!(out.contains("BES — evolution session open"), "{out}");
+    assert!(!out.contains("error: session already active"), "{out}");
+}
+
+#[test]
 fn rollback_via_shell() {
     let schema = write_car_schema();
     let script = format!(

@@ -101,14 +101,8 @@ fn differential_session(
     }
     let delta = mgr.meta.db.session_delta().unwrap();
 
-    // (a) The maintained read must be available on the clean path (no
-    // fallback) and bit-identical to the delta check.
-    let maintained = mgr
-        .meta
-        .db
-        .check_maintained(&delta)
-        .unwrap()
-        .unwrap_or_else(|| panic!("{label} session={session}: maintained state lost mid-session"));
+    // (a) The maintained read must be bit-identical to the delta check.
+    let maintained = mgr.meta.db.check_maintained(&delta).unwrap();
     let full_delta = mgr.meta.db.check_delta(&delta).unwrap();
     assert_eq!(
         maintained.is_empty(),
@@ -160,9 +154,9 @@ fn run_sweep(seed: u64) {
         let maintained = differential_session(&mut mgr, &types, &mut rng, session, &label);
 
         if maintained.is_empty() {
-            // Every 5th consistent session commits through the delta-check
-            // fallback instead: discarding the maintained IDB mid-session
-            // must not change the outcome, only the path.
+            // Every 5th consistent session drops the maintained IDB
+            // mid-session: EES re-arms it and must reach the same decision,
+            // leaving maintenance armed for the next session.
             if session % 5 == 0 {
                 mgr.meta.db.invalidate_caches();
             }
@@ -174,6 +168,10 @@ fn run_sweep(seed: u64) {
                     vs.len()
                 ),
             }
+            assert!(
+                mgr.meta.db.maintenance_active(),
+                "{label} session={session}: EES must leave maintenance armed"
+            );
         } else {
             inconsistent += 1;
             match mgr.end_evolution().unwrap() {

@@ -256,3 +256,34 @@ fn failed_define_inside_a_session_leaves_no_facts() {
         .unwrap();
     assert!(mgr.check().unwrap().is_empty());
 }
+
+/// A shadowed attribute (`x` on both `A` and its subtype `B`) lints as
+/// L0502, a warning.
+const SHADOW_SCHEMA_SRC: &str = "\
+schema ShadowSchema is
+  type A is
+    [ x : string; ]
+  end type A;
+  type B supertype A is
+    [ x : string; ]
+  end type B;
+end schema ShadowSchema;
+";
+
+#[test]
+fn define_schema_refused_by_the_lint_gate_closes_its_session() {
+    let mut mgr = SchemaManager::new().unwrap();
+    mgr.set_lint_gate(Some(Severity::Warn));
+    let err = mgr.define_schema(SHADOW_SCHEMA_SRC).unwrap_err();
+    assert!(
+        matches!(err, DefineError::Db(_)) && err.to_string().contains("lint gate (warn)"),
+        "unexpected: {err}"
+    );
+    assert!(
+        !mgr.in_evolution(),
+        "a refused commit must close the session"
+    );
+    assert!(mgr.meta.schema_by_name("ShadowSchema").is_none());
+    mgr.define_schema(CAR_SCHEMA_SRC).unwrap();
+    assert!(mgr.meta.schema_by_name("CarSchema").is_some());
+}
